@@ -24,21 +24,15 @@ from .hilbert import (
     StateVector,
     OperatorMatrix,
     TruncationError,
-    SpaceMismatchError,
     make_space,
     fock_state,
-    coherent_state,
     annihilation,
-    inner_product,
-    expectation,
 )
 from .model import (
     ModelParams,
-    Polarization,
     HamiltonianFactory,
     default_params,
     coupling_weights,
-    build_hamiltonian,
 )
 from .poincare_path import (
     PathSpec,
@@ -96,19 +90,13 @@ __all__ = [
     "StateVector",
     "OperatorMatrix",
     "TruncationError",
-    "SpaceMismatchError",
     "make_space",
     "fock_state",
-    "coherent_state",
     "annihilation",
-    "inner_product",
-    "expectation",
     "ModelParams",
-    "Polarization",
     "HamiltonianFactory",
     "default_params",
     "coupling_weights",
-    "build_hamiltonian",
     "PathSpec",
     "Schedule",
     "ClosureError",

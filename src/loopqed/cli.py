@@ -7,14 +7,15 @@ Subcommands
     dressed-phases  adiabatic transport phases for chosen photon doublets
 
 Global flags: --config PATH (key = value file), --out DIR (overrides the
-config's out_dir), --threads N (parallel sweep points; output order and
-bytes are independent of N).
+config's out_dir).  Each subcommand also takes an override of its own list
+key: alpha-sweep --alphas, adiabaticity --times, dressed-phases --doublets.
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad config fields,
 inadequate truncation), 2 numerical failure (integration, degeneracy).
 
 Config file format: one `key = value` per line, `#` starts a comment,
-blank lines ignored.  Unknown keys are rejected.  Keys and defaults:
+blank lines ignored.  Unknown keys are rejected.  All computations are
+deterministic, so no key seeds anything.  Keys and defaults:
 
     g_khz = 50.0              atom-cavity coupling g/2pi in kHz
     omega_khz = 50.0          drive Rabi frequency Omega/2pi in kHz
@@ -33,7 +34,6 @@ blank lines ignored.  Unknown keys are rejected.  Keys and defaults:
     dt_ms =                   integrator step in ms (empty: duration/20000)
     round_flips = true        round interaction time to whole Rabi flips
     out_dir = runs            output directory
-    seed = 0                  reserved; all computations are deterministic
     alphas = 0,0.5            alpha-sweep amplitudes
     time_ladder_ms = 0.6,1.2,2.4   adiabaticity loop times
     doublets = 0,0            dressed-phase doublets "n,m;n,m;..."
@@ -55,15 +55,14 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .hilbert import SpaceConfig, TruncationError, make_space
 from .model import ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
 from .dynamics import IntegrationError
-from .phases import DegeneracyError, analytic_dressed_phase, dressed_phase_pair
+from .phases import DegeneracyError, _branch_reading, analytic_dressed_phase
 from .ramsey import (
     CavityInput,
     RamseyConfig,
@@ -109,7 +108,6 @@ _DEFAULTS: dict[str, str] = {
     "dt_ms": "",
     "round_flips": "true",
     "out_dir": "runs",
-    "seed": "0",
     "alphas": "0,0.5",
     "time_ladder_ms": "0.6,1.2,2.4",
     "doublets": "0,0",
@@ -170,12 +168,10 @@ class RunConfig:
     dt_ms: float | None = None
     round_flips: bool = True
     out_dir: str = "runs"
-    seed: int = 0
     alphas: tuple[float, ...] = (0.0, 0.5)
     time_ladder_ms: tuple[float, ...] = (0.6, 1.2, 2.4)
     doublets: tuple[tuple[int, int], ...] = ((0, 0),)
     branch: str = "both"
-    raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.g_khz <= 0 or self.omega_khz <= 0:
@@ -316,7 +312,6 @@ class RunConfig:
             ("dt_ms", _fmt(self.dt_ms) if self.dt_ms is not None else "auto"),
             ("round_flips", "true" if self.round_flips else "false"),
             ("out_dir", self.out_dir),
-            ("seed", str(self.seed)),
             ("alphas", ",".join(_fmt(a) for a in self.alphas)),
             ("time_ladder_ms", ",".join(_fmt(t) for t in self.time_ladder_ms)),
             ("doublets", ";".join(f"{n},{m}" for n, m in self.doublets)),
@@ -430,12 +425,10 @@ def _build_config(values: dict[str, str]) -> RunConfig:
         dt_ms=_to_float("dt_ms", dt_raw) if dt_raw else None,
         round_flips=_to_bool("round_flips", values["round_flips"]),
         out_dir=values["out_dir"].strip() or "runs",
-        seed=_to_int("seed", values["seed"]),
         alphas=_float_list("alphas", values["alphas"]),
         time_ladder_ms=_float_list("time_ladder_ms", values["time_ladder_ms"]),
         doublets=_parse_doublets(values["doublets"]),
         branch=values["branch"].strip().lower(),
-        raw=dict(values),
     )
 
 
@@ -493,7 +486,7 @@ def _write_csv(
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_fringe(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> list[str]:
+def cmd_fringe(config: RunConfig, out_dir: str | None = None) -> list[str]:
     """Run one fringe scan; write fringe.csv."""
     result = run_experiment(config.ramsey_config())
     md = result.metadata
@@ -536,27 +529,20 @@ def cmd_alpha_sweep(
     config: RunConfig,
     alphas: tuple[float, ...] | None = None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> list[str]:
     """Sweep coherent amplitudes; write alpha_sweep.csv."""
     alpha_list = alphas if alphas is not None else config.alphas
     base = config.ramsey_config()
     gamma = solid_angle(base.loop)
 
-    def one(alpha: float):
+    results = []
+    for alpha in alpha_list:
         try:
-            return effective_shift_vs_alpha([alpha], gamma, config.mode, base)[0]
+            results += effective_shift_vs_alpha([alpha], gamma, config.mode, base)
         except TruncationError as exc:
             raise ConfigError(
                 f"alpha-sweep: truncation inadequate for alpha = {alpha}: {exc}"
             ) from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, alpha_list))
-    else:
-        results = [one(a) for a in alpha_list]
-
     rows = [
         [
             _fmt(r.alpha),
@@ -596,21 +582,10 @@ def cmd_adiabaticity(
     config: RunConfig,
     time_ladder_ms: tuple[float, ...] | None = None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> list[str]:
     """Fringe error versus loop time; write adiabaticity.csv."""
     ladder = time_ladder_ms if time_ladder_ms is not None else config.time_ladder_ms
-    base = config.ramsey_config()
-
-    def one(T: float):
-        return adiabaticity_study(base, [T])[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, ladder))
-    else:
-        results = [one(T) for T in ladder]
-
+    results = adiabaticity_study(config.ramsey_config(), list(ladder))
     monotone = all(
         results[i + 1].max_abs_p2_error < results[i].max_abs_p2_error
         for i in range(len(results) - 1)
@@ -640,7 +615,6 @@ def cmd_dressed_phases(
     config: RunConfig,
     doublets: tuple[tuple[int, int], ...] | None = None,
     out_dir: str | None = None,
-    threads: int = 1,
 ) -> list[str]:
     """Adiabatic transport phases per doublet; write dressed_phases.csv.
 
@@ -656,59 +630,32 @@ def cmd_dressed_phases(
     loop = config.loop()
     gamma = solid_angle(loop)
 
-    def one(doublet: tuple[int, int]):
-        n, m = doublet
-        try:
-            pair = dressed_phase_pair(
-                space,
-                params,
-                loop,
-                doublet,
-                samples_per_leg=config.samples_per_leg,
-                dt=config.dt_ms,
-            )
-            return doublet, pair, None
-        except DegeneracyError as exc:
-            return doublet, None, str(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, wanted))
-    else:
-        results = [one(d) for d in wanted]
-
     branches = ("upper", "lower") if config.branch == "both" else (config.branch,)
     rows = []
     failed = []
-    for (n, m), pair, error in results:
+    for n, m in wanted:
         resonant = (
             abs(params.omega_drive**2 - params.g**2 * (n + 1 + m))
             <= 1e-9 * max(params.omega_drive**2, params.g**2)
         )
         for branch in branches:
-            analytic = analytic_dressed_phase(n, m, gamma, branch)
-            if error is not None:
-                rows.append(
-                    [str(n), str(m), branch, "nan", _fmt(analytic),
-                     "yes" if resonant else "no", "nan", "nan", "degenerate"]
+            try:
+                reading = _branch_reading(
+                    space, params, loop, (n, m), branch, config.samples_per_leg,
+                    config.dt_ms,
                 )
-                continue
-            reading = pair[branch]
+                phase, cyclicity, gap, status = (
+                    _fmt(reading.geometric_phase), _fmt(reading.cyclicity),
+                    _fmt(reading.metadata["min_gap"]), "ok",
+                )
+            except DegeneracyError as exc:
+                phase, cyclicity, gap, status = "nan", "nan", "nan", "degenerate"
+                failed.append(((n, m), branch, str(exc)))
             rows.append(
-                [
-                    str(n),
-                    str(m),
-                    branch,
-                    _fmt(reading.geometric_phase),
-                    _fmt(analytic),
-                    "yes" if resonant else "no",
-                    _fmt(reading.cyclicity),
-                    _fmt(reading.metadata.get("min_gap")),
-                    "ok",
-                ]
+                [str(n), str(m), branch, phase,
+                 _fmt(analytic_dressed_phase(n, m, gamma, branch)),
+                 "yes" if resonant else "no", cyclicity, gap, status]
             )
-        if error is not None:
-            failed.append(((n, m), error))
 
     extra = [("gamma_solid_angle", _fmt(gamma))]
     path = _write_csv(
@@ -735,10 +682,13 @@ def cmd_dressed_phases(
         )
     print(f"dressed-phases: -> {path}")
     if failed:
-        for (n, m), error in failed:
-            print(f"dressed-phases: doublet ({n},{m}) failed: {error}", file=sys.stderr)
+        for (n, m), branch, error in failed:
+            print(
+                f"dressed-phases: doublet ({n},{m}) {branch} failed: {error}",
+                file=sys.stderr,
+            )
         raise DegeneracyError(
-            f"{len(failed)} doublet(s) hit a degeneracy; see dressed_phases.csv"
+            f"{len(failed)} branch(es) hit a degeneracy; see dressed_phases.csv"
         )
     return [path]
 
@@ -767,7 +717,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", default=None, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
 
     p_fringe = sub.add_parser("fringe", help="one Ramsey fringe scan")
     common(p_fringe)
@@ -797,24 +746,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         config = load_config(args.config)
         if args.subcommand == "fringe":
-            cmd_fringe(config, out_dir=args.out, threads=args.threads)
+            cmd_fringe(config, out_dir=args.out)
         elif args.subcommand == "alpha-sweep":
             alphas = _float_list("--alphas", args.alphas) if args.alphas else None
-            cmd_alpha_sweep(config, alphas=alphas, out_dir=args.out, threads=args.threads)
+            cmd_alpha_sweep(config, alphas=alphas, out_dir=args.out)
         elif args.subcommand == "adiabaticity":
             ladder = _float_list("--times", args.times) if args.times else None
-            cmd_adiabaticity(
-                config, time_ladder_ms=ladder, out_dir=args.out, threads=args.threads
-            )
+            cmd_adiabaticity(config, time_ladder_ms=ladder, out_dir=args.out)
         elif args.subcommand == "dressed-phases":
             wanted = _parse_doublets(args.doublets) if args.doublets else None
-            cmd_dressed_phases(
-                config, doublets=wanted, out_dir=args.out, threads=args.threads
-            )
+            cmd_dressed_phases(config, doublets=wanted, out_dir=args.out)
         else:  # pragma: no cover - argparse enforces the subcommand set
             raise ConfigError(f"unknown subcommand {args.subcommand!r}")
         return 0

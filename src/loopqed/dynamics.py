@@ -28,7 +28,6 @@ __all__ = [
     "convergence_check",
     "ConvergenceReport",
     "brute_force_evolve",
-    "write_trajectory_csv",
 ]
 
 DEFAULT_STEPS = 20000
@@ -68,14 +67,6 @@ class Trajectory:
     @property
     def final_state(self) -> StateVector:
         return StateVector(self.amplitudes[-1].copy(), self.space, normalized=True)
-
-    @property
-    def initial_state(self) -> StateVector:
-        return StateVector(self.amplitudes[0].copy(), self.space, normalized=True)
-
-    def populations(self) -> np.ndarray:
-        """|amplitude|^2 per sample, shape (n_samples, dim)."""
-        return np.abs(self.amplitudes) ** 2
 
 
 def _resolve_steps(duration: float, schedule: Schedule, dt: float | None) -> int:
@@ -134,49 +125,56 @@ def evolve(
         t_end = schedule.duration
     if t_end < t_start:
         raise ValueError(f"t_end {t_end} precedes t_start {t_start}")
-    duration = t_end - t_start
-    steps = _resolve_steps(duration, schedule, dt)
-    if factory is None:
-        factory = HamiltonianFactory(initial.space, params)
-
-    psi = initial.amplitudes.astype(complex).copy()
-    if steps == 0:
-        times = np.array([t_start])
-        amps = psi[None, :].copy()
-        traj = Trajectory(
-            times, amps, initial.space, params, schedule,
-            {"dt": 0.0, "steps": 0, "max_norm_drift": abs(np.linalg.norm(psi) - 1.0),
-             "energy_integral": 0.0},
-        )
-        return traj
-
-    h = duration / steps
+    steps = _resolve_steps(t_end - t_start, schedule, dt)
     if sample_stride is None:
         sample_stride = max(1, steps // 512)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    if factory is None:
+        factory = HamiltonianFactory(initial.space, params)
 
-    mids = t_start + (np.arange(steps) + 0.5) * h
-    th_mid, ph_mid = schedule.angles_at(mids)
-    th_mid = np.atleast_1d(th_mid)
-    ph_mid = np.atleast_1d(ph_mid)
-
-    constant = schedule.max_rate == 0.0
-    if constant:
-        w, v = np.linalg.eigh(factory.dense(float(th_mid[0]), float(ph_mid[0])))
-
+    psi = initial.amplitudes.astype(complex)
     rec_times = [t_start]
-    rec_amps = [psi.copy()]
+    rec_amps = [psi]
+
+    def record(t_now, v, psi):
+        rec_times.append(t_now)
+        rec_amps.append(psi)
+
+    _, stats = _propagate(
+        psi, factory.dense, schedule, t_start, t_end, steps, sample_stride, record
+    )
+    return Trajectory(
+        np.array(rec_times), np.array(rec_amps), initial.space, params, schedule, stats
+    )
+
+
+def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
+    """Step psi from t_start to t_end; the package's one stepping loop.
+
+    Each of the `steps` equal steps applies the exact exponential of
+    dense(theta, phi) frozen at the step's midpoint angles, from one
+    eigendecomposition (a single one in all when the schedule is constant).
+    After every stride-th step and after the last, the amplitudes are
+    checked and on_sample(t, v, psi) receives the time, the step's
+    eigenvectors and the state.  Returns the final amplitudes and the
+    step_stats dict of Trajectory.
+
+    Raises IntegrationError on non-finite amplitudes or a norm drift beyond
+    NORM_DRIFT_LIMIT, naming the step and time.
+    """
+    h = (t_end - t_start) / steps if steps else 0.0
+    th_mid, ph_mid = schedule.angles_at(t_start + (np.arange(steps) + 0.5) * h)
+    constant = schedule.max_rate == 0.0
     max_drift = abs(np.linalg.norm(psi) - 1.0)
     energy_integral = 0.0
-
     for k in range(steps):
-        if not constant:
-            w, v = np.linalg.eigh(factory.dense(float(th_mid[k]), float(ph_mid[k])))
+        if k == 0 or not constant:
+            w, v = np.linalg.eigh(dense(float(th_mid[k]), float(ph_mid[k])))
         c = v.conj().T @ psi
         energy_integral += h * float(np.real(np.sum(w * np.abs(c) ** 2)))
         psi = v @ (np.exp(-1j * w * h) * c)
-        if (k + 1) % sample_stride == 0 or k == steps - 1:
+        if (k + 1) % stride == 0 or k == steps - 1:
             t_now = t_start + (k + 1) * h
             if not np.all(np.isfinite(psi)):
                 raise IntegrationError(
@@ -189,18 +187,14 @@ def evolve(
                     f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at step "
                     f"{k + 1} (t = {t_now:.6g} ms)"
                 )
-            rec_times.append(t_now)
-            rec_amps.append(psi.copy())
-
+            on_sample(t_now, v, psi)
     stats = {
         "dt": h,
         "steps": steps,
         "max_norm_drift": max_drift,
         "energy_integral": energy_integral,
     }
-    return Trajectory(
-        np.array(rec_times), np.array(rec_amps), initial.space, params, schedule, stats
-    )
+    return psi, stats
 
 
 @dataclass(frozen=True)
@@ -256,33 +250,3 @@ def brute_force_evolve(
         u = expm(-1j * h * factory.dense(float(th), float(ph)))
         psi = u @ psi
     return StateVector(psi, initial.space, normalized=False)
-
-
-def write_trajectory_csv(
-    traj: Trajectory, path: str, track: list[tuple[int, int, int]] | None = None
-) -> None:
-    """Write sampled times, atomic populations, and tracked amplitudes.
-
-    track lists basis labels (level, n, m) whose complex amplitudes are
-    exported as re/im column pairs.
-    """
-    from .hilbert import state_index
-
-    track = track or []
-    cols = ["t_ms", "p_level1", "p_level2"]
-    for level, n, m in track:
-        cols.append(f"re_{level}_{n}_{m}")
-        cols.append(f"im_{level}_{n}_{m}")
-    idx_level2_start = (traj.space.nmax_plus + 1) * (traj.space.nmax_minus + 1)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for t, amps in zip(traj.times, traj.amplitudes):
-            pops = np.abs(amps) ** 2
-            p1 = float(np.sum(pops[:idx_level2_start]))
-            p2 = float(np.sum(pops[idx_level2_start:]))
-            row = [f"{t:.11e}", f"{p1:.11e}", f"{p2:.11e}"]
-            for level, n, m in track:
-                a = amps[state_index(traj.space, level, n, m)]
-                row.append(f"{a.real:.11e}")
-                row.append(f"{a.imag:.11e}")
-            fh.write(",".join(row) + "\n")

@@ -6,14 +6,15 @@ atom-major, then the "+" photon number, then the "-" photon number:
 
     index(level, n, m) = ((level - 1) * (nmax_plus + 1) + n) * (nmax_minus + 1) + m
 
-This order is part of the public contract (CSV exports rely on it).
-Amplitudes are complex numpy arrays; operators are stored sparse.
+This order is part of the public contract (ramsey.close_and_detect reads
+the level-1 and level-2 halves of the vector).  Amplitudes are complex
+numpy arrays; operators are stored sparse.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -23,20 +24,14 @@ __all__ = [
     "StateVector",
     "OperatorMatrix",
     "TruncationError",
-    "SpaceMismatchError",
     "make_space",
     "state_index",
-    "index_label",
     "fock_state",
-    "coherent_state",
     "coherent_mode_coefficients",
     "coherent_tail_mass",
     "annihilation",
     "atomic_projector",
     "atomic_raise",
-    "apply",
-    "inner_product",
-    "expectation",
 ]
 
 NORM_TOL = 1e-10
@@ -46,10 +41,6 @@ DEFAULT_TAIL_TOL = 1e-3
 
 class TruncationError(ValueError):
     """Raised when a requested state does not fit the photon cutoffs."""
-
-
-class SpaceMismatchError(ValueError):
-    """Raised when states or operators from different spaces are combined."""
 
 
 @dataclass(frozen=True)
@@ -97,19 +88,6 @@ def state_index(space: SpaceConfig, level: int, n: int, m: int) -> int:
     if not 0 <= m <= space.nmax_minus:
         raise ValueError(f"mode - photon number {m} outside [0, {space.nmax_minus}]")
     return ((level - 1) * (space.nmax_plus + 1) + n) * (space.nmax_minus + 1) + m
-
-
-def index_label(space: SpaceConfig, index: int) -> tuple[int, int, int]:
-    """Inverse of state_index: flat index to (level, n, m)."""
-    if not 0 <= index < space.dim:
-        raise ValueError(f"flat index {index} outside [0, {space.dim})")
-    width_m = space.nmax_minus + 1
-    width_n = space.nmax_plus + 1
-    m = index % width_m
-    rest = index // width_m
-    n = rest % width_n
-    level = rest // width_n + 1
-    return level, n, m
 
 
 @dataclass
@@ -169,11 +147,6 @@ class OperatorMatrix:
         return self.entries.toarray()
 
 
-def _require_same_space(a: SpaceConfig, b: SpaceConfig) -> None:
-    if a != b:
-        raise SpaceMismatchError(f"space mismatch: {a} vs {b}")
-
-
 def _canonical_mode(mode: str) -> str:
     if mode in ("plus", "+"):
         return "plus"
@@ -211,47 +184,6 @@ def coherent_mode_coefficients(
         coeffs[k + 1] = coeffs[k] * alpha / math.sqrt(k + 1)
     kept = float(np.sum(np.abs(coeffs) ** 2))
     return coeffs / math.sqrt(kept)
-
-
-def coherent_state(
-    space: SpaceConfig,
-    alpha: complex,
-    mode: str = "plus",
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    level: int = 1,
-) -> StateVector:
-    """Truncated coherent state in one mode, vacuum in the other.
-
-    Parameters
-    ----------
-    space : SpaceConfig
-    alpha : complex
-        Coherent amplitude.  Photon-number weights follow the usual
-        Poisson law |c_n|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!.
-    mode : str
-        "plus" or "minus" (aliases "+", "-"); the mode carrying the field.
-    tail_tol : float
-        Largest permitted probability mass beyond the photon cutoff.  The
-        retained amplitudes are renormalized to unit norm.
-    level : int
-        Atom level factor of the product state, 1 or 2.
-
-    Raises
-    ------
-    TruncationError
-        If the discarded Poisson tail reaches tail_tol.  The message states
-        the tail mass and the cutoff that was too small.
-    """
-    mode = _canonical_mode(mode)
-    nmax = space.nmax_plus if mode == "plus" else space.nmax_minus
-    coeffs = coherent_mode_coefficients(alpha, nmax, tail_tol)
-    amps = np.zeros(space.dim, dtype=complex)
-    for k in range(nmax + 1):
-        if mode == "plus":
-            amps[state_index(space, level, k, 0)] = coeffs[k]
-        else:
-            amps[state_index(space, level, 0, k)] = coeffs[k]
-    return StateVector(amps, space)
 
 
 def coherent_tail_mass(alpha: complex, nmax: int) -> float:
@@ -314,22 +246,3 @@ def atomic_raise(space: SpaceConfig) -> OperatorMatrix:
         (vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex
     )
     return OperatorMatrix(mat, space, hermitian=False)
-
-
-def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
-    """Apply an operator to a state; the result is not assumed unit norm."""
-    _require_same_space(op.space, state.space)
-    return StateVector(op.entries @ state.amplitudes, state.space, normalized=False)
-
-
-def inner_product(bra: StateVector, ket: StateVector) -> complex:
-    """<bra|ket>, conjugate-linear in the first argument."""
-    _require_same_space(bra.space, ket.space)
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))
-
-
-def expectation(op: OperatorMatrix, state: StateVector) -> complex:
-    """<state|op|state>; real part is the physical value for hermitian ops."""
-    _require_same_space(op.space, state.space)
-    val = complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
-    return val

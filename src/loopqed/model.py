@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .hilbert import (
     OperatorMatrix,
@@ -38,14 +37,13 @@ from .hilbert import (
     annihilation,
     atomic_projector,
     atomic_raise,
+    state_index,
 )
 
 __all__ = [
     "ModelParams",
-    "Polarization",
     "default_params",
     "coupling_weights",
-    "build_hamiltonian",
     "HamiltonianFactory",
     "excitation_operator",
     "excitation_sector_indices",
@@ -97,16 +95,6 @@ class ModelParams:
         return self.g**2 / self.delta
 
     @property
-    def dispersive_warning(self) -> bool:
-        """Advisory flag: True when delta < 5x the larger bare rate.
-
-        The adiabatic elimination behind this model is cleanest deep in the
-        dispersive regime.  The reference parameter set (delta = 3 omega)
-        trips this flag on purpose; it is a caution, never an error.
-        """
-        return self.delta < 5.0 * max(self.g, self.omega_drive)
-
-    @property
     def flip_period(self) -> float:
         """Duration of one full vacuum excitation exchange, 2 pi / lam, in ms."""
         if self.lam == 0.0:
@@ -117,22 +105,6 @@ class ModelParams:
 def default_params() -> ModelParams:
     """Reference parameter set: g = omega_drive = 2 pi * 50 rad/ms, delta = 3 omega."""
     return ModelParams()
-
-
-@dataclass(frozen=True)
-class Polarization:
-    """Point on the Poincare sphere steering the drive polarization.
-
-    theta in [0, pi] is the polar angle (0 selects pure "+" coupling),
-    phi is the azimuth in radians, unreduced (winding matters for loops).
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not -1e-12 <= self.theta <= math.pi + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
 
 
 def coupling_weights(theta: float, phi: float) -> tuple[complex, complex]:
@@ -158,9 +130,16 @@ class HamiltonianFactory:
     with D the diagonal light-shift part and C± = a± |2><1| the fixed
     structure matrices.  Dense arrays are kept because every propagation
     step diagonalizes H anyway.
+
+    When sector lists flat indices (one excitation sector, see
+    excitation_sector_indices), the pieces are cut down to that block and
+    dense() returns exactly dense()[np.ix_(sector, sector)] of the full
+    factory, bit for bit, at a fraction of the cost.
     """
 
-    def __init__(self, space: SpaceConfig, params: ModelParams):
+    def __init__(
+        self, space: SpaceConfig, params: ModelParams, sector: list[int] | None = None
+    ):
         self.space = space
         self.params = params
         p2 = atomic_projector(space, 2).entries
@@ -172,9 +151,9 @@ class HamiltonianFactory:
         diag = params.shift_upper * p2 + params.shift_lower_per_photon * (
             number_total @ p1
         )
-        self._diag = diag.toarray()
-        self._c_plus = (a_plus @ raise_op).toarray()
-        self._c_minus = (a_minus @ raise_op).toarray()
+        ix = slice(None) if sector is None else np.ix_(sector, sector)
+        pieces = (diag, a_plus @ raise_op, a_minus @ raise_op)
+        self._diag, self._c_plus, self._c_minus = (p.toarray()[ix] for p in pieces)
 
     def dense(self, theta: float, phi: float) -> np.ndarray:
         """Dense Hamiltonian matrix at sphere point (theta, phi)."""
@@ -185,27 +164,12 @@ class HamiltonianFactory:
         return self._diag + coupling + coupling.conj().T
 
 
-def build_hamiltonian(
-    space: SpaceConfig, params: ModelParams, pol: Polarization
-) -> OperatorMatrix:
-    """Sparse hermitian Hamiltonian at one polarization point.
-
-    Convenience wrapper over HamiltonianFactory for single evaluations;
-    time evolution should reuse a factory instead.
-    """
-    factory = HamiltonianFactory(space, params)
-    dense = factory.dense(pol.theta, pol.phi)
-    return OperatorMatrix(sparse.csr_matrix(dense), space, hermitian=True)
-
-
 def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:
     """Flat indices of basis states with total excitation n_exc.
 
     Total excitation counts photons in both modes plus one for atom level 2.
     Propagation never mixes sectors, so restricting to one sector is exact.
     """
-    from .hilbert import state_index
-
     idx = []
     for level in (1, 2):
         for n in range(space.nmax_plus + 1):

@@ -4,10 +4,11 @@ Conventions used throughout (and relied on by the tests):
 
 * Total phase between two states is the overlap argument arg<initial|final>
   together with its magnitude (the cyclicity).
-* Dynamical phase is removed either by a reference arm (a twin run with the
-  drive polarization frozen at its starting point) or by the energy integral
-  -int <H> dt accumulated along the run.  Geometric phase is the wrapped
-  difference.
+* Dynamical phase is removed by a reference arm: a twin run with the drive
+  polarization frozen at its starting point, which for an eigenstate
+  reduces to -E0 T.  Geometric phase is the wrapped difference.  Transport
+  runs step with dynamics' stepper inside the doublet's excitation sector
+  and also record the energy integral -int <H> dt in their metadata.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -36,7 +37,7 @@ import numpy as np
 from .hilbert import SpaceConfig, StateVector, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, Schedule, frozen_schedule, make_schedule, reversed_path
-from .dynamics import DEFAULT_STEPS, evolve
+from .dynamics import _propagate, _resolve_steps, evolve
 
 __all__ = [
     "OverlapReading",
@@ -46,7 +47,6 @@ __all__ = [
     "wrap_phase",
     "pancharatnam_phase",
     "dynamical_phase_reference",
-    "dynamical_phase_energy_integral",
     "analytic_dressed_phase",
     "adiabatic_eigenstate_transport",
     "dressed_phase_pair",
@@ -55,6 +55,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_CYCLICITY_FLOOR = 0.99
+# the tracked level's gap must stay above this multiple of the sweep rate
+GAP_FACTOR = 10.0
+# adiabatic fidelity is sampled about this many times per transport run
+FIDELITY_SAMPLES = 256
 
 
 class NonCyclicWarning(UserWarning):
@@ -87,15 +91,13 @@ class PhaseReading:
     """Decomposed phase of one cyclic run.
 
     geometric_phase always equals wrap_phase(total_phase - dynamical_phase);
-    the constructor enforces it.  scheme names the dynamical-phase removal
-    used: "reference-arm" or "energy-integral".
+    the constructor enforces it.
     """
 
     total_phase: float
     dynamical_phase: float
     geometric_phase: float
     cyclicity: float
-    scheme: str
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -159,11 +161,6 @@ def dynamical_phase_reference(
     return reading.phase
 
 
-def dynamical_phase_energy_integral(trajectory) -> float:
-    """Energy-integral dynamical phase -int <H> dt of a recorded run."""
-    return -float(trajectory.step_stats["energy_integral"])
-
-
 def analytic_dressed_phase(n: int, m: int, gamma: float, branch: str) -> float:
     """Closed-form geometric phase of a dressed doublet branch.
 
@@ -200,40 +197,34 @@ def _select_doublet_branch(
 
 
 def _gap_precheck(
-    factory: HamiltonianFactory,
-    sector: list[int],
-    schedule: Schedule,
-    tracked_eigenvalue: float,
-    gap_factor: float,
+    factory: HamiltonianFactory, schedule: Schedule, tracked_eigenvalue: float
 ) -> float:
-    """Verify the tracked level keeps a gap above gap_factor times the sweep rate.
+    """Verify the tracked level keeps a gap above GAP_FACTOR times the sweep rate.
 
-    Scans the schedule's own samples.  Returns the smallest gap found;
-    raises DegeneracyError naming the time of closest approach.
+    Scans the schedule's own samples with the sector factory.  Returns the
+    smallest gap found; raises DegeneracyError naming the time of closest
+    approach.
     """
     times = schedule.times
     min_gap = math.inf
     worst_margin = math.inf
     worst_time = 0.0
-    ix = np.ix_(sector, sector)
     for k in range(times.size):
-        h = factory.dense(float(schedule.thetas[k]), float(schedule.phis[k]))[ix]
-        w = np.linalg.eigvalsh(h)
+        w = np.linalg.eigvalsh(
+            factory.dense(float(schedule.thetas[k]), float(schedule.phis[k]))
+        )
         tracked = w[np.argmin(np.abs(w - tracked_eigenvalue))]
         others = w[np.abs(w - tracked) > 1e-12]
         gap = float(np.min(np.abs(others - tracked))) if others.size else math.inf
-        if k == 0:
-            rate = 0.0 if times.size == 1 else _local_rate(schedule, k)
-        else:
-            rate = _local_rate(schedule, k)
-        margin = gap - gap_factor * rate
+        rate = _local_rate(schedule, k)
+        margin = gap - GAP_FACTOR * rate
         if margin < worst_margin:
             worst_margin = margin
             worst_time = float(times[k])
         min_gap = min(min_gap, gap)
         if margin <= 0:
             raise DegeneracyError(
-                f"tracked level gap {gap:.4g} rad/ms falls below {gap_factor:.0f}x "
+                f"tracked level gap {gap:.4g} rad/ms falls below {GAP_FACTOR:.0f}x "
                 f"the sweep rate {rate:.4g} rad/ms at t = {worst_time:.6g} ms"
             )
     return min_gap
@@ -257,24 +248,24 @@ def adiabatic_eigenstate_transport(
     doublet: tuple[int, int],
     branch: str = "upper",
     dt: float | None = None,
-    scheme: str = "reference-arm",
-    cyclicity_floor: float = DEFAULT_CYCLICITY_FLOOR,
-    gap_factor: float = 10.0,
 ) -> PhaseReading:
     """Carry one dressed doublet branch around a loop and read its phases.
 
     The run starts in the instantaneous eigenstate of H at the schedule's
     first sample that belongs to the (n, m) doublet (the one spanned by
     |2,n,m> and |1,n+1,m>) on the requested branch, propagates it with
-    midpoint-frozen exact steps restricted to its excitation sector, and
-    decomposes the Pancharatnam phase into dynamical and geometric parts.
+    dynamics' midpoint-frozen exact steps restricted to its excitation
+    sector, and decomposes the Pancharatnam phase into dynamical and
+    geometric parts.
 
-    scheme "reference-arm" removes -E0 T (the frozen-drive twin of an
-    eigenstate reduces to its eigenvalue); "energy-integral" removes the
-    accumulated -int <H> dt.  Both are attached to metadata regardless.
+    The dynamical phase removed is the reference arm's -E0 T (the
+    frozen-drive twin of an eigenstate reduces to its eigenvalue); the
+    energy integral -int <H> dt is recorded in metadata beside it.
 
     Raises DegeneracyError when the tracked eigenvalue's spectral gap drops
-    to gap_factor times the local sweep rate anywhere along the path.
+    to GAP_FACTOR times the local sweep rate anywhere along the path, and
+    IntegrationError when the propagated state turns non-finite or loses
+    its norm.
     """
     n, m = doublet
     if n < 0 or m < 0:
@@ -285,54 +276,39 @@ def adiabatic_eigenstate_transport(
         )
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-    if scheme not in ("reference-arm", "energy-integral"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
-    factory = HamiltonianFactory(space, params)
     sector = excitation_sector_indices(space, n + 1 + m)
-    ix = np.ix_(sector, sector)
-    h0 = factory.dense(float(schedule.thetas[0]), float(schedule.phis[0]))[ix]
+    factory = HamiltonianFactory(space, params, sector)
+    h0 = factory.dense(float(schedule.thetas[0]), float(schedule.phis[0]))
     w0, v0, col = _select_doublet_branch(h0, sector, space, n, m, branch)
     e0 = float(w0[col])
-    min_gap = _gap_precheck(factory, sector, schedule, e0, gap_factor)
+    min_gap = _gap_precheck(factory, schedule, e0)
 
     duration = schedule.duration
-    if dt is None:
-        dt = duration / DEFAULT_STEPS if duration > 0 else 1.0
-    steps = max(1, int(math.ceil(duration / dt - 1e-12))) if duration > 0 else 0
-    psi = v0.astype(complex).copy()
-    energy_integral = 0.0
+    steps = _resolve_steps(duration, schedule, dt)
     min_fidelity = 1.0
-    if steps:
-        h = duration / steps
-        mids = (np.arange(steps) + 0.5) * h
-        th_mid, ph_mid = schedule.angles_at(mids)
-        fidelity_stride = max(1, steps // 256)
-        for k in range(steps):
-            hs = factory.dense(float(th_mid[k]), float(ph_mid[k]))[ix]
-            w, v = np.linalg.eigh(hs)
-            c = v.conj().T @ psi
-            energy_integral += h * float(np.real(np.sum(w * np.abs(c) ** 2)))
-            psi = v @ (np.exp(-1j * w * h) * c)
-            if (k + 1) % fidelity_stride == 0:
-                # maximal-overlap continuation: the instantaneous eigenvector
-                # the state follows is the one it overlaps most; its weight is
-                # the adiabatic fidelity (phase-smoothness gauge is implicit
-                # in taking magnitudes only)
-                overlaps = np.abs(v.conj().T @ psi)
-                min_fidelity = min(min_fidelity, float(np.max(overlaps)))
+
+    def track(t_now, v, psi):
+        # maximal-overlap continuation: the instantaneous eigenvector the
+        # state follows is the one it overlaps most; its weight is the
+        # adiabatic fidelity (phase-smoothness gauge is implicit in taking
+        # magnitudes only)
+        nonlocal min_fidelity
+        min_fidelity = min(min_fidelity, float(np.max(np.abs(v.conj().T @ psi))))
+
+    psi, stats = _propagate(
+        v0, factory.dense, schedule, 0.0, duration, steps,
+        max(1, steps // FIDELITY_SAMPLES), track,
+    )
 
     ov = complex(np.vdot(v0, psi))
     cyclicity = abs(ov)
     total = float(np.angle(ov))
-    dyn_reference = -e0 * duration
-    dyn_energy = -energy_integral
-    dynamical = dyn_reference if scheme == "reference-arm" else dyn_energy
-    geometric = wrap_phase(total - dynamical)
-    if cyclicity < cyclicity_floor:
+    dynamical = -e0 * duration
+    if cyclicity < DEFAULT_CYCLICITY_FLOOR:
         warnings.warn(
             f"transport run cyclicity {cyclicity:.6f} below floor "
-            f"{cyclicity_floor:.2f}",
+            f"{DEFAULT_CYCLICITY_FLOOR:.2f}",
             NonCyclicWarning,
             stacklevel=2,
         )
@@ -342,16 +318,15 @@ def adiabatic_eigenstate_transport(
         "eigenvalue": e0,
         "min_gap": min_gap,
         "min_adiabatic_fidelity": min_fidelity,
-        "dynamical_phase_reference": dyn_reference,
-        "dynamical_phase_energy_integral": dyn_energy,
+        "dynamical_phase_reference": dynamical,
+        "dynamical_phase_energy_integral": -stats["energy_integral"],
         "duration": duration,
     }
     return PhaseReading(
         total_phase=total,
         dynamical_phase=dynamical,
-        geometric_phase=geometric,
+        geometric_phase=wrap_phase(total - dynamical),
         cyclicity=cyclicity,
-        scheme=scheme,
         metadata=metadata,
     )
 
@@ -363,7 +338,6 @@ def dressed_phase_pair(
     doublet: tuple[int, int],
     samples_per_leg: int = 256,
     dt: float | None = None,
-    scheme: str = "reference-arm",
 ) -> dict[str, PhaseReading]:
     """Equal-and-opposite dressed-phase pair for one doublet.
 
@@ -373,18 +347,27 @@ def dressed_phase_pair(
     exact negatives of each other at any sweep speed, converging to
     +-gamma/2 (n - m + 1/2) adiabatically.
     """
-    fwd = make_schedule(loop, samples_per_leg=samples_per_leg,
-                        effective_coupling=params.lam)
-    rev = make_schedule(reversed_path(loop), samples_per_leg=samples_per_leg,
-                        effective_coupling=params.lam)
     return {
-        "upper": adiabatic_eigenstate_transport(
-            space, params, fwd, doublet, branch="upper", dt=dt, scheme=scheme
-        ),
-        "lower": adiabatic_eigenstate_transport(
-            space, params, rev, doublet, branch="lower", dt=dt, scheme=scheme
-        ),
+        branch: _branch_reading(space, params, loop, doublet, branch, samples_per_leg, dt)
+        for branch in ("upper", "lower")
     }
+
+
+def _branch_reading(
+    space: SpaceConfig,
+    params: ModelParams,
+    loop: PathSpec,
+    doublet: tuple[int, int],
+    branch: str,
+    samples_per_leg: int,
+    dt: float | None,
+) -> PhaseReading:
+    """One reading of dressed_phase_pair: the lower branch runs the reversed loop."""
+    path = loop if branch == "upper" else reversed_path(loop)
+    schedule = make_schedule(
+        path, samples_per_leg=samples_per_leg, effective_coupling=params.lam
+    )
+    return adiabatic_eigenstate_transport(space, params, schedule, doublet, branch, dt)
 
 
 def ideal_phase_map(state: StateVector, gamma: float) -> StateVector:

@@ -4,10 +4,11 @@ A loop is a PathSpec: ordered sphere knots (theta, phi) joined by straight
 legs in angle space, each leg with a positive duration.  The workhorse shape
 is the "lasso": descend a meridian from the pole to a circle of constant
 theta, sweep the azimuth through a full turn, and climb back to the pole.
-Its enclosed (signed) solid angle has the closed form 2 pi (1 - cos theta0).
+Its enclosed (signed) solid angle has the closed form 2 pi (1 - cos theta0),
+and its time splits 1:2:1 over the three legs (LASSO_LEG_FRACTIONS).
 
 Schedules sample a PathSpec uniformly in time per leg and interpolate
-linearly; they can be written to and read from CSV.
+linearly.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ __all__ = [
     "solid_angle",
     "make_schedule",
     "frozen_schedule",
-    "write_schedule_csv",
-    "read_schedule_csv",
 ]
 
 TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-12
+# lasso time split between descent, azimuthal sweep and return
+LASSO_LEG_FRACTIONS = (0.25, 0.5, 0.25)
 
 
 class ClosureError(ValueError):
@@ -96,11 +97,7 @@ class PathSpec:
         return float(sum(self.durations))
 
 
-def lasso_path(
-    gamma_target: float,
-    total_time: float,
-    leg_fractions: tuple[float, float, float] = (0.25, 0.5, 0.25),
-) -> PathSpec:
+def lasso_path(gamma_target: float, total_time: float) -> PathSpec:
     """Lasso loop enclosing a prescribed solid angle.
 
     Parameters
@@ -110,9 +107,8 @@ def lasso_path(
         radius follows from inverting the spherical-cap area:
         theta0 = arccos(1 - gamma_target / (2 pi)).
     total_time : float
-        Loop duration in ms, split over the three legs.
-    leg_fractions : tuple of three positive floats summing to 1
-        Time split between descent, azimuthal sweep, and return.
+        Loop duration in ms, split over the descent, azimuthal sweep and
+        return legs in the proportions LASSO_LEG_FRACTIONS.
 
     The azimuth at the pole is fixed to 0 by convention (it is undefined
     there); the sweep runs phi from 0 to 2 pi and the return leg keeps
@@ -124,13 +120,9 @@ def lasso_path(
         )
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
-    if len(leg_fractions) != 3 or any(f <= 0 for f in leg_fractions):
-        raise ValueError("leg_fractions must be three positive numbers")
-    if abs(sum(leg_fractions) - 1.0) > 1e-9:
-        raise ValueError(f"leg_fractions must sum to 1, got {sum(leg_fractions)}")
     theta0 = math.acos(1.0 - gamma_target / TWO_PI)
     knots = ((0.0, 0.0), (theta0, 0.0), (theta0, TWO_PI), (0.0, TWO_PI))
-    durations = tuple(f * total_time for f in leg_fractions)
+    durations = tuple(f * total_time for f in LASSO_LEG_FRACTIONS)
     return PathSpec("lasso", knots, durations, theta0=theta0)
 
 
@@ -145,8 +137,8 @@ def reversed_path(spec: PathSpec) -> PathSpec:
     """The same loop traversed in the opposite direction.
 
     Knots and leg durations are reversed; the enclosed solid angle changes
-    sign.  Lasso timing (symmetric leg fractions) makes the reversed drive
-    exactly the complex conjugate of the forward one.
+    sign.  Lasso timing (LASSO_LEG_FRACTIONS is symmetric) makes the reversed
+    drive exactly the complex conjugate of the forward one.
     """
     return PathSpec(
         "piecewise",
@@ -317,21 +309,3 @@ def solid_angle(obj, samples_per_leg: int = 2049) -> float:
     f = 1.0 - np.cos(thetas)
     dphi = np.diff(phis)
     return float(np.sum(0.5 * (f[:-1] + f[1:]) * dphi))
-
-
-def write_schedule_csv(schedule: Schedule, path: str) -> None:
-    """Write (t_ms, theta_rad, phi_rad) rows with 12 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("t_ms,theta_rad,phi_rad\n")
-        for t, th, ph in zip(schedule.times, schedule.thetas, schedule.phis):
-            fh.write(f"{t:.11e},{th:.11e},{ph:.11e}\n")
-
-
-def read_schedule_csv(path: str) -> Schedule:
-    """Read a schedule written by write_schedule_csv."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns in {path}, got {data.shape[1]}")
-    sched = Schedule(data[:, 0], data[:, 1], data[:, 2])
-    object.__setattr__(sched, "metadata", {"max_rate": sched.max_rate})
-    return sched

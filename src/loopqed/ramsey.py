@@ -120,7 +120,6 @@ class RamseyConfig:
     round_to_flips: bool = True
     xi_grid: np.ndarray = field(default_factory=default_xi_grid)
     mode: str = "full"
-    scheme: str = "reference-arm"
     dt: float | None = None
     samples_per_leg: int = 256
 
@@ -135,11 +134,6 @@ class RamseyConfig:
         object.__setattr__(self, "xi_grid", xi)
         if self.mode not in ("full", "ideal"):
             raise ValueError(f"mode must be 'full' or 'ideal', got {self.mode!r}")
-        if self.scheme != "reference-arm":
-            raise ValueError(
-                "only the reference-arm scheme supports superposition inputs; "
-                f"got scheme {self.scheme!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def test_exit_zero_and_fringe_output(tmp_path, capsys):
     assert "# subcommand = fringe" in header
     # the full resolved configuration is echoed
     for key in ("g_khz", "omega_khz", "delta_ratio", "nmax_plus", "cavity",
-                "mode", "xi_points", "seed", "g_rad_per_ms",
+                "mode", "xi_points", "g_rad_per_ms",
                 "lambda_rad_per_ms", "flip_period_ms"):
         assert any(ln.startswith(f"# {key} = ") for ln in header), key
     assert any("2*pi*f_khz rad/ms" in ln for ln in header)
@@ -198,10 +198,13 @@ def test_exit_one_on_argparse_problems(capsys):
 
 
 def test_exit_one_on_bad_threads(tmp_path, capsys):
+    # there is no --threads flag and no seed key; each is a usage error
     cfg = write_cfg(tmp_path, **FAST_IDEAL)
-    rc = main(["fringe", "--config", cfg, "--threads", "0"])
-    assert rc == 1
+    assert main(["fringe", "--config", cfg, "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+    seeded = write_cfg(tmp_path, name="seeded.cfg", seed=0, **FAST_IDEAL)
+    assert main(["fringe", "--config", seeded]) == 1
+    assert "unknown field 'seed'" in capsys.readouterr().err
 
 
 def test_exit_one_on_inadequate_truncation(tmp_path, capsys):
@@ -242,18 +245,11 @@ def test_alpha_sweep_output_and_thread_determinism(tmp_path, capsys):
         loop_time_ms=0.6,
         alphas="0,0.5,1.0",
     )
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert main(["alpha-sweep", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["alpha-sweep", "--config", cfg, "--out", str(threaded),
-                 "--threads", "3"]) == 0
+    out = tmp_path / "out"
+    assert main(["alpha-sweep", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
 
-    a = (serial / "alpha_sweep.csv").read_bytes()
-    b = (threaded / "alpha_sweep.csv").read_bytes()
-    assert a == b
-
-    lines = a.decode("utf-8").splitlines()
+    lines = (out / "alpha_sweep.csv").read_text(encoding="utf-8").splitlines()
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == (
         "alpha,shift_sim_rad,shift_formula_rad,p2_dark_sim,"
@@ -318,6 +314,31 @@ def test_dressed_phases_output(tmp_path, capsys):
     assert float(upper[3]) > 0 > float(lower[3])
     assert float(upper[4]) == pytest.approx(math.pi / 4, abs=1e-9)
     assert upper[8] == "ok" and lower[8] == "ok"
+
+
+def test_dressed_phases_runs_only_the_requested_branch(tmp_path, capsys):
+    # off resonance at this speed the lower branch of the vacuum doublet
+    # fails its gap precheck while the upper branch passes; asking for the
+    # upper branch alone must not run (and fail on) the lower one
+    cfg = write_cfg(
+        tmp_path,
+        omega_khz=60.0,
+        loop_time_ms=1.2,
+        dt_ms=6e-4,
+        branch="upper",
+        doublets="0,0",
+    )
+    out = tmp_path / "out"
+    assert main(["dressed-phases", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "dressed_phases.csv").read_text(encoding="utf-8").splitlines()
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(body) == 1
+    n, m, branch, phase, _, resonant, cyclicity, min_gap, status = body[0]
+    assert (n, m, branch, resonant, status) == ("0", "0", "upper", "no", "ok")
+    assert float(phase) == pytest.approx(0.595, abs=1e-3)
+    assert float(cyclicity) > 0.99
+    assert float(min_gap) == pytest.approx(125.7, abs=0.1)
 
 
 def test_full_mode_runs_are_byte_identical(tmp_path, capsys):

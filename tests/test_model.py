@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from loopqed.hilbert import fock_state, make_space, state_index
+from loopqed.hilbert import (
+    annihilation,
+    atomic_projector,
+    atomic_raise,
+    fock_state,
+    make_space,
+    state_index,
+)
 from loopqed.model import (
     HamiltonianFactory,
     ModelParams,
-    Polarization,
-    build_hamiltonian,
     coupling_weights,
     default_params,
     excitation_operator,
@@ -42,22 +47,6 @@ def test_params_validation():
         ModelParams(g=-1.0, omega_drive=1.0, delta=1.0)
 
 
-def test_dispersive_warning_flag():
-    # the default delta = 3*Omega is below the 5x comfort margin on purpose
-    assert default_params().dispersive_warning is True
-    comfortable = ModelParams(g=TWO_PI * 50, omega_drive=TWO_PI * 50, delta=TWO_PI * 260)
-    assert comfortable.dispersive_warning is False
-
-
-def test_polarization_validation():
-    Polarization(theta=0.0, phi=0.0)
-    Polarization(theta=math.pi, phi=7.0)  # phi deliberately unreduced
-    with pytest.raises(ValueError):
-        Polarization(theta=-0.1, phi=0.0)
-    with pytest.raises(ValueError):
-        Polarization(theta=math.pi + 0.1, phi=0.0)
-
-
 def test_coupling_weights_poles_and_equator():
     u_plus, u_minus = coupling_weights(0.0, 0.0)
     assert u_plus == pytest.approx(1.0)
@@ -86,7 +75,7 @@ def test_hamiltonian_matrix_elements():
     space = make_space(2, 2)
     params = default_params()
     theta, phi = 0.9, 2.1
-    h = build_hamiltonian(space, params, Polarization(theta, phi)).dense()
+    h = HamiltonianFactory(space, params).dense(theta, phi)
     u_plus, u_minus = coupling_weights(theta, phi)
     lam = params.lam
     # coupling block: <2,n-1,m| H |1,n,m> = lam * sqrt(n) * u_plus
@@ -107,10 +96,11 @@ def test_hamiltonian_matrix_elements():
 def test_hamiltonian_hermitian_on_grid():
     space = make_space(3, 3)
     params = default_params()
+    factory = HamiltonianFactory(space, params)
     worst = 0.0
     for theta in np.linspace(0, math.pi, 7):
         for phi in np.linspace(0, TWO_PI, 7):
-            h = build_hamiltonian(space, params, Polarization(theta, phi)).dense()
+            h = factory.dense(theta, phi)
             worst = max(worst, float(np.max(np.abs(h - h.conj().T))))
     assert worst < 1e-12
 
@@ -119,23 +109,54 @@ def test_hamiltonian_commutes_with_excitation_number():
     space = make_space(3, 3)
     params = default_params()
     n_exc = excitation_operator(space).dense()
+    factory = HamiltonianFactory(space, params)
     rng = np.random.default_rng(3)
     for theta, phi in zip(rng.uniform(0, math.pi, 5), rng.uniform(0, TWO_PI, 5)):
-        h = build_hamiltonian(space, params, Polarization(theta, phi)).dense()
+        h = factory.dense(theta, phi)
         comm = h @ n_exc - n_exc @ h
         assert float(np.max(np.abs(comm))) < 1e-12
 
 
 def test_factory_matches_builder():
+    # H assembled term by term from the hilbert operators, as the model
+    # docstring writes it, against the factory's precomputed pieces
     space = make_space(2, 1)
     params = default_params()
     factory = HamiltonianFactory(space, params)
+    p1 = atomic_projector(space, 1).dense()
+    p2 = atomic_projector(space, 2).dense()
+    a_plus = annihilation(space, "plus").dense()
+    a_minus = annihilation(space, "minus").dense()
+    raise_op = atomic_raise(space).dense()
+    number = a_plus.conj().T @ a_plus + a_minus.conj().T @ a_minus
     for theta, phi in [(0.0, 0.0), (1.1, 0.7), (math.pi, 4.0)]:
-        np.testing.assert_allclose(
-            factory.dense(theta, phi),
-            build_hamiltonian(space, params, Polarization(theta, phi)).dense(),
-            atol=1e-15,
+        u_plus, u_minus = coupling_weights(theta, phi)
+        drive = params.lam * (u_plus * a_plus + u_minus * a_minus) @ raise_op
+        built = (
+            params.shift_upper * p2
+            + params.shift_lower_per_photon * number @ p1
+            + drive
+            + drive.conj().T
         )
+        np.testing.assert_allclose(factory.dense(theta, phi), built, atol=1e-12)
+
+
+def test_sector_factory_is_the_full_block_bit_for_bit():
+    # the transport steps with the sector-restricted factory; its matrices
+    # must be exactly the block the full factory would give
+    space = make_space(4, 2)
+    params = default_params()
+    full = HamiltonianFactory(space, params)
+    rng = np.random.default_rng(5)
+    for n_exc in range(space.nmax_plus + space.nmax_minus + 2):
+        sector = excitation_sector_indices(space, n_exc)
+        restricted = HamiltonianFactory(space, params, sector)
+        ix = np.ix_(sector, sector)
+        thetas = rng.uniform(0, math.pi, 50)
+        phis = rng.uniform(-TWO_PI, 3 * TWO_PI, 50)
+        for theta, phi in zip(thetas, phis):
+            block = full.dense(theta, phi)[ix]
+            assert np.array_equal(restricted.dense(theta, phi), block)
 
 
 def test_single_excitation_spectrum_at_pole():
@@ -143,7 +164,7 @@ def test_single_excitation_spectrum_at_pole():
     # state left at lam (default parameters make both diagonal shifts lam)
     space = make_space(1, 1)
     params = default_params()
-    h = build_hamiltonian(space, params, Polarization(0.0, 0.0)).dense()
+    h = HamiltonianFactory(space, params).dense(0.0, 0.0)
     idx = excitation_sector_indices(space, 1)
     block = h[np.ix_(idx, idx)]
     vals = np.linalg.eigvalsh(block)
@@ -170,8 +191,6 @@ def test_excitation_sector_indices():
 def test_vacuum_is_sector_zero():
     space = make_space(2, 2)
     vac = fock_state(space, 1, 0, 0)
-    n_exc = excitation_operator(space)
-    from loopqed.hilbert import expectation
-
-    assert expectation(n_exc, vac).real == pytest.approx(0.0)
+    n_exc = excitation_operator(space).entries
+    assert np.vdot(vac.amplitudes, n_exc @ vac.amplitudes).real == pytest.approx(0.0)
     assert excitation_sector_indices(space, 0) == [state_index(space, 1, 0, 0)]

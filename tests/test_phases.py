@@ -136,7 +136,6 @@ def test_phase_reading_enforces_decomposition():
         dynamical_phase=0.25,
         geometric_phase=0.75,
         cyclicity=0.999,
-        scheme="reference-arm",
     )
     assert ok.geometric_phase == pytest.approx(
         wrap_phase(ok.total_phase - ok.dynamical_phase)
@@ -147,7 +146,6 @@ def test_phase_reading_enforces_decomposition():
             dynamical_phase=0.25,
             geometric_phase=0.5,
             cyclicity=0.999,
-            scheme="reference-arm",
         )
     with pytest.raises(ValueError):
         PhaseReading(
@@ -155,7 +153,6 @@ def test_phase_reading_enforces_decomposition():
             dynamical_phase=0.0,
             geometric_phase=0.0,
             cyclicity=1.5,
-            scheme="reference-arm",
         )
 
 
@@ -166,7 +163,6 @@ def test_phase_reading_decomposition_wraps_modulo_turns():
         dynamical_phase=-25.0 * TWO_PI - 0.35,
         geometric_phase=wrap_phase(0.4 + 25.0 * TWO_PI + 0.35),
         cyclicity=1.0,
-        scheme="energy-integral",
     )
     assert reading.geometric_phase == pytest.approx(0.75, abs=1e-9)
 
@@ -225,7 +221,6 @@ def test_vacuum_doublet_pair_matches_quarter_solid_angle():
 
     for reading in (upper, lower):
         assert reading.cyclicity > 0.999
-        assert reading.scheme == "reference-arm"
         assert reading.metadata["doublet"] == (0, 0)
         assert reading.metadata["min_adiabatic_fidelity"] > 0.999
         assert reading.metadata["duration"] == pytest.approx(loop.total_time)
@@ -262,10 +257,10 @@ def test_higher_doublet_pair_is_opposite_when_resonant():
 
 
 def test_transport_energy_integral_scheme():
-    # The energy-integral scheme removes -int <H> dt, which differs from the
-    # frozen-reference -E0 T by a non-adiabatic correction; the two schemes
-    # must agree in the slow limit.  Both removals are always recorded in
-    # metadata, so one run per speed reads out both.
+    # Removing the energy integral -int <H> dt instead of the reference
+    # arm's -E0 T differs by a non-adiabatic correction; the two removals
+    # must agree in the slow limit.  Both are recorded in metadata, so one
+    # run per speed reads out both.
     space = make_space(2, 1)
     params = default_params()
 
@@ -274,16 +269,15 @@ def test_transport_energy_integral_scheme():
         sched = make_schedule(loop, effective_coupling=params.lam)
         reading = adiabatic_eigenstate_transport(
             space, params, sched, (0, 0), branch="upper",
-            dt=loop.total_time / 4000, scheme="energy-integral",
+            dt=loop.total_time / 4000,
         )
-        assert reading.scheme == "energy-integral"
         assert reading.dynamical_phase == pytest.approx(
-            reading.metadata["dynamical_phase_energy_integral"]
+            reading.metadata["dynamical_phase_reference"]
         )
-        geo_ref = wrap_phase(
-            reading.total_phase - reading.metadata["dynamical_phase_reference"]
+        geo_energy = wrap_phase(
+            reading.total_phase - reading.metadata["dynamical_phase_energy_integral"]
         )
-        return abs(wrap_phase(reading.geometric_phase - geo_ref))
+        return abs(wrap_phase(reading.geometric_phase - geo_energy))
 
     fast = scheme_gap(24)
     slow = scheme_gap(96)
@@ -304,8 +298,6 @@ def test_transport_rejects_bad_inputs():
         adiabatic_eigenstate_transport(space, params, sched, (0, 2))
     with pytest.raises(ValueError):
         adiabatic_eigenstate_transport(space, params, sched, (0, 0), branch="top")
-    with pytest.raises(ValueError):
-        adiabatic_eigenstate_transport(space, params, sched, (0, 0), scheme="none")
 
 
 def test_transport_raises_on_fast_sweep_gap_violation():

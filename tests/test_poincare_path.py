@@ -14,11 +14,9 @@ from loopqed.poincare_path import (
     lasso_path,
     make_schedule,
     piecewise_path,
-    read_schedule_csv,
     rescaled_path,
     reversed_path,
     solid_angle,
-    write_schedule_csv,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -47,8 +45,6 @@ def test_lasso_validation():
         lasso_path(2 * TWO_PI, 1.0)  # 4 pi exactly is out of range
     with pytest.raises(ValueError):
         lasso_path(math.pi, 0.0)
-    with pytest.raises(ValueError):
-        lasso_path(math.pi, 1.0, leg_fractions=(0.5, 0.5, 0.5))
 
 
 def test_lasso_gamma_edge_cases():
@@ -177,14 +173,3 @@ def test_solid_angle_accepts_schedules():
     loop = lasso_path(1.7, 3.0)
     sched = make_schedule(loop, samples_per_leg=512)
     assert solid_angle(sched) == pytest.approx(1.7, abs=1e-6)
-
-
-def test_schedule_csv_round_trip(tmp_path):
-    loop = lasso_path(math.pi, 2.0)
-    sched = make_schedule(loop, samples_per_leg=16)
-    path = tmp_path / "schedule.csv"
-    write_schedule_csv(sched, str(path))
-    back = read_schedule_csv(str(path))
-    np.testing.assert_allclose(back.times, sched.times, atol=1e-9)
-    np.testing.assert_allclose(back.thetas, sched.thetas, atol=1e-9)
-    np.testing.assert_allclose(back.phis, sched.phis, atol=1e-9)

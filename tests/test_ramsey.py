@@ -365,8 +365,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RamseyConfig(space=space, params=params, loop=loop, mode="fancy")
     with pytest.raises(ValueError):
-        RamseyConfig(space=space, params=params, loop=loop, scheme="energy-integral")
-    with pytest.raises(ValueError):
         RamseyConfig(space=space, params=params, loop=loop, xi_grid=np.array([]))
     with pytest.raises(ValueError):
         default_xi_grid(2)
