@@ -6,6 +6,12 @@ spaces here are at most a few hundred dimensional).  Every step is exactly
 unitary, so phase extraction downstream is never polluted by integrator norm
 error; accuracy in time ordering is governed by the step size and checked by
 the self-convergence test below.
+
+H conserves total excitation, so evolve steps only the excitation sectors
+its initial state occupies: the block of H on their union is all it
+diagonalizes, and the other sectors stay exactly zero.  A constant schedule
+takes a single eigendecomposition and advances from one sample to the next
+with one exponential.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .hilbert import SpaceConfig, StateVector
-from .model import HamiltonianFactory, ModelParams
+from .model import HamiltonianFactory, ModelParams, excitation_operator
 from .poincare_path import Schedule
 
 __all__ = [
@@ -88,9 +94,12 @@ def evolve(
     sample_stride: int | None = None,
     t_start: float = 0.0,
     t_end: float | None = None,
-    factory: HamiltonianFactory | None = None,
 ) -> Trajectory:
     """Propagate a state along (part of) a schedule.
+
+    Only the excitation sectors in which the initial state has amplitude
+    are stepped; the recorded amplitudes of every other sector are exactly
+    zero.
 
     Parameters
     ----------
@@ -108,8 +117,6 @@ def evolve(
         always recorded).  Default keeps roughly 512 samples.
     t_start, t_end : float
         Window of the schedule to propagate over; defaults to the whole.
-    factory : HamiltonianFactory, optional
-        Reusable precomputed Hamiltonian pieces for this space and params.
 
     Returns
     -------
@@ -130,22 +137,28 @@ def evolve(
         sample_stride = max(1, steps // 512)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    if factory is None:
-        factory = HamiltonianFactory(initial.space, params)
 
-    psi = initial.amplitudes.astype(complex)
+    space = initial.space
+    # sqrt(n)**2 is not always n in floating point, so round to the label
+    n_exc = np.rint(excitation_operator(space).entries.diagonal().real)
+    occupied = np.flatnonzero(np.isin(n_exc, n_exc[initial.amplitudes != 0]))
+    factory = HamiltonianFactory(space, params, occupied.tolist())
+
     rec_times = [t_start]
-    rec_amps = [psi]
+    rec_amps = [initial.amplitudes.astype(complex)]
 
     def record(t_now, v, psi):
+        full = np.zeros(space.dim, dtype=complex)
+        full[occupied] = psi
         rec_times.append(t_now)
-        rec_amps.append(psi)
+        rec_amps.append(full)
 
     _, stats = _propagate(
-        psi, factory.dense, schedule, t_start, t_end, steps, sample_stride, record
+        initial.amplitudes[occupied].astype(complex), factory.dense, schedule,
+        t_start, t_end, steps, sample_stride, record,
     )
     return Trajectory(
-        np.array(rec_times), np.array(rec_amps), initial.space, params, schedule, stats
+        np.array(rec_times), np.array(rec_amps), space, params, schedule, stats
     )
 
 
@@ -154,11 +167,14 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
 
     Each of the `steps` equal steps applies the exact exponential of
     dense(theta, phi) frozen at the step's midpoint angles, from one
-    eigendecomposition (a single one in all when the schedule is constant).
-    After every stride-th step and after the last, the amplitudes are
-    checked and on_sample(t, v, psi) receives the time, the step's
-    eigenvectors and the state.  Returns the final amplitudes and the
-    step_stats dict of Trajectory.
+    eigendecomposition per step.  A constant schedule takes a single
+    eigendecomposition in all and advances from one sample to the next with
+    one exponential exp(-i w n h) for the n steps in between; the step
+    count, the sample times, the checks and the energy integral (n h <H>
+    per advance) are the same as stepping.  After every stride-th step and
+    after the last, the amplitudes are checked and on_sample(t, v, psi)
+    receives the time, the eigenvectors and the state.  Returns the final
+    amplitudes and the step_stats dict of Trajectory.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the step and time.
@@ -166,26 +182,33 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
     h = (t_end - t_start) / steps if steps else 0.0
     th_mid, ph_mid = schedule.angles_at(t_start + (np.arange(steps) + 0.5) * h)
     constant = schedule.max_rate == 0.0
+    if constant:
+        ends = [*range(stride, steps, stride), steps] if steps else []
+    else:
+        ends = range(1, steps + 1)
     max_drift = abs(np.linalg.norm(psi) - 1.0)
     energy_integral = 0.0
-    for k in range(steps):
-        if k == 0 or not constant:
-            w, v = np.linalg.eigh(dense(float(th_mid[k]), float(ph_mid[k])))
+    done = 0
+    for end in ends:
+        n = end - done
+        if done == 0 or not constant:
+            w, v = np.linalg.eigh(dense(float(th_mid[done]), float(ph_mid[done])))
         c = v.conj().T @ psi
-        energy_integral += h * float(np.real(np.sum(w * np.abs(c) ** 2)))
-        psi = v @ (np.exp(-1j * w * h) * c)
-        if (k + 1) % stride == 0 or k == steps - 1:
-            t_now = t_start + (k + 1) * h
+        energy_integral += n * h * float(w @ (c.real**2 + c.imag**2))
+        psi = v @ (np.exp(-1j * w * (n * h)) * c)
+        done = end
+        if end % stride == 0 or end == steps:
+            t_now = t_start + end * h
             if not np.all(np.isfinite(psi)):
                 raise IntegrationError(
-                    f"non-finite amplitudes at step {k + 1} (t = {t_now:.6g} ms)"
+                    f"non-finite amplitudes at step {end} (t = {t_now:.6g} ms)"
                 )
             drift = abs(np.linalg.norm(psi) - 1.0)
             max_drift = max(max_drift, drift)
             if drift > NORM_DRIFT_LIMIT:
                 raise IntegrationError(
                     f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at step "
-                    f"{k + 1} (t = {t_now:.6g} ms)"
+                    f"{end} (t = {t_now:.6g} ms)"
                 )
             on_sample(t_now, v, psi)
     stats = {

@@ -131,8 +131,8 @@ class HamiltonianFactory:
     structure matrices.  Dense arrays are kept because every propagation
     step diagonalizes H anyway.
 
-    When sector lists flat indices (one excitation sector, see
-    excitation_sector_indices), the pieces are cut down to that block and
+    When sector lists flat indices (one or more whole excitation sectors,
+    see excitation_sector_indices), the pieces are cut down to that block and
     dense() returns exactly dense()[np.ix_(sector, sector)] of the full
     factory, bit for bit, at a fraction of the cost.
     """

@@ -43,7 +43,7 @@ from .hilbert import (
     make_space,
     state_index,
 )
-from .model import ModelParams, HamiltonianFactory, default_params
+from .model import ModelParams, default_params
 from .poincare_path import (
     PathSpec,
     frozen_schedule,
@@ -251,13 +251,12 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 
     flags: list[str] = []
     if config.mode == "full":
-        factory = HamiltonianFactory(config.space, params)
-        loop_traj = evolve(prep, schedule, params, dt=config.dt, factory=factory)
+        loop_traj = evolve(prep, schedule, params, dt=config.dt)
         state_loop = loop_traj.final_state
         caliber_sched = frozen_schedule(
             float(schedule.thetas[0]), float(schedule.phis[0]), tau
         )
-        caliber_traj = evolve(prep, caliber_sched, params, dt=config.dt, factory=factory)
+        caliber_traj = evolve(prep, caliber_sched, params, dt=config.dt)
         state_caliber = caliber_traj.final_state
     else:
         state_loop = ideal_phase_map(prep, gamma)

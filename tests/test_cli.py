@@ -236,7 +236,7 @@ def test_exit_two_on_degenerate_transport(tmp_path, capsys):
 # subcommand outputs
 
 
-def test_alpha_sweep_output_and_thread_determinism(tmp_path, capsys):
+def test_alpha_sweep_output(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         nmax_plus=8,

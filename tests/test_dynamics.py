@@ -11,14 +11,20 @@ from loopqed.dynamics import (
     convergence_check,
     evolve,
 )
-from loopqed.hilbert import fock_state, make_space, state_index
-from loopqed.model import ModelParams, default_params
+from loopqed.hilbert import StateVector, fock_state, make_space, state_index
+from loopqed.model import (
+    HamiltonianFactory,
+    ModelParams,
+    default_params,
+    excitation_sector_indices,
+)
 from loopqed.poincare_path import (
     frozen_schedule,
     lasso_path,
     make_schedule,
     rescaled_path,
 )
+from loopqed.ramsey import CavityInput, prepare
 
 TWO_PI = 2.0 * math.pi
 
@@ -105,17 +111,99 @@ def test_evolution_composes():
     )
 
 
-def test_brute_force_agreement():
+def _three_sector_state(space):
+    # |1,0,0> + |2,0,0> + |1,1,1>: excitation sectors 0, 1 and 2
+    amps = sum(
+        fock_state(space, *label).amplitudes
+        for label in ((1, 0, 0), (2, 0, 0), (1, 1, 1))
+    )
+    return StateVector(amps / math.sqrt(3.0), space)
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [lambda space: fock_state(space, 2, 0, 0), _three_sector_state],
+    ids=["one-sector", "three-sectors"],
+)
+def test_brute_force_agreement(make_state):
     # midpoint eigendecomposition stepper vs scipy expm reference on a
     # moving schedule; dimensions kept <= 16
     space = make_space(1, 1)  # dim 8
     params = default_params()
     sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
-    st = fock_state(space, 2, 0, 0)
+    st = make_state(space)
     dt = 0.3 / 3000
     fast = evolve(st, sched, params, dt=dt).amplitudes[-1]
     slow = brute_force_evolve(st, sched, params, dt=dt).amplitudes
     assert float(np.linalg.norm(fast - slow)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "make_state, sectors",
+    [
+        (lambda space: prepare(space, CavityInput()), (0, 1)),
+        # the excitation operator's diagonal is off by roundoff on some
+        # states of sector 3 (sqrt(n)**2 != n); the whole six-state sector
+        # must still be stepped together
+        (lambda space: fock_state(space, 1, 3, 0), (3,)),
+    ],
+    ids=["vacuum-prepare", "fock-1-3-0"],
+)
+def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors):
+    space = make_space(4, 2)  # dim 30
+    params = default_params()
+    st = make_state(space)
+    occupied = [i for k in sectors for i in excitation_sector_indices(space, k)]
+    empty = np.setdiff1d(np.arange(space.dim), occupied)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
+    traj = evolve(st, sched, params, dt=0.3 / 600, sample_stride=7)
+    assert len(shapes) == traj.step_stats["steps"] == 600
+    assert set(shapes) == {(len(occupied), len(occupied))}
+    assert traj.amplitudes.shape == (traj.times.size, space.dim)
+    assert np.all(traj.amplitudes[:, empty] == 0.0)
+
+
+def test_frozen_schedule_advances_sample_to_sample():
+    # a constant schedule jumps between samples with exp(-i w n h); the
+    # result is the exact propagator, with the step count, sample times
+    # and energy integral of stepping one step at a time
+    space = make_space(1, 1)
+    params = default_params()
+    theta, phi, T = 0.7, 0.3, 0.12
+    st = _three_sector_state(space)
+    traj = evolve(
+        st, frozen_schedule(theta, phi, T), params, dt=T / 1000, sample_stride=7
+    )
+    assert traj.step_stats["steps"] == 1000
+    ends = np.r_[0, np.arange(7, 1000, 7), 1000]
+    np.testing.assert_array_equal(traj.times, ends * (T / 1000))
+
+    h_full = HamiltonianFactory(space, params).dense(theta, phi)
+    w, v = np.linalg.eigh(h_full)
+    exact = v @ (np.exp(-1j * w * T) * (v.conj().T @ st.amplitudes))
+    np.testing.assert_allclose(traj.amplitudes[-1], exact, rtol=0, atol=1e-12)
+    energy = float(np.vdot(st.amplitudes, h_full @ st.amplitudes).real)
+    assert traj.step_stats["energy_integral"] == pytest.approx(T * energy, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [frozen_schedule(0.7, 0.3, 0.12), make_schedule(lasso_path(math.pi, 0.12))],
+    ids=["frozen", "lasso"],
+)
+def test_norm_guard_trips_at_the_first_sample(sched):
+    space = make_space(1, 1)
+    st = StateVector(1.1 * fock_state(space, 2, 0, 0).amplitudes, space, normalized=False)
+    with pytest.raises(IntegrationError, match="at step 7 "):
+        evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
 
 
 def test_convergence_check_frozen_is_exact():
