@@ -7,9 +7,14 @@ unitary, so phase extraction downstream is never polluted by integrator norm
 error; accuracy in time ordering is governed by the step size and checked by
 the self-convergence test below.
 
-H conserves total excitation, so evolve steps only the excitation sectors
-its initial state occupies: the block of H on their union is all it
-diagonalizes, and the other sectors stay exactly zero.  A constant schedule
+H conserves total excitation, so the stepper works on a stack of sector
+blocks: the state is an (S, d) array with one row per excitation sector,
+and each step diagonalizes the (S, d, d) stack of H's blocks on those
+sectors with one batched eigendecomposition.  Rows of smaller sectors are
+padded to the largest width d with states whose rows and columns of H are
+exactly zero and whose amplitudes start at zero.  evolve steps only the
+sectors its initial state occupies, so the others stay exactly zero; the
+dressed-branch transport steps its single sector.  A constant schedule
 takes a single eigendecomposition and advances from one sample to the next
 with one exponential.
 """
@@ -139,22 +144,30 @@ def evolve(
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
     space = initial.space
-    # sqrt(n)**2 is not always n in floating point, so round to the label
-    n_exc = np.rint(excitation_operator(space).entries.diagonal().real)
-    occupied = np.flatnonzero(np.isin(n_exc, n_exc[initial.amplitudes != 0]))
-    factory = HamiltonianFactory(space, params, occupied.tolist())
+    n_exc = excitation_operator(space).entries.diagonal().real
+    occupied = np.unique(n_exc[initial.amplitudes != 0])
+    blocks = [np.flatnonzero(n_exc == k) for k in occupied]
+    width = max((b.size for b in blocks), default=0)
+    # one row of flat indices per occupied sector, padded with space.dim,
+    # the factory's zero state; amplitudes get a zero slot at that index.
+    # An all-zero state gives a (0, 0) stack, which the norm guard rejects.
+    rows = np.array(
+        [np.pad(b, (0, width - b.size), constant_values=space.dim) for b in blocks],
+        dtype=int,
+    ).reshape(len(blocks), width)
+    factory = HamiltonianFactory(space, params, rows)
 
     rec_times = [t_start]
     rec_amps = [initial.amplitudes.astype(complex)]
 
     def record(t_now, v, psi):
-        full = np.zeros(space.dim, dtype=complex)
-        full[occupied] = psi
+        full = np.zeros(space.dim + 1, dtype=complex)
+        full[rows] = psi
         rec_times.append(t_now)
-        rec_amps.append(full)
+        rec_amps.append(full[:-1])
 
     _, stats = _propagate(
-        initial.amplitudes[occupied].astype(complex), factory.dense, schedule,
+        np.append(initial.amplitudes, 0.0)[rows], factory.dense, schedule,
         t_start, t_end, steps, sample_stride, record,
     )
     return Trajectory(
@@ -165,16 +178,19 @@ def evolve(
 def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
     """Step psi from t_start to t_end; the package's one stepping loop.
 
-    Each of the `steps` equal steps applies the exact exponential of
-    dense(theta, phi) frozen at the step's midpoint angles, from one
-    eigendecomposition per step.  A constant schedule takes a single
-    eigendecomposition in all and advances from one sample to the next with
-    one exponential exp(-i w n h) for the n steps in between; the step
-    count, the sample times, the checks and the energy integral (n h <H>
-    per advance) are the same as stepping.  After every stride-th step and
-    after the last, the amplitudes are checked and on_sample(t, v, psi)
-    receives the time, the eigenvectors and the state.  Returns the final
-    amplitudes and the step_stats dict of Trajectory.
+    psi is an (S, d) stack of sector amplitudes and dense(theta, phi)
+    returns the matching (S, d, d) stack of Hamiltonian blocks.  Each of
+    the `steps` equal steps applies the exact exponential V exp(-i w h) V^H
+    of the blocks frozen at the step's midpoint angles, from one batched
+    eigendecomposition of the whole stack per step.  A constant schedule
+    takes a single eigendecomposition in all and advances from one sample
+    to the next with one exponential exp(-i w n h) for the n steps in
+    between; the step count, the sample times, the checks and the energy
+    integral (n h <H> per advance, summed over the blocks) are the same as
+    stepping.  After every stride-th step and after the last, the
+    amplitudes are checked and on_sample(t, v, psi) receives the time, the
+    (S, d, d) eigenvectors and the state.  Returns the final amplitudes and
+    the step_stats dict of Trajectory.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the step and time.
@@ -193,9 +209,10 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
         n = end - done
         if done == 0 or not constant:
             w, v = np.linalg.eigh(dense(float(th_mid[done]), float(ph_mid[done])))
-        c = v.conj().T @ psi
-        energy_integral += n * h * float(w @ (c.real**2 + c.imag**2))
-        psi = v @ (np.exp(-1j * w * (n * h)) * c)
+        # c = V^H psi per block, written as the row psi^T conj(V)
+        c = (psi[:, None, :] @ v.conj())[:, 0]
+        energy_integral += n * h * float(np.vdot(c, w * c).real)
+        psi = (v @ (np.exp(w * (-1j * n * h)) * c)[:, :, None])[:, :, 0]
         done = end
         if end % stride == 0 or end == steps:
             t_now = t_start + end * h

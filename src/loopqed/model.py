@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .hilbert import (
     OperatorMatrix,
@@ -121,20 +122,28 @@ def coupling_weights(theta: float, phi: float) -> tuple[complex, complex]:
 
 
 class HamiltonianFactory:
-    """Precomputed pieces of H so per-step assembly is three axpy calls.
+    """Precomputed pieces of H so per-step assembly is one weighted sum.
 
     The Hamiltonian at any sphere point is
 
         H(theta, phi) = D + lam * (u+ C+ + u- C- + h.c.)
 
     with D the diagonal light-shift part and C± = a± |2><1| the fixed
-    structure matrices.  Dense arrays are kept because every propagation
-    step diagonalizes H anyway.
+    structure matrices.  dense() forms it as one product of the weights
+    (1, lam u+, conj(lam u+), lam u-, conj(lam u-)) with the stacked pieces
+    (D, C+, C+^H, C-, C-^H).  The pieces have disjoint supports, so each
+    entry of H is a single rounded product and H is exactly Hermitian.
+    Dense arrays are kept because every propagation step diagonalizes H
+    anyway.
 
     When sector lists flat indices (one or more whole excitation sectors,
     see excitation_sector_indices), the pieces are cut down to that block and
     dense() returns exactly dense()[np.ix_(sector, sector)] of the full
-    factory, bit for bit, at a fraction of the cost.
+    factory, bit for bit, at a fraction of the cost.  When sector is a 2-D
+    array of such index rows, dense() returns the (rows, width, width) stack
+    of their blocks; the index space.dim stands for a padding state whose
+    row and column are exactly zero, so rows of unequal sectors can be
+    padded to one width.
     """
 
     def __init__(
@@ -151,17 +160,34 @@ class HamiltonianFactory:
         diag = params.shift_upper * p2 + params.shift_lower_per_photon * (
             number_total @ p1
         )
-        ix = slice(None) if sector is None else np.ix_(sector, sector)
-        pieces = (diag, a_plus @ raise_op, a_minus @ raise_op)
-        self._diag, self._c_plus, self._c_minus = (p.toarray()[ix] for p in pieces)
+        idx = np.arange(space.dim) if sector is None else np.asarray(sector, dtype=int)
+        d, c_plus, c_minus = (
+            np.pad(p.toarray(), (0, 1))[idx[..., :, None], idx[..., None, :]]
+            for p in (diag, a_plus @ raise_op, a_minus @ raise_op)
+        )
+        self._shape = d.shape
+        pieces = (d, c_plus, c_plus.conj().swapaxes(-1, -2),
+                  c_minus, c_minus.conj().swapaxes(-1, -2))
+        self._pieces = np.stack(pieces).reshape(len(pieces), -1)
 
     def dense(self, theta: float, phi: float) -> np.ndarray:
-        """Dense Hamiltonian matrix at sphere point (theta, phi)."""
+        """Dense H at sphere point (theta, phi): one matrix, or a stack of blocks."""
         u_plus, u_minus = coupling_weights(theta, phi)
-        coupling = self.params.lam * (
-            u_plus * self._c_plus + u_minus * self._c_minus
+        s_plus, s_minus = self.params.lam * u_plus, self.params.lam * u_minus
+        weights = np.array(
+            [1.0, s_plus, s_plus.conjugate(), s_minus, s_minus.conjugate()]
         )
-        return self._diag + coupling + coupling.conj().T
+        return (weights @ self._pieces).reshape(self._shape)
+
+
+def _excitation_labels(space: SpaceConfig) -> np.ndarray:
+    """Integer total excitation of every basis state, by flat index."""
+    labels = np.empty(space.dim, dtype=int)
+    for level in (1, 2):
+        for n in range(space.nmax_plus + 1):
+            for m in range(space.nmax_minus + 1):
+                labels[state_index(space, level, n, m)] = (level - 1) + n + m
+    return labels
 
 
 def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:
@@ -170,23 +196,16 @@ def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:
     Total excitation counts photons in both modes plus one for atom level 2.
     Propagation never mixes sectors, so restricting to one sector is exact.
     """
-    idx = []
-    for level in (1, 2):
-        for n in range(space.nmax_plus + 1):
-            for m in range(space.nmax_minus + 1):
-                if (level - 1) + n + m == n_exc:
-                    idx.append(state_index(space, level, n, m))
-    return idx
+    return np.flatnonzero(_excitation_labels(space) == n_exc).tolist()
 
 
 def excitation_operator(space: SpaceConfig) -> OperatorMatrix:
     """Conserved total excitation N+ + N- + P2.
 
     Commutes with H at every sphere point, so propagation never mixes
-    excitation sectors.
+    excitation sectors.  Diagonal in the basis; its entries are the exact
+    integer labels (level - 1) + n + m, so states of one sector compare
+    equal.
     """
-    a_plus = annihilation(space, "plus").entries
-    a_minus = annihilation(space, "minus").entries
-    p2 = atomic_projector(space, 2).entries
-    total = (a_plus.conj().T @ a_plus) + (a_minus.conj().T @ a_minus) + p2
-    return OperatorMatrix(total.tocsr(), space, hermitian=True)
+    labels = _excitation_labels(space).astype(float)
+    return OperatorMatrix(sparse.diags(labels).tocsr(), space, hermitian=True)

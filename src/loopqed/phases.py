@@ -294,12 +294,15 @@ def adiabatic_eigenstate_transport(
         # adiabatic fidelity (phase-smoothness gauge is implicit in taking
         # magnitudes only)
         nonlocal min_fidelity
-        min_fidelity = min(min_fidelity, float(np.max(np.abs(v.conj().T @ psi))))
+        overlaps = v[0].conj().T @ psi[0]
+        min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
+    # the sector is the stepper's one block: a stack of S = 1
     psi, stats = _propagate(
-        v0, factory.dense, schedule, 0.0, duration, steps,
-        max(1, steps // FIDELITY_SAMPLES), track,
+        v0[None], lambda theta, phi: factory.dense(theta, phi)[None], schedule,
+        0.0, duration, steps, max(1, steps // FIDELITY_SAMPLES), track,
     )
+    psi = psi[0]
 
     ov = complex(np.vdot(v0, psi))
     cyclicity = abs(ov)

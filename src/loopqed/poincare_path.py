@@ -247,20 +247,18 @@ def make_schedule(
     """
     if samples_per_leg < 2:
         raise ValueError(f"samples_per_leg must be >= 2, got {samples_per_leg}")
-    times = [0.0]
-    thetas = [spec.knots[0][0]]
-    phis = [spec.knots[0][1]]
+    fracs = np.linspace(0.0, 1.0, samples_per_leg)[1:]
+    times = [np.array([0.0])]
+    thetas = [np.array([spec.knots[0][0]], dtype=float)]
+    phis = [np.array([spec.knots[0][1]], dtype=float)]
     t0 = 0.0
-    for leg in range(len(spec.durations)):
+    for leg, dur in enumerate(spec.durations):
         (th_a, ph_a), (th_b, ph_b) = spec.knots[leg], spec.knots[leg + 1]
-        dur = spec.durations[leg]
-        fracs = np.linspace(0.0, 1.0, samples_per_leg)[1:]
-        for f in fracs:
-            times.append(t0 + f * dur)
-            thetas.append(th_a + f * (th_b - th_a))
-            phis.append(ph_a + f * (ph_b - ph_a))
+        times.append(t0 + fracs * dur)
+        thetas.append(th_a + fracs * (th_b - th_a))
+        phis.append(ph_a + fracs * (ph_b - ph_a))
         t0 += dur
-    sched = Schedule(np.array(times), np.array(thetas), np.array(phis))
+    sched = Schedule(*(np.concatenate(part) for part in (times, thetas, phis)))
     meta = {"max_rate": sched.max_rate, "source_kind": spec.kind}
     if effective_coupling is not None and effective_coupling > 0:
         meta["adiabaticity_ratio"] = sched.max_rate / effective_coupling

@@ -141,10 +141,9 @@ def test_brute_force_agreement(make_state):
 @pytest.mark.parametrize(
     "make_state, sectors",
     [
+        # sector 0 (one state) is padded to the three states of sector 1
         (lambda space: prepare(space, CavityInput()), (0, 1)),
-        # the excitation operator's diagonal is off by roundoff on some
-        # states of sector 3 (sqrt(n)**2 != n); the whole six-state sector
-        # must still be stepped together
+        # the whole six-state sector 3 is one block of the stack
         (lambda space: fock_state(space, 1, 3, 0), (3,)),
     ],
     ids=["vacuum-prepare", "fock-1-3-0"],
@@ -153,7 +152,8 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
     space = make_space(4, 2)  # dim 30
     params = default_params()
     st = make_state(space)
-    occupied = [i for k in sectors for i in excitation_sector_indices(space, k)]
+    blocks = [excitation_sector_indices(space, k) for k in sectors]
+    occupied = [i for b in blocks for i in b]
     empty = np.setdiff1d(np.arange(space.dim), occupied)
     shapes = []
     eigh = np.linalg.eigh
@@ -165,8 +165,9 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
     traj = evolve(st, sched, params, dt=0.3 / 600, sample_stride=7)
+    width = max(len(b) for b in blocks)
     assert len(shapes) == traj.step_stats["steps"] == 600
-    assert set(shapes) == {(len(occupied), len(occupied))}
+    assert set(shapes) == {(len(blocks), width, width)}
     assert traj.amplitudes.shape == (traj.times.size, space.dim)
     assert np.all(traj.amplitudes[:, empty] == 0.0)
 
@@ -202,6 +203,16 @@ def test_frozen_schedule_advances_sample_to_sample():
 def test_norm_guard_trips_at_the_first_sample(sched):
     space = make_space(1, 1)
     st = StateVector(1.1 * fock_state(space, 2, 0, 0).amplitudes, space, normalized=False)
+    with pytest.raises(IntegrationError, match="at step 7 "):
+        evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
+
+
+def test_all_zero_state_trips_the_norm_guard():
+    # no sector is occupied, so evolve steps an empty stack; the norm guard
+    # must still reject the state as it does any other broken norm
+    space = make_space(1, 1)
+    st = StateVector(np.zeros(space.dim), space, normalized=False)
+    sched = make_schedule(lasso_path(math.pi, 0.12))
     with pytest.raises(IntegrationError, match="at step 7 "):
         evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
 

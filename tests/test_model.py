@@ -148,15 +148,26 @@ def test_sector_factory_is_the_full_block_bit_for_bit():
     params = default_params()
     full = HamiltonianFactory(space, params)
     rng = np.random.default_rng(5)
-    for n_exc in range(space.nmax_plus + space.nmax_minus + 2):
-        sector = excitation_sector_indices(space, n_exc)
+    sectors = [
+        excitation_sector_indices(space, n_exc)
+        for n_exc in range(space.nmax_plus + space.nmax_minus + 2)
+    ]
+    # all sectors at once, as evolve stacks them: rows padded with space.dim
+    width = max(len(sector) for sector in sectors)
+    rows = [sector + [space.dim] * (width - len(sector)) for sector in sectors]
+    stacked = HamiltonianFactory(space, params, rows)
+    for k, sector in enumerate(sectors):
         restricted = HamiltonianFactory(space, params, sector)
         ix = np.ix_(sector, sector)
+        size = len(sector)
         thetas = rng.uniform(0, math.pi, 50)
         phis = rng.uniform(-TWO_PI, 3 * TWO_PI, 50)
         for theta, phi in zip(thetas, phis):
             block = full.dense(theta, phi)[ix]
             assert np.array_equal(restricted.dense(theta, phi), block)
+            padded = stacked.dense(theta, phi)[k]
+            assert np.array_equal(padded[:size, :size], block)
+            assert not np.any(padded[size:]) and not np.any(padded[:, size:])
 
 
 def test_single_excitation_spectrum_at_pole():
@@ -194,3 +205,16 @@ def test_vacuum_is_sector_zero():
     n_exc = excitation_operator(space).entries
     assert np.vdot(vac.amplitudes, n_exc @ vac.amplitudes).real == pytest.approx(0.0)
     assert excitation_sector_indices(space, 0) == [state_index(space, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("cutoffs", [(2, 1), (4, 2), (8, 2)], ids=["2-1", "4-2", "8-2"])
+def test_excitation_operator_is_the_integer_labels(cutoffs):
+    # states of one sector must compare equal, so the diagonal is exact
+    space = make_space(*cutoffs)
+    labels = np.zeros(space.dim)
+    for level in (1, 2):
+        for n in range(space.nmax_plus + 1):
+            for m in range(space.nmax_minus + 1):
+                labels[state_index(space, level, n, m)] = (level - 1) + n + m
+    n_exc = excitation_operator(space).dense()
+    assert np.array_equal(n_exc, np.diag(labels))

@@ -173,3 +173,37 @@ def test_solid_angle_accepts_schedules():
     loop = lasso_path(1.7, 3.0)
     sched = make_schedule(loop, samples_per_leg=512)
     assert solid_angle(sched) == pytest.approx(1.7, abs=1e-6)
+
+
+def _per_sample_schedule(spec, samples_per_leg):
+    # the per-sample formula make_schedule evaluates leg by leg as arrays
+    times, thetas, phis = [0.0], [spec.knots[0][0]], [spec.knots[0][1]]
+    t0 = 0.0
+    for leg, dur in enumerate(spec.durations):
+        (th_a, ph_a), (th_b, ph_b) = spec.knots[leg], spec.knots[leg + 1]
+        for f in np.linspace(0.0, 1.0, samples_per_leg)[1:]:
+            times.append(t0 + f * dur)
+            thetas.append(th_a + f * (th_b - th_a))
+            phis.append(ph_a + f * (ph_b - ph_a))
+        t0 += dur
+    return np.array(times), np.array(thetas), np.array(phis)
+
+
+@pytest.mark.parametrize("samples_per_leg", [2, 64, 2049])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lasso_path(1.3, 0.7),
+        reversed_path(lasso_path(1.3, 0.7)),
+        piecewise_path(
+            [(0.0, 0.0), (0.9, 0.4), (1.4, 2.5), (0.6, 5.0), (0.0, TWO_PI)],
+            [0.2, 0.35, 0.15, 0.1],
+        ),
+    ],
+    ids=["lasso", "reversed-lasso", "piecewise"],
+)
+def test_make_schedule_is_the_per_sample_formula_bit_for_bit(spec, samples_per_leg):
+    sched = make_schedule(spec, samples_per_leg=samples_per_leg)
+    expected = _per_sample_schedule(spec, samples_per_leg)
+    for got, want in zip((sched.times, sched.thetas, sched.phis), expected):
+        assert np.array_equal(got, want)
