@@ -26,7 +26,6 @@ from .hilbert import (
     TruncationError,
     make_space,
     fock_state,
-    annihilation,
 )
 from .model import (
     ModelParams,
@@ -50,9 +49,7 @@ from .poincare_path import (
 from .dynamics import (
     Trajectory,
     IntegrationError,
-    ConvergenceReport,
     evolve,
-    convergence_check,
     brute_force_evolve,
 )
 from .phases import (
@@ -92,7 +89,6 @@ __all__ = [
     "TruncationError",
     "make_space",
     "fock_state",
-    "annihilation",
     "ModelParams",
     "HamiltonianFactory",
     "default_params",
@@ -110,9 +106,7 @@ __all__ = [
     "solid_angle",
     "Trajectory",
     "IntegrationError",
-    "ConvergenceReport",
     "evolve",
-    "convergence_check",
     "brute_force_evolve",
     "PhaseReading",
     "OverlapReading",

@@ -7,8 +7,11 @@ atom-major, then the "+" photon number, then the "-" photon number:
     index(level, n, m) = ((level - 1) * (nmax_plus + 1) + n) * (nmax_minus + 1) + m
 
 This order is part of the public contract (ramsey.close_and_detect reads
-the level-1 and level-2 halves of the vector).  Amplitudes are complex
-numpy arrays; operators are stored sparse.
+the level-1 and level-2 halves of the vector).  basis_labels gives the
+integer labels of every flat index as one table, from which the model,
+the sector maps and the ideal phase map are all built.  Amplitudes are
+complex numpy arrays.  OperatorMatrix holds a sparse operator; scipy is
+imported only when one is made.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "SpaceConfig",
@@ -26,12 +28,10 @@ __all__ = [
     "TruncationError",
     "make_space",
     "state_index",
+    "basis_labels",
     "fock_state",
     "coherent_mode_coefficients",
     "coherent_tail_mass",
-    "annihilation",
-    "atomic_projector",
-    "atomic_raise",
 ]
 
 NORM_TOL = 1e-10
@@ -90,6 +90,16 @@ def state_index(space: SpaceConfig, level: int, n: int, m: int) -> int:
     return ((level - 1) * (space.nmax_plus + 1) + n) * (space.nmax_minus + 1) + m
 
 
+def basis_labels(space: SpaceConfig) -> np.ndarray:
+    """Integer labels (level - 1, n, m) of every basis state, by flat index.
+
+    Returns a (3, dim) int array whose column k labels flat index k.  The
+    first row is the atomic excitation, 0 on level 1 and 1 on level 2, so
+    the column sums are the total excitation of each state.
+    """
+    return np.indices((2, space.nmax_plus + 1, space.nmax_minus + 1)).reshape(3, -1)
+
+
 @dataclass
 class StateVector:
     """Complex amplitude vector over a SpaceConfig.
@@ -124,11 +134,13 @@ class StateVector:
 class OperatorMatrix:
     """Sparse operator on a SpaceConfig with an optional hermiticity guarantee."""
 
-    entries: sparse.spmatrix
+    entries: scipy.sparse.spmatrix
     space: SpaceConfig
     hermitian: bool = False
 
     def __post_init__(self):
+        from scipy import sparse
+
         mat = sparse.csr_matrix(self.entries, dtype=complex)
         if mat.shape != (self.space.dim, self.space.dim):
             raise ValueError(
@@ -145,14 +157,6 @@ class OperatorMatrix:
 
     def dense(self) -> np.ndarray:
         return self.entries.toarray()
-
-
-def _canonical_mode(mode: str) -> str:
-    if mode in ("plus", "+"):
-        return "plus"
-    if mode in ("minus", "-"):
-        return "minus"
-    raise ValueError(f"mode must be 'plus'/'+' or 'minus'/'-', got {mode!r}")
 
 
 def fock_state(space: SpaceConfig, level: int, n: int, m: int) -> StateVector:
@@ -196,53 +200,3 @@ def coherent_tail_mass(alpha: complex, nmax: int) -> float:
         term *= lam / (k + 1)
     return max(0.0, 1.0 - kept)
 
-
-def annihilation(space: SpaceConfig, mode: str) -> OperatorMatrix:
-    """Annihilation operator for mode "plus" or "minus".
-
-    Matrix elements <n-1|a|n> = sqrt(n) within the truncated ladder; the
-    highest kept level simply has no state above it.
-    """
-    mode = _canonical_mode(mode)
-    rows, cols, vals = [], [], []
-    for level in (1, 2):
-        for n in range(space.nmax_plus + 1):
-            for m in range(space.nmax_minus + 1):
-                col = state_index(space, level, n, m)
-                if mode == "plus" and n >= 1:
-                    rows.append(state_index(space, level, n - 1, m))
-                    cols.append(col)
-                    vals.append(math.sqrt(n))
-                elif mode == "minus" and m >= 1:
-                    rows.append(state_index(space, level, n, m - 1))
-                    cols.append(col)
-                    vals.append(math.sqrt(m))
-    mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex
-    )
-    return OperatorMatrix(mat, space, hermitian=False)
-
-
-def atomic_projector(space: SpaceConfig, level: int) -> OperatorMatrix:
-    """Projector onto atom level 1 or 2 (identity on the modes)."""
-    if level not in (1, 2):
-        raise ValueError(f"atom level must be 1 or 2, got {level}")
-    diag = np.zeros(space.dim)
-    for n in range(space.nmax_plus + 1):
-        for m in range(space.nmax_minus + 1):
-            diag[state_index(space, level, n, m)] = 1.0
-    return OperatorMatrix(sparse.diags(diag).tocsr(), space, hermitian=True)
-
-
-def atomic_raise(space: SpaceConfig) -> OperatorMatrix:
-    """Atomic raising operator |2><1| (identity on the modes)."""
-    rows, cols = [], []
-    for n in range(space.nmax_plus + 1):
-        for m in range(space.nmax_minus + 1):
-            rows.append(state_index(space, 2, n, m))
-            cols.append(state_index(space, 1, n, m))
-    vals = np.ones(len(rows))
-    mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(space.dim, space.dim), dtype=complex
-    )
-    return OperatorMatrix(mat, space, hermitian=False)

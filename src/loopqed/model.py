@@ -11,7 +11,10 @@ intermediate level, the dynamics lives in the space of hilbert.py with
 
 where shift2 = omega_drive**2 / delta, shift1 = g**2 / delta, and
 lam = g * omega_drive / delta.  The complex weights (u+, u-) encode the drive
-polarization.  Angular frequencies are in rad/ms, times in ms.
+polarization.  Angular frequencies are in rad/ms, times in ms.  Each
+matrix element is fixed by the integer labels (level, n, m) of its row
+and column, so HamiltonianFactory and the excitation-sector maps are
+built from hilbert.basis_labels, with no operator products.
 
 Gauge convention for the weights, used consistently everywhere:
 
@@ -30,16 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .hilbert import (
-    OperatorMatrix,
-    SpaceConfig,
-    annihilation,
-    atomic_projector,
-    atomic_raise,
-    state_index,
-)
+from .hilbert import OperatorMatrix, SpaceConfig, basis_labels
 
 __all__ = [
     "ModelParams",
@@ -128,22 +123,27 @@ class HamiltonianFactory:
 
         H(theta, phi) = D + lam * (u+ C+ + u- C- + h.c.)
 
-    with D the diagonal light-shift part and C± = a± |2><1| the fixed
-    structure matrices.  dense() forms it as one product of the weights
-    (1, lam u+, conj(lam u+), lam u-, conj(lam u-)) with the stacked pieces
-    (D, C+, C+^H, C-, C-^H).  The pieces have disjoint supports, so each
-    entry of H is a single rounded product and H is exactly Hermitian.
-    Dense arrays are kept because every propagation step diagonalizes H
-    anyway.
+    with D the diagonal light-shift part, shift2 on level 2 and
+    shift1 * (n + m) on level 1, and C+- = a+- |2><1| the fixed couplings:
+    C+ takes |1,n,m> to sqrt(n) |2,n-1,m> and C- takes |1,n,m> to
+    sqrt(m) |2,n,m-1>.  Every entry follows from the integer labels of
+    its row and column (hilbert.basis_labels), so the pieces are built
+    straight from them, and D holds the exact integer n + m.  dense()
+    forms H as one product of the weights
+    (1, lam u+, conj(lam u+), lam u-, conj(lam u-)) with the stacked
+    pieces (D, C+, C+^H, C-, C-^H).  The pieces have disjoint supports, so
+    each entry of H is a single rounded product and H is exactly
+    Hermitian.  Dense arrays are kept because every propagation step
+    diagonalizes H anyway.
 
     When sector lists flat indices (one or more whole excitation sectors,
-    see excitation_sector_indices), the pieces are cut down to that block and
-    dense() returns exactly dense()[np.ix_(sector, sector)] of the full
-    factory, bit for bit, at a fraction of the cost.  When sector is a 2-D
-    array of such index rows, dense() returns the (rows, width, width) stack
-    of their blocks; the index space.dim stands for a padding state whose
-    row and column are exactly zero, so rows of unequal sectors can be
-    padded to one width.
+    see excitation_sector_indices), the pieces are built on that block
+    only and dense() returns exactly dense()[np.ix_(sector, sector)] of
+    the full factory, bit for bit, at a fraction of the cost.  When sector
+    is a 2-D array of such index rows, dense() returns the
+    (rows, width, width) stack of their blocks; the index space.dim stands
+    for a padding state whose row and column are exactly zero, so rows of
+    unequal sectors can be padded to one width.
     """
 
     def __init__(
@@ -151,19 +151,23 @@ class HamiltonianFactory:
     ):
         self.space = space
         self.params = params
-        p2 = atomic_projector(space, 2).entries
-        p1 = atomic_projector(space, 1).entries
-        a_plus = annihilation(space, "plus").entries
-        a_minus = annihilation(space, "minus").entries
-        number_total = (a_plus.conj().T @ a_plus) + (a_minus.conj().T @ a_minus)
-        raise_op = atomic_raise(space).entries
-        diag = params.shift_upper * p2 + params.shift_lower_per_photon * (
-            number_total @ p1
-        )
         idx = np.arange(space.dim) if sector is None else np.asarray(sector, dtype=int)
-        d, c_plus, c_minus = (
-            np.pad(p.toarray(), (0, 1))[idx[..., :, None], idx[..., None, :]]
-            for p in (diag, a_plus @ raise_op, a_minus @ raise_op)
+        # the padding state's level -1 gives it no diagonal and no coupling
+        labels = np.append(basis_labels(space), [[-1], [0], [0]], axis=1)
+        level, n, m = labels[:, idx]
+        row, col = (..., slice(None), None), (..., None, slice(None))
+        diag = np.select(
+            [level == 1, level == 0],
+            [params.shift_upper, params.shift_lower_per_photon * (n + m)],
+        )
+        d = np.where(np.eye(idx.shape[-1], dtype=bool), diag[col], 0j)
+        # a level-1 column raised to a level-2 row, one photon fewer
+        raised = (level[row] == 1) & (level[col] == 0)
+        c_plus = np.where(
+            raised & (n[row] == n[col] - 1) & (m[row] == m[col]), np.sqrt(n[col]), 0j
+        )
+        c_minus = np.where(
+            raised & (n[row] == n[col]) & (m[row] == m[col] - 1), np.sqrt(m[col]), 0j
         )
         self._shape = d.shape
         pieces = (d, c_plus, c_plus.conj().swapaxes(-1, -2),
@@ -180,23 +184,13 @@ class HamiltonianFactory:
         return (weights @ self._pieces).reshape(self._shape)
 
 
-def _excitation_labels(space: SpaceConfig) -> np.ndarray:
-    """Integer total excitation of every basis state, by flat index."""
-    labels = np.empty(space.dim, dtype=int)
-    for level in (1, 2):
-        for n in range(space.nmax_plus + 1):
-            for m in range(space.nmax_minus + 1):
-                labels[state_index(space, level, n, m)] = (level - 1) + n + m
-    return labels
-
-
 def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:
     """Flat indices of basis states with total excitation n_exc.
 
     Total excitation counts photons in both modes plus one for atom level 2.
     Propagation never mixes sectors, so restricting to one sector is exact.
     """
-    return np.flatnonzero(_excitation_labels(space) == n_exc).tolist()
+    return np.flatnonzero(basis_labels(space).sum(axis=0) == n_exc).tolist()
 
 
 def excitation_operator(space: SpaceConfig) -> OperatorMatrix:
@@ -205,7 +199,9 @@ def excitation_operator(space: SpaceConfig) -> OperatorMatrix:
     Commutes with H at every sphere point, so propagation never mixes
     excitation sectors.  Diagonal in the basis; its entries are the exact
     integer labels (level - 1) + n + m, so states of one sector compare
-    equal.
+    equal.  Imports scipy, which nothing on the run path needs.
     """
-    labels = _excitation_labels(space).astype(float)
+    from scipy import sparse
+
+    labels = basis_labels(space).sum(axis=0).astype(float)
     return OperatorMatrix(sparse.diags(labels).tocsr(), space, hermitian=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import SpaceConfig, StateVector, state_index
+from .hilbert import SpaceConfig, StateVector, basis_labels, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, Schedule, frozen_schedule, make_schedule, reversed_path
 from .dynamics import _propagate, _resolve_steps, evolve
@@ -388,17 +388,9 @@ def ideal_phase_map(state: StateVector, gamma: float) -> StateVector:
     a symmetric atomic superposition with any photon distribution in mode
     "+" reproduce the closed-form detection fringes exactly.
     """
-    space = state.space
-    amps = state.amplitudes.copy()
-    for level in (1, 2):
-        for n in range(space.nmax_plus + 1):
-            for m in range(space.nmax_minus + 1):
-                idx = state_index(space, level, n, m)
-                if level == 2:
-                    phase = 0.5 * gamma * (n - m + 0.5)
-                elif n >= 1:
-                    phase = 0.5 * gamma * (n - m - 0.5)
-                else:
-                    phase = -0.5 * gamma * m
-                amps[idx] *= complex(math.cos(phase), math.sin(phase))
-    return StateVector(amps, space, normalized=state.normalized)
+    level, n, m = basis_labels(state.space)
+    phase = 0.5 * gamma * np.where(
+        level == 1, n - m + 0.5, np.where(n >= 1, n - m - 0.5, -m)
+    )
+    amps = state.amplitudes * (np.cos(phase) + 1j * np.sin(phase))
+    return StateVector(amps, state.space, normalized=state.normalized)

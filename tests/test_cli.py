@@ -197,7 +197,7 @@ def test_exit_one_on_argparse_problems(capsys):
     capsys.readouterr()
 
 
-def test_exit_one_on_bad_threads(tmp_path, capsys):
+def test_exit_one_on_removed_options(tmp_path, capsys):
     # there is no --threads flag and no seed key; each is a usage error
     cfg = write_cfg(tmp_path, **FAST_IDEAL)
     assert main(["fringe", "--config", cfg, "--threads", "2"]) == 1
@@ -349,6 +349,32 @@ def test_full_mode_runs_are_byte_identical(tmp_path, capsys):
     assert main(["fringe", "--config", cfg, "--out", str(second)]) == 0
     capsys.readouterr()
     assert (first / "fringe.csv").read_bytes() == (second / "fringe.csv").read_bytes()
+
+
+def test_run_path_never_imports_scipy(tmp_path):
+    # scipy serves only brute_force_evolve and excitation_operator; importing
+    # the CLI and running fringe, ideal alpha-sweep and dressed-phases must
+    # not load it
+    runs = [
+        ("fringe", write_cfg(tmp_path, name="full.cfg", xi_points=16, **FAST_FULL)),
+        ("alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
+        ("dressed-phases", write_cfg(
+            tmp_path, name="dressed.cfg", nmax_plus=1, nmax_minus=0,
+            loop_time_ms=3.0, dt_ms=3e-3, branch="upper",
+        )),
+    ]
+    script = "\n".join([
+        "import sys",
+        "from loopqed.cli import main",
+        *(f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
+          for cmd, cfg in runs),
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_console_script_version():

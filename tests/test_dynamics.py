@@ -8,7 +8,6 @@ import pytest
 from loopqed.dynamics import (
     IntegrationError,
     brute_force_evolve,
-    convergence_check,
     evolve,
 )
 from loopqed.hilbert import StateVector, fock_state, make_space, state_index
@@ -217,25 +216,29 @@ def test_all_zero_state_trips_the_norm_guard():
         evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
 
 
+def _halving_discrepancy(initial, schedule, params, dt):
+    """Final-state difference norm between evolve runs at dt and dt/2."""
+    coarse = evolve(initial, schedule, params, dt=dt).amplitudes[-1]
+    fine = evolve(initial, schedule, params, dt=dt / 2.0).amplitudes[-1]
+    return float(np.linalg.norm(coarse - fine))
+
+
 def test_convergence_check_frozen_is_exact():
     # piecewise-constant Hamiltonian: eigendecomposition steps are exact at
     # any dt, so halving dt changes nothing
     space = make_space(1, 1)
     params = default_params()
     sched = frozen_schedule(0.7, 0.3, 0.12)
-    report = convergence_check(fock_state(space, 2, 0, 0), sched, params, dt=0.03)
-    assert report.discrepancy < 1e-12
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.03)
+    assert d < 1e-12
 
 
 def test_convergence_check_passes_on_fine_grid():
     space = make_space(1, 1)
     params = default_params()
     sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
-    report = convergence_check(
-        fock_state(space, 2, 0, 0), sched, params, dt=0.3 / 80000
-    )
-    assert report.passed
-    assert report.discrepancy < 1e-8
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.3 / 80000)
+    assert d < 1e-8
 
 
 def test_convergence_is_second_order():
@@ -244,8 +247,8 @@ def test_convergence_is_second_order():
     params = default_params()
     sched = make_schedule(lasso_path(math.pi, 1.2), samples_per_leg=64)
     st = fock_state(space, 2, 0, 0)
-    d1 = convergence_check(st, sched, params, dt=1.2 / 10000).discrepancy
-    d2 = convergence_check(st, sched, params, dt=1.2 / 20000).discrepancy
+    d1 = _halving_discrepancy(st, sched, params, dt=1.2 / 10000)
+    d2 = _halving_discrepancy(st, sched, params, dt=1.2 / 20000)
     assert d1 / d2 == pytest.approx(4.0, rel=0.1)
 
 
@@ -254,8 +257,8 @@ def test_convergence_check_flags_fast_coarse_run():
     space = make_space(1, 1)
     params = default_params()
     sched = make_schedule(lasso_path(math.pi, 0.12), samples_per_leg=64)
-    report = convergence_check(fock_state(space, 2, 0, 0), sched, params, dt=0.12 / 50)
-    assert not report.passed
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.12 / 50)
+    assert d > 1e-8
 
 
 def test_rescaling_invariance_is_machine_exact():

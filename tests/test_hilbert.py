@@ -10,9 +10,7 @@ from loopqed.hilbert import (
     OperatorMatrix,
     StateVector,
     TruncationError,
-    annihilation,
-    atomic_projector,
-    atomic_raise,
+    basis_labels,
     coherent_mode_coefficients,
     coherent_tail_mass,
     fock_state,
@@ -47,6 +45,15 @@ def test_index_bijection():
                 assert 0 <= idx < space.dim
                 seen.add(idx)
     assert len(seen) == space.dim
+
+
+@pytest.mark.parametrize("cutoffs", [(0, 0), (3, 2), (2, 5)])
+def test_basis_labels_round_trip_state_index(cutoffs):
+    space = make_space(*cutoffs)
+    labels = basis_labels(space)
+    assert labels.shape == (3, space.dim)
+    for idx, (atom, n, m) in enumerate(labels.T):
+        assert state_index(space, int(atom) + 1, int(n), int(m)) == idx
 
 
 def test_index_layout_level_blocks():
@@ -146,48 +153,3 @@ def test_coherent_truncation_threshold_is_inclusive():
 def test_zero_alpha_equals_vacuum():
     np.testing.assert_allclose(coherent_mode_coefficients(0.0, 4), [1, 0, 0, 0, 0])
 
-
-def test_annihilation_matrix_elements():
-    space = make_space(3, 2)
-    a = annihilation(space, "plus").dense()
-    for n in range(1, 4):
-        row = state_index(space, 1, n - 1, 0)
-        col = state_index(space, 1, n, 0)
-        assert a[row, col] == pytest.approx(math.sqrt(n))
-    # a |0> = 0 in the photon slot
-    vac = fock_state(space, 1, 0, 0)
-    assert np.linalg.norm(annihilation(space, "plus").entries @ vac.amplitudes) == 0.0
-    # "+" and "-" alias the mode names
-    for alias, mode in (("+", "plus"), ("-", "minus")):
-        np.testing.assert_array_equal(
-            annihilation(space, alias).dense(), annihilation(space, mode).dense()
-        )
-
-
-def test_commutator_on_interior_states():
-    # [a, a^dag] = 1 away from the truncation edge
-    space = make_space(5, 0)
-    a = annihilation(space, "plus").dense()
-    comm = a @ a.conj().T - a.conj().T @ a
-    for n in range(5):  # all but the top rung
-        idx = state_index(space, 1, n, 0)
-        assert comm[idx, idx] == pytest.approx(1.0)
-
-
-def test_atomic_operators():
-    space = make_space(1, 1)
-    p1 = atomic_projector(space, 1).dense()
-    p2 = atomic_projector(space, 2).dense()
-    np.testing.assert_allclose(p1 + p2, np.eye(space.dim))
-    raise_op = atomic_raise(space).entries
-    raised = raise_op @ fock_state(space, 1, 1, 0).amplitudes
-    np.testing.assert_allclose(raised, fock_state(space, 2, 1, 0).amplitudes)
-    # raising twice annihilates
-    assert np.linalg.norm(raise_op @ raised) == pytest.approx(0.0)
-
-
-def test_expectation_is_population_for_projector():
-    space = make_space(1, 0)
-    st = StateVector(np.array([0.6, 0.0, 0.8, 0.0]), space)
-    p2 = atomic_projector(space, 2).entries
-    assert np.vdot(st.amplitudes, p2 @ st.amplitudes).real == pytest.approx(0.64)

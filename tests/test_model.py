@@ -5,14 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from loopqed.hilbert import (
-    annihilation,
-    atomic_projector,
-    atomic_raise,
-    fock_state,
-    make_space,
-    state_index,
-)
+from loopqed.hilbert import fock_state, make_space, state_index
 from loopqed.model import (
     HamiltonianFactory,
     ModelParams,
@@ -117,28 +110,47 @@ def test_hamiltonian_commutes_with_excitation_number():
         assert float(np.max(np.abs(comm))) < 1e-12
 
 
+def _built_hamiltonian(space, params, theta, phi):
+    """H assembled term by term, as the model docstring writes it, from dense
+    ladder and atomic matrices in atom (x) plus (x) minus order."""
+
+    def ladder(nmax):
+        return np.diag(np.sqrt(np.arange(1.0, nmax + 1)), 1)
+
+    def kron3(atom, plus, minus):
+        return np.kron(atom, np.kron(plus, minus))
+
+    one_plus, one_minus = np.eye(space.nmax_plus + 1), np.eye(space.nmax_minus + 1)
+    a_plus = kron3(np.eye(2), ladder(space.nmax_plus), one_minus)
+    a_minus = kron3(np.eye(2), one_plus, ladder(space.nmax_minus))
+    p1 = kron3(np.diag([1.0, 0.0]), one_plus, one_minus)
+    p2 = kron3(np.diag([0.0, 1.0]), one_plus, one_minus)
+    raise_op = kron3(np.array([[0.0, 0.0], [1.0, 0.0]]), one_plus, one_minus)
+    number = a_plus.T @ a_plus + a_minus.T @ a_minus
+    u_plus, u_minus = coupling_weights(theta, phi)
+    drive = params.lam * (u_plus * a_plus + u_minus * a_minus) @ raise_op
+    return (
+        params.shift_upper * p2
+        + params.shift_lower_per_photon * number @ p1
+        + drive
+        + drive.conj().T
+    )
+
+
 def test_factory_matches_builder():
-    # H assembled term by term from the hilbert operators, as the model
-    # docstring writes it, against the factory's precomputed pieces
-    space = make_space(2, 1)
+    # from n = 2 on, the built photon number sqrt(n)**2 is not the integer
+    # n the factory holds, hence the tolerance
     params = default_params()
-    factory = HamiltonianFactory(space, params)
-    p1 = atomic_projector(space, 1).dense()
-    p2 = atomic_projector(space, 2).dense()
-    a_plus = annihilation(space, "plus").dense()
-    a_minus = annihilation(space, "minus").dense()
-    raise_op = atomic_raise(space).dense()
-    number = a_plus.conj().T @ a_plus + a_minus.conj().T @ a_minus
-    for theta, phi in [(0.0, 0.0), (1.1, 0.7), (math.pi, 4.0)]:
-        u_plus, u_minus = coupling_weights(theta, phi)
-        drive = params.lam * (u_plus * a_plus + u_minus * a_minus) @ raise_op
-        built = (
-            params.shift_upper * p2
-            + params.shift_lower_per_photon * number @ p1
-            + drive
-            + drive.conj().T
-        )
-        np.testing.assert_allclose(factory.dense(theta, phi), built, atol=1e-12)
+    for cutoffs in [(2, 1), (4, 2)]:
+        space = make_space(*cutoffs)
+        factory = HamiltonianFactory(space, params)
+        for theta, phi in [(0.0, 0.0), (1.1, 0.7), (math.pi, 4.0)]:
+            np.testing.assert_allclose(
+                factory.dense(theta, phi),
+                _built_hamiltonian(space, params, theta, phi),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 def test_sector_factory_is_the_full_block_bit_for_bit():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from loopqed.hilbert import StateVector, fock_state, make_space
+from loopqed.hilbert import StateVector, fock_state, make_space, state_index
 from loopqed.model import ModelParams, default_params
 from loopqed.phases import (
     DegeneracyError,
@@ -338,6 +338,26 @@ def test_ideal_phase_map_vacuum_assignments():
         ov = complex(np.vdot(before.amplitudes, after.amplitudes))
         assert abs(ov) == pytest.approx(1.0, abs=1e-12)
         assert np.angle(ov) == pytest.approx(wrap_phase(expect), abs=1e-12)
+
+
+def test_ideal_phase_map_matches_the_per_state_rule_exactly():
+    # every basis state of a space with photons in both modes, against the
+    # per-state rule of the docstring written as a loop
+    space = make_space(3, 2)
+    gamma = 2.2
+    state = StateVector(np.ones(space.dim), space, normalized=False)
+    mapped = ideal_phase_map(state, gamma)
+    for level in (1, 2):
+        for n in range(space.nmax_plus + 1):
+            for m in range(space.nmax_minus + 1):
+                if level == 2:
+                    phase = 0.5 * gamma * (n - m + 0.5)
+                elif n >= 1:
+                    phase = 0.5 * gamma * (n - m - 0.5)
+                else:
+                    phase = -0.5 * gamma * m
+                expect = complex(math.cos(phase), math.sin(phase))
+                assert mapped.amplitudes[state_index(space, level, n, m)] == expect
 
 
 def test_ideal_phase_map_preserves_populations():
