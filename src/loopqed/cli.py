@@ -27,7 +27,6 @@ deterministic, so no key seeds anything.  Keys and defaults:
     loop_knots =              optional explicit path "theta:phi;..." (rad)
     loop_leg_times =          leg durations "t1;t2;..." in ms (with knots)
     loop_time_ms = 6.0        total loop time in ms
-    samples_per_leg = 256     schedule samples per path leg
     cavity = fock:0           initial "+" field: fock:N or coherent:ALPHA
     xi_points = 33            Ramsey phase grid size (>= 16)
     mode = full               "full" dynamics or "ideal" phase map
@@ -101,7 +100,6 @@ _DEFAULTS: dict[str, str] = {
     "loop_knots": "",
     "loop_leg_times": "",
     "loop_time_ms": "6.0",
-    "samples_per_leg": "256",
     "cavity": "fock:0",
     "xi_points": "33",
     "mode": "full",
@@ -159,7 +157,6 @@ class RunConfig:
     loop_knots: tuple[tuple[float, float], ...] = ()
     loop_leg_times: tuple[float, ...] = ()
     loop_time_ms: float = 6.0
-    samples_per_leg: int = 256
     cavity_kind: str = "fock"
     cavity_photons: int = 0
     cavity_alpha: float = 0.0
@@ -196,10 +193,6 @@ class RunConfig:
         if self.loop_time_ms <= 0:
             raise ConfigError(
                 f"field 'loop_time_ms': must be positive, got {self.loop_time_ms}"
-            )
-        if self.samples_per_leg < 2:
-            raise ConfigError(
-                f"field 'samples_per_leg': must be >= 2, got {self.samples_per_leg}"
             )
         if self.xi_points < 16:
             raise ConfigError(
@@ -278,7 +271,6 @@ class RunConfig:
             xi_grid=default_xi_grid(self.xi_points),
             mode=self.mode,
             dt=self.dt_ms,
-            samples_per_leg=self.samples_per_leg,
         )
 
     def echo_items(self) -> list[tuple[str, str]]:
@@ -305,7 +297,6 @@ class RunConfig:
                 ";".join(_fmt(t) for t in self.loop_leg_times) or "none",
             ),
             ("loop_time_ms", _fmt(self.loop_time_ms)),
-            ("samples_per_leg", str(self.samples_per_leg)),
             ("cavity", cavity),
             ("xi_points", str(self.xi_points)),
             ("mode", self.mode),
@@ -416,7 +407,6 @@ def _build_config(values: dict[str, str]) -> RunConfig:
         loop_knots=knots,
         loop_leg_times=leg_times,
         loop_time_ms=_to_float("loop_time_ms", values["loop_time_ms"]),
-        samples_per_leg=_to_int("samples_per_leg", values["samples_per_leg"]),
         cavity_kind=cavity_kind,
         cavity_photons=cavity_photons,
         cavity_alpha=cavity_alpha,
@@ -641,8 +631,7 @@ def cmd_dressed_phases(
         for branch in branches:
             try:
                 reading = _branch_reading(
-                    space, params, loop, (n, m), branch, config.samples_per_leg,
-                    config.dt_ms,
+                    space, params, loop, (n, m), branch, config.dt_ms
                 )
                 phase, cyclicity, gap, status = (
                     _fmt(reading.geometric_phase), _fmt(reading.cyclicity),

@@ -339,7 +339,6 @@ def dressed_phase_pair(
     params: ModelParams,
     loop: PathSpec,
     doublet: tuple[int, int],
-    samples_per_leg: int = 256,
     dt: float | None = None,
 ) -> dict[str, PhaseReading]:
     """Equal-and-opposite dressed-phase pair for one doublet.
@@ -351,7 +350,7 @@ def dressed_phase_pair(
     +-gamma/2 (n - m + 1/2) adiabatically.
     """
     return {
-        branch: _branch_reading(space, params, loop, doublet, branch, samples_per_leg, dt)
+        branch: _branch_reading(space, params, loop, doublet, branch, dt)
         for branch in ("upper", "lower")
     }
 
@@ -362,14 +361,15 @@ def _branch_reading(
     loop: PathSpec,
     doublet: tuple[int, int],
     branch: str,
-    samples_per_leg: int,
     dt: float | None,
 ) -> PhaseReading:
-    """One reading of dressed_phase_pair: the lower branch runs the reversed loop."""
+    """One reading of dressed_phase_pair: the lower branch runs the reversed loop.
+
+    The schedule's samples (make_schedule's default grid) are the points
+    the gap precheck scans.
+    """
     path = loop if branch == "upper" else reversed_path(loop)
-    schedule = make_schedule(
-        path, samples_per_leg=samples_per_leg, effective_coupling=params.lam
-    )
+    schedule = make_schedule(path)
     return adiabatic_eigenstate_transport(space, params, schedule, doublet, branch, dt)
 
 

@@ -1,14 +1,16 @@
 """Closed polarization loops on the Poincare sphere and their time schedules.
 
 A loop is a PathSpec: ordered sphere knots (theta, phi) joined by straight
-legs in angle space, each leg with a positive duration.  The workhorse shape
-is the "lasso": descend a meridian from the pole to a circle of constant
-theta, sweep the azimuth through a full turn, and climb back to the pole.
-Its enclosed (signed) solid angle has the closed form 2 pi (1 - cos theta0),
-and its time splits 1:2:1 over the three legs (LASSO_LEG_FRACTIONS).
+legs in angle space, each leg with a positive duration.  The legs are the
+one source of loop geometry: the enclosed solid angle and the peak sweep
+rate are exact sums and maxima over them, with no sampling.  The workhorse
+shape is the "lasso": descend a meridian from the pole to a circle of
+constant theta0, sweep the azimuth through a full turn, and climb back to
+the pole.  It encloses 2 pi (1 - cos theta0), and its time splits 1:2:1
+over the three legs (LASSO_LEG_FRACTIONS).
 
 Schedules sample a PathSpec uniformly in time per leg and interpolate
-linearly.
+linearly; the propagator steps along them.
 """
 
 from __future__ import annotations
@@ -60,19 +62,17 @@ def _is_closed(knots: list[tuple[float, float]], tol: float = CLOSURE_TOL) -> bo
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Closed loop: sphere knots plus per-leg durations.
+    """Closed loop: sphere knots joined by straight legs, plus per-leg durations.
 
     knots are (theta, phi) pairs; phi is kept as an unreduced real number so
     windings survive (a full sweep ends at phi = 2 pi, the same sphere point
     as phi = 0).  Closure is judged on sphere points, so the poles match at
-    any azimuth.  kind is "lasso" for loops built by lasso_path, otherwise
-    "piecewise".
+    any azimuth.  Each leg runs linearly in (theta, phi) at constant speed,
+    which makes solid_angle and max_rate exact closed forms over the legs.
     """
 
-    kind: str
     knots: tuple[tuple[float, float], ...]
     durations: tuple[float, ...]
-    theta0: float | None = None
 
     def __post_init__(self):
         if len(self.knots) < 2:
@@ -95,6 +95,16 @@ class PathSpec:
     @property
     def total_time(self) -> float:
         return float(sum(self.durations))
+
+    @property
+    def max_rate(self) -> float:
+        """Peak sweep speed hypot(dtheta, dphi) / duration over the legs (rad/ms)."""
+        return max(
+            math.hypot(th_b - th_a, ph_b - ph_a) / dur
+            for (th_a, ph_a), (th_b, ph_b), dur in zip(
+                self.knots, self.knots[1:], self.durations
+            )
+        )
 
 
 def lasso_path(gamma_target: float, total_time: float) -> PathSpec:
@@ -123,14 +133,14 @@ def lasso_path(gamma_target: float, total_time: float) -> PathSpec:
     theta0 = math.acos(1.0 - gamma_target / TWO_PI)
     knots = ((0.0, 0.0), (theta0, 0.0), (theta0, TWO_PI), (0.0, TWO_PI))
     durations = tuple(f * total_time for f in LASSO_LEG_FRACTIONS)
-    return PathSpec("lasso", knots, durations, theta0=theta0)
+    return PathSpec(knots, durations)
 
 
 def piecewise_path(
     knots: list[tuple[float, float]], durations: list[float]
 ) -> PathSpec:
     """General closed loop through the given knots with per-leg durations."""
-    return PathSpec("piecewise", tuple(knots), tuple(durations))
+    return PathSpec(tuple(knots), tuple(durations))
 
 
 def reversed_path(spec: PathSpec) -> PathSpec:
@@ -140,12 +150,7 @@ def reversed_path(spec: PathSpec) -> PathSpec:
     sign.  Lasso timing (LASSO_LEG_FRACTIONS is symmetric) makes the reversed
     drive exactly the complex conjugate of the forward one.
     """
-    return PathSpec(
-        "piecewise",
-        tuple(reversed(spec.knots)),
-        tuple(reversed(spec.durations)),
-        theta0=spec.theta0,
-    )
+    return PathSpec(tuple(reversed(spec.knots)), tuple(reversed(spec.durations)))
 
 
 def concatenated_path(first: PathSpec, second: PathSpec) -> PathSpec:
@@ -163,7 +168,7 @@ def concatenated_path(first: PathSpec, second: PathSpec) -> PathSpec:
     shift = TWO_PI * round((first.knots[-1][1] - second.knots[0][1]) / TWO_PI)
     shifted = tuple((th, ph + shift) for th, ph in second.knots[1:])
     knots = first.knots + shifted
-    return PathSpec("piecewise", knots, first.durations + second.durations)
+    return PathSpec(knots, first.durations + second.durations)
 
 
 def rescaled_path(spec: PathSpec, new_total_time: float) -> PathSpec:
@@ -171,12 +176,7 @@ def rescaled_path(spec: PathSpec, new_total_time: float) -> PathSpec:
     if new_total_time <= 0:
         raise ValueError(f"new_total_time must be positive, got {new_total_time}")
     scale = new_total_time / spec.total_time
-    return PathSpec(
-        spec.kind,
-        spec.knots,
-        tuple(d * scale for d in spec.durations),
-        theta0=spec.theta0,
-    )
+    return PathSpec(spec.knots, tuple(d * scale for d in spec.durations))
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class Schedule:
 
 def make_schedule(
     spec: PathSpec,
-    samples_per_leg: int = 64,
+    samples_per_leg: int = 256,
     effective_coupling: float | None = None,
 ) -> Schedule:
     """Sample a PathSpec uniformly in time along each leg.
@@ -242,7 +242,7 @@ def make_schedule(
         At least 2; number of intervals per leg is samples_per_leg - 1.
     effective_coupling : float, optional
         When given (rad/ms), metadata includes adiabaticity_ratio =
-        max sweep rate / effective_coupling; values well below 1 justify
+        spec.max_rate / effective_coupling; values well below 1 justify
         the adiabatic approximation.
     """
     if samples_per_leg < 2:
@@ -259,9 +259,9 @@ def make_schedule(
         phis.append(ph_a + fracs * (ph_b - ph_a))
         t0 += dur
     sched = Schedule(*(np.concatenate(part) for part in (times, thetas, phis)))
-    meta = {"max_rate": sched.max_rate, "source_kind": spec.kind}
+    meta = {"max_rate": spec.max_rate}
     if effective_coupling is not None and effective_coupling > 0:
-        meta["adiabaticity_ratio"] = sched.max_rate / effective_coupling
+        meta["adiabaticity_ratio"] = spec.max_rate / effective_coupling
     object.__setattr__(sched, "metadata", meta)
     return sched
 
@@ -279,31 +279,19 @@ def frozen_schedule(theta: float, phi: float, duration: float) -> Schedule:
     return sched
 
 
-def _closed_samples(obj, samples_per_leg: int):
-    """(thetas, phis) arrays tracing the loop, validated closed."""
-    if isinstance(obj, PathSpec):
-        sched = make_schedule(obj, samples_per_leg=samples_per_leg)
-        return sched.thetas, sched.phis
-    if isinstance(obj, Schedule):
-        first = _sphere_xyz(float(obj.thetas[0]), float(obj.phis[0]))
-        last = _sphere_xyz(float(obj.thetas[-1]), float(obj.phis[-1]))
-        if np.linalg.norm(first - last) > 1e-9:
-            raise ClosureError("schedule endpoints are distinct sphere points")
-        return obj.thetas, obj.phis
-    raise TypeError(f"expected PathSpec or Schedule, got {type(obj).__name__}")
+def solid_angle(spec: PathSpec) -> float:
+    """Signed solid angle enclosed by a closed loop, exact for straight legs.
 
-
-def solid_angle(obj, samples_per_leg: int = 2049) -> float:
-    """Signed solid angle enclosed by a closed loop.
-
-    Evaluates the line integral of (1 - cos theta) d phi by composite
-    trapezoid over the loop samples.  The sign follows the traversal
-    direction: a lasso swept with increasing phi is positive, its reversal
-    negative.  For lassos the quadrature is exact (meridian legs carry
-    d phi = 0 and the sweep leg has constant theta), matching
-    2 pi (1 - cos theta0) to rounding error.
+    Integrates (1 - cos theta) d phi along each leg in closed form: a leg
+    from (theta_a, phi_a) to (theta_b, phi_b) contributes
+    dphi (1 - cos(mean theta) sinc(dtheta / 2)), with sinc(x) = sin(x)/x.
+    The sign follows the traversal direction: a lasso swept with increasing
+    phi is positive, its reversal negative.  Meridian legs carry dphi = 0,
+    so a lasso gives 2 pi (1 - cos theta0) directly.
     """
-    thetas, phis = _closed_samples(obj, samples_per_leg)
-    f = 1.0 - np.cos(thetas)
-    dphi = np.diff(phis)
-    return float(np.sum(0.5 * (f[:-1] + f[1:]) * dphi))
+    knots = np.asarray(spec.knots, dtype=float)
+    theta, phi = knots[:, 0], knots[:, 1]
+    mean_theta = 0.5 * (theta[:-1] + theta[1:])
+    # np.sinc(x) = sin(pi x)/(pi x), so this is sin(dtheta/2)/(dtheta/2)
+    sinc = np.sinc(np.diff(theta) / TWO_PI)
+    return float(np.sum(np.diff(phi) * (1.0 - np.cos(mean_theta) * sinc)))

@@ -121,7 +121,6 @@ class RamseyConfig:
     xi_grid: np.ndarray = field(default_factory=default_xi_grid)
     mode: str = "full"
     dt: float | None = None
-    samples_per_leg: int = 256
 
     def __post_init__(self):
         tau = self.tau_ms if self.tau_ms is not None else self.loop.total_time
@@ -181,24 +180,22 @@ def prepare(space: SpaceConfig, cavity: CavityInput) -> StateVector:
     return StateVector(amps, space)
 
 
-def close_and_detect(state: StateVector, xi: float) -> float:
+def close_and_detect(state: StateVector, xi):
     """Apply the closing pulse with relative phase xi; return P(level 2).
 
     The pulse acts on the atom only (identity on both modes) with the
     convention in the module docstring; the detection sums |amplitude|^2
-    over every photon sector of level 2.
+    over every photon sector of level 2.  xi may be a scalar (a float is
+    returned) or an array of phases (an array of the same shape).
     """
     half = state.space.dim // 2
     a1 = state.amplitudes[:half]
     a2 = state.amplitudes[half:]
-    phase = complex(math.cos(xi), math.sin(xi))
+    xi = np.asarray(xi, dtype=float)[..., None]
+    phase = np.cos(xi) + 1j * np.sin(xi)
     new2 = (phase * a1 + a2) / math.sqrt(2.0)
-    p2 = float(np.sum(np.abs(new2) ** 2))
-    return min(1.0, max(0.0, p2))
-
-
-def _p2_curve(state: StateVector, xi_grid: np.ndarray) -> np.ndarray:
-    return np.array([close_and_detect(state, float(xi)) for xi in xi_grid])
+    p2 = np.clip(np.sum(np.abs(new2) ** 2, axis=-1), 0.0, 1.0)
+    return float(p2) if p2.ndim == 0 else p2
 
 
 def fit_fringe(xi: np.ndarray, p2: np.ndarray) -> FringeFit:
@@ -244,18 +241,14 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     if config.round_to_flips:
         tau, flips = _round_to_flips(tau, params)
     loop = rescaled_path(config.loop, tau)
-    schedule = make_schedule(
-        loop, samples_per_leg=config.samples_per_leg, effective_coupling=params.lam
-    )
+    ratio = loop.max_rate / params.lam if params.lam > 0 else None
     prep = prepare(config.space, config.cavity)
 
     flags: list[str] = []
     if config.mode == "full":
-        loop_traj = evolve(prep, schedule, params, dt=config.dt)
+        loop_traj = evolve(prep, make_schedule(loop), params, dt=config.dt)
         state_loop = loop_traj.final_state
-        caliber_sched = frozen_schedule(
-            float(schedule.thetas[0]), float(schedule.phis[0]), tau
-        )
+        caliber_sched = frozen_schedule(*loop.knots[0], tau)
         caliber_traj = evolve(prep, caliber_sched, params, dt=config.dt)
         state_caliber = caliber_traj.final_state
     else:
@@ -272,14 +265,13 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
         np.sum(np.abs(prep.amplitudes) * np.abs(state_caliber.amplitudes))
     )
 
-    p2_loop = _p2_curve(state_loop, config.xi_grid)
-    p2_caliber = _p2_curve(state_caliber, config.xi_grid)
+    p2_loop = close_and_detect(state_loop, config.xi_grid)
+    p2_caliber = close_and_detect(state_caliber, config.xi_grid)
     loop_fit = fit_fringe(config.xi_grid, p2_loop)
     caliber_fit = fit_fringe(config.xi_grid, p2_caliber)
     fitted_shift = wrap_phase(loop_fit.phase - caliber_fit.phase)
     fit_residual = max(loop_fit.residual, caliber_fit.residual)
 
-    ratio = schedule.metadata.get("adiabaticity_ratio")
     if config.mode == "full" and ratio is not None and ratio > ADIABATICITY_FLAG_RATIO:
         flags.append("non-adiabatic")
     if fit_residual > FIT_RESIDUAL_FLAG:

@@ -198,13 +198,17 @@ def test_exit_one_on_argparse_problems(capsys):
 
 
 def test_exit_one_on_removed_options(tmp_path, capsys):
-    # there is no --threads flag and no seed key; each is a usage error
+    # there is no --threads flag and no seed or samples_per_leg key; each
+    # is a usage error
     cfg = write_cfg(tmp_path, **FAST_IDEAL)
     assert main(["fringe", "--config", cfg, "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
     seeded = write_cfg(tmp_path, name="seeded.cfg", seed=0, **FAST_IDEAL)
     assert main(["fringe", "--config", seeded]) == 1
     assert "unknown field 'seed'" in capsys.readouterr().err
+    sampled = write_cfg(tmp_path, name="sampled.cfg", samples_per_leg=256, **FAST_IDEAL)
+    assert main(["fringe", "--config", sampled]) == 1
+    assert "unknown field 'samples_per_leg'" in capsys.readouterr().err
 
 
 def test_exit_one_on_inadequate_truncation(tmp_path, capsys):

@@ -223,7 +223,7 @@ def _halving_discrepancy(initial, schedule, params, dt):
     return float(np.linalg.norm(coarse - fine))
 
 
-def test_convergence_check_frozen_is_exact():
+def test_halving_dt_is_exact_when_frozen():
     # piecewise-constant Hamiltonian: eigendecomposition steps are exact at
     # any dt, so halving dt changes nothing
     space = make_space(1, 1)
@@ -233,7 +233,7 @@ def test_convergence_check_frozen_is_exact():
     assert d < 1e-12
 
 
-def test_convergence_check_passes_on_fine_grid():
+def test_halving_dt_agrees_on_fine_grid():
     space = make_space(1, 1)
     params = default_params()
     sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
@@ -252,7 +252,7 @@ def test_convergence_is_second_order():
     assert d1 / d2 == pytest.approx(4.0, rel=0.1)
 
 
-def test_convergence_check_flags_fast_coarse_run():
+def test_halving_dt_exposes_fast_coarse_run():
     # a fast loop stepped coarsely must fail self-convergence, not hide it
     space = make_space(1, 1)
     params = default_params()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopqed.poincare_path import (
     ClosureError,
@@ -25,7 +26,7 @@ TWO_PI = 2.0 * math.pi
 def test_lasso_geometry():
     loop = lasso_path(math.pi, 8.0)
     # cap area 2*pi*(1 - cos theta0) = gamma inverts to theta0 = pi/3 here
-    assert loop.theta0 == pytest.approx(math.pi / 3)
+    assert loop.knots[1][0] == pytest.approx(math.pi / 3)
     expected_knots = (
         (0.0, 0.0),
         (math.pi / 3, 0.0),
@@ -50,11 +51,11 @@ def test_lasso_validation():
 def test_lasso_gamma_edge_cases():
     # gamma = 0: degenerate loop pinned at the pole
     loop0 = lasso_path(0.0, 1.0)
-    assert loop0.theta0 == pytest.approx(0.0)
+    assert loop0.knots[1][0] == pytest.approx(0.0)
     assert solid_angle(loop0) == pytest.approx(0.0, abs=1e-12)
     # gamma = 2 pi: equator
     loop_eq = lasso_path(TWO_PI, 1.0)
-    assert loop_eq.theta0 == pytest.approx(math.pi / 2)
+    assert loop_eq.knots[1][0] == pytest.approx(math.pi / 2)
 
 
 @pytest.mark.parametrize(
@@ -93,7 +94,7 @@ def test_concatenation_checks_junction():
 
 def test_piecewise_requires_closure():
     with pytest.raises(ClosureError):
-        PathSpec("piecewise", ((0.0, 0.0), (1.0, 1.0)), (1.0,))
+        PathSpec(((0.0, 0.0), (1.0, 1.0)), (1.0,))
     # poles match regardless of azimuth
     spec = piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.0, 4.0)], [1.0, 1.0])
     assert spec.total_time == pytest.approx(2.0)
@@ -148,6 +149,29 @@ def test_schedule_max_rate_and_adiabaticity():
     assert slow.max_rate == pytest.approx(TWO_PI / 40.0)
 
 
+def test_path_max_rate_is_exact_per_leg():
+    # descent pi/3 over 2 ms, sweep 2 pi over 4 ms, return pi/3 over 2 ms
+    loop = lasso_path(math.pi, 8.0)
+    assert loop.max_rate == TWO_PI / 4.0
+    assert make_schedule(loop).metadata == {"max_rate": loop.max_rate}
+    # a leg moving in theta and phi at once: hypot(0.6, 0.8) = 1 over 0.5 ms
+    tilted = piecewise_path([(0.0, 0.0), (0.6, 0.8), (0.0, 0.0)], [0.5, 2.0])
+    assert tilted.max_rate == pytest.approx(2.0)
+
+
+def test_solid_angle_is_exact_on_tilted_legs():
+    # theta and phi both change along each leg; the leg integral of
+    # (1 - cos theta) dphi is dphi (1 - (sin theta_b - sin theta_a) / dtheta)
+    knots = [(0.0, 0.0), (0.9, 0.4), (1.4, 2.5), (0.6, 5.0), (0.0, TWO_PI)]
+    spec = piecewise_path(knots, [0.2, 0.35, 0.15, 0.1])
+    expected = 0.0
+    for (th_a, ph_a), (th_b, ph_b) in zip(knots, knots[1:]):
+        expected += (ph_b - ph_a) * (
+            1.0 - (math.sin(th_b) - math.sin(th_a)) / (th_b - th_a)
+        )
+    assert solid_angle(spec) == pytest.approx(expected, abs=1e-14)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         Schedule(np.array([0.0, 1.0, 1.0]), np.zeros(3), np.zeros(3))
@@ -167,12 +191,6 @@ def test_frozen_schedule():
     assert point.duration == 0.0
     with pytest.raises(ValueError):
         frozen_schedule(0.1, 0.2, -1.0)
-
-
-def test_solid_angle_accepts_schedules():
-    loop = lasso_path(1.7, 3.0)
-    sched = make_schedule(loop, samples_per_leg=512)
-    assert solid_angle(sched) == pytest.approx(1.7, abs=1e-6)
 
 
 def _per_sample_schedule(spec, samples_per_leg):
@@ -207,3 +225,70 @@ def test_make_schedule_is_the_per_sample_formula_bit_for_bit(spec, samples_per_l
     expected = _per_sample_schedule(spec, samples_per_leg)
     for got, want in zip((sched.times, sched.thetas, sched.phis), expected):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# solid-angle properties over random closed piecewise loops
+
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True, database=None
+)
+
+
+@st.composite
+def closed_paths(draw):
+    """Closed loops: a start knot, 1-5 free knots, and the start again,
+    re-branched by a whole number of azimuth turns."""
+    theta = st.floats(0.0, math.pi)
+    phi = st.floats(-TWO_PI, TWO_PI)
+    start = (draw(theta), draw(phi))
+    middle = draw(st.lists(st.tuples(theta, phi), min_size=1, max_size=5))
+    winding = draw(st.integers(-1, 1))
+    knots = [start, *middle, (start[0], start[1] + winding * TWO_PI)]
+    durations = draw(
+        st.lists(st.floats(0.01, 10.0), min_size=len(knots) - 1, max_size=len(knots) - 1)
+    )
+    return piecewise_path(knots, durations)
+
+
+def _dense_trapezoid(spec, intervals_per_leg=2**19):
+    # reference: composite trapezoid of (1 - cos theta) dphi along each
+    # straight leg; its error is below 1e-10 for every leg drawn above
+    s = np.linspace(0.0, 1.0, intervals_per_leg + 1)
+    total = 0.0
+    for (th_a, ph_a), (th_b, ph_b) in zip(spec.knots, spec.knots[1:]):
+        f = 1.0 - np.cos(th_a + s * (th_b - th_a))
+        total += (ph_b - ph_a) * (f.sum() - 0.5 * (f[0] + f[-1])) / intervals_per_leg
+    return total
+
+
+@PROPERTY_SETTINGS
+@given(closed_paths())
+def test_solid_angle_reversal_negates(spec):
+    assert solid_angle(reversed_path(spec)) == pytest.approx(-solid_angle(spec), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(closed_paths())
+def test_solid_angle_self_concatenation_doubles(spec):
+    double = concatenated_path(spec, spec)
+    assert solid_angle(double) == pytest.approx(2.0 * solid_angle(spec), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(closed_paths(), st.floats(0.01, 100.0))
+def test_solid_angle_ignores_timing(spec, new_total):
+    assert solid_angle(rescaled_path(spec, new_total)) == solid_angle(spec)
+
+
+@PROPERTY_SETTINGS
+@given(closed_paths())
+def test_solid_angle_ignores_a_whole_turn_of_azimuth(spec):
+    turned = PathSpec(tuple((th, ph + TWO_PI) for th, ph in spec.knots), spec.durations)
+    assert solid_angle(turned) == pytest.approx(solid_angle(spec), abs=1e-12)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(closed_paths())
+def test_solid_angle_matches_dense_trapezoid(spec):
+    assert solid_angle(spec) == pytest.approx(_dense_trapezoid(spec), abs=1e-9)

@@ -134,6 +134,19 @@ def test_detect_global_phase_invariance():
         )
 
 
+@pytest.mark.parametrize("nmax_plus", [4, 8, 16])
+def test_detect_on_a_grid_equals_scalar_calls_exactly(nmax_plus):
+    space = make_space(nmax_plus, 2)
+    rng = np.random.default_rng(nmax_plus)
+    xi = default_xi_grid(33)
+    for _ in range(20):
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        state = StateVector(amps / np.linalg.norm(amps), space)
+        curve = close_and_detect(state, xi)
+        assert curve.shape == xi.shape
+        assert np.array_equal(curve, [close_and_detect(state, float(x)) for x in xi])
+
+
 def test_detect_output_clipped_to_unit_interval():
     space = make_space(1, 1)
     prep = prepare(space, CavityInput())
