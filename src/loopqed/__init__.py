@@ -11,7 +11,8 @@ Subpackage map:
     hilbert        truncated two-mode + three-level state space
     model          effective Hamiltonian and coupling weights
     poincare_path  polarization loops, schedules, solid angles
-    dynamics       time-dependent Schrodinger propagation
+    dynamics       time-dependent Schrodinger propagation: exact
+                   covariant loop legs, midpoint stepper
     phases         Pancharatnam / adiabatic-transport phase extraction
     ramsey         interferometry protocol, fringe fits, closed forms
     cli            command-line front end ("loopqed" executable)
@@ -48,8 +49,10 @@ from .poincare_path import (
 )
 from .dynamics import (
     Trajectory,
+    LoopRun,
     IntegrationError,
     evolve,
+    evolve_loop,
     brute_force_evolve,
 )
 from .phases import (
@@ -105,8 +108,10 @@ __all__ = [
     "frozen_schedule",
     "solid_angle",
     "Trajectory",
+    "LoopRun",
     "IntegrationError",
     "evolve",
+    "evolve_loop",
     "brute_force_evolve",
     "PhaseReading",
     "OverlapReading",

@@ -30,7 +30,9 @@ deterministic, so no key seeds anything.  Keys and defaults:
     cavity = fock:0           initial "+" field: fock:N or coherent:ALPHA
     xi_points = 33            Ramsey phase grid size (>= 16)
     mode = full               "full" dynamics or "ideal" phase map
-    dt_ms =                   integrator step in ms (empty: duration/20000)
+    dt_ms =                   integrator step in ms for the transport and
+                              for stepped loop legs; exact lasso legs
+                              ignore it (empty: duration/20000)
     round_flips = true        round interaction time to whole Rabi flips
     out_dir = runs            output directory
     alphas = 0,0.5            alpha-sweep amplitudes
@@ -57,7 +59,12 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .hilbert import SpaceConfig, TruncationError, make_space
+from .hilbert import (
+    SpaceConfig,
+    TruncationError,
+    coherent_mode_coefficients,
+    make_space,
+)
 from .model import ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
 from .dynamics import IntegrationError
@@ -525,14 +532,16 @@ def cmd_alpha_sweep(
     base = config.ramsey_config()
     gamma = solid_angle(base.loop)
 
-    results = []
+    # each amplitude's truncation is checked up front, so the sweep itself
+    # runs once over the whole grid and checks its loop once
     for alpha in alpha_list:
         try:
-            results += effective_shift_vs_alpha([alpha], gamma, config.mode, base)
+            coherent_mode_coefficients(alpha, base.space.nmax_plus, base.cavity.tail_tol)
         except TruncationError as exc:
             raise ConfigError(
                 f"alpha-sweep: truncation inadequate for alpha = {alpha}: {exc}"
             ) from exc
+    results = effective_shift_vs_alpha(alpha_list, gamma, config.mode, base)
     rows = [
         [
             _fmt(r.alpha),

@@ -1,22 +1,31 @@
-"""Norm-preserving propagation of the model under a polarization schedule.
+"""Norm-preserving propagation of the model along polarization loops.
 
-Each step freezes the Hamiltonian at the step's midpoint angles and applies
-its exact unitary exponential, computed by dense eigendecomposition (the
-spaces here are at most a few hundred dimensional).  Every step is exactly
-unitary, so phase extraction downstream is never polluted by integrator norm
-error; accuracy in time ordering is governed by the step size, and halving
-it shows the error falling as dt**2.
-
-H conserves total excitation, so the stepper works on a stack of sector
+H conserves total excitation, so propagation works on a stack of sector
 blocks: the state is an (S, d) array with one row per excitation sector,
-and each step diagonalizes the (S, d, d) stack of H's blocks on those
-sectors with one batched eigendecomposition.  Rows of smaller sectors are
-padded to the largest width d with states whose rows and columns of H are
-exactly zero and whose amplitudes start at zero.  evolve steps only the
-sectors its initial state occupies, so the others stay exactly zero; the
-dressed-branch transport steps its single sector.  A constant schedule
-takes a single eigendecomposition and advances from one sample to the next
-with one exponential.
+and each Hamiltonian is the (S, d, d) stack of H's blocks on those
+sectors, diagonalized with one batched eigendecomposition.  Rows of
+smaller sectors are padded to the largest width d with states whose rows
+and columns of H are exactly zero and whose amplitudes start at zero.
+Only the sectors the initial state occupies are propagated, so the others
+stay exactly zero; the dressed-branch transport steps its single sector.
+
+evolve_loop propagates along the legs of a PathSpec.  Each lasso leg has a
+time-independent generator in a rotating frame, so it is exact:
+an azimuth leg (constant theta) is covariant under the diagonal frame
+exp(-i phi N-) in any truncation, and a meridian leg (constant phi) under
+the mode rotation exp(-i theta K_phi) in complete sectors
+(HamiltonianFactory.mode_rotation).  Such a leg costs one
+eigendecomposition of its generator.  Any other leg, tilted or crossing an
+incomplete sector, is stepped with the midpoint stepper below, and the
+step size sets only those legs' accuracy.
+
+evolve steps a sampled Schedule with the midpoint stepper: each step
+freezes the Hamiltonian at the step's midpoint angles and applies its
+exact unitary exponential, so every step is exactly unitary and phase
+extraction downstream is never polluted by integrator norm error.  The
+time-ordering error falls as dt**2, which the exact legs of evolve_loop
+pin down.  A constant schedule takes a single eigendecomposition and
+advances from one sample to the next with one exponential.
 """
 
 from __future__ import annotations
@@ -28,13 +37,15 @@ import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels
 from .model import HamiltonianFactory, ModelParams
-from .poincare_path import Schedule
+from .poincare_path import PathSpec, Schedule
 
 __all__ = [
     "Trajectory",
+    "LoopRun",
     "IntegrationError",
     "DEFAULT_STEPS",
     "evolve",
+    "evolve_loop",
     "brute_force_evolve",
 ]
 
@@ -77,12 +88,25 @@ class Trajectory:
         return StateVector(self.amplitudes[-1].copy(), self.space, normalized=True)
 
 
-def _resolve_steps(duration: float, schedule: Schedule, dt: float | None) -> int:
+@dataclass(frozen=True)
+class LoopRun:
+    """Final state of evolve_loop and how its legs were propagated.
+
+    stats holds exact_legs and stepped_legs (leg counts), steps (midpoint
+    steps taken on the stepped legs) and max_norm_drift (the worst norm
+    error of the initial state and of the state after each leg).
+    """
+
+    final_state: StateVector
+    stats: dict
+
+
+def _resolve_steps(duration: float, total: float, dt: float | None) -> int:
     if duration == 0.0:
         return 0
     if dt is None:
-        # default resolves the full schedule at DEFAULT_STEPS steps
-        dt = schedule.duration / DEFAULT_STEPS if schedule.duration > 0 else duration
+        # default resolves the whole run of length total at DEFAULT_STEPS steps
+        dt = total / DEFAULT_STEPS if total > 0 else duration
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     return max(1, int(math.ceil(duration / dt - 1e-12)))
@@ -134,25 +158,14 @@ def evolve(
         t_end = schedule.duration
     if t_end < t_start:
         raise ValueError(f"t_end {t_end} precedes t_start {t_start}")
-    steps = _resolve_steps(t_end - t_start, schedule, dt)
+    steps = _resolve_steps(t_end - t_start, schedule.duration, dt)
     if sample_stride is None:
         sample_stride = max(1, steps // 512)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
     space = initial.space
-    n_exc = basis_labels(space).sum(axis=0)
-    # np.bincount, not np.unique, which imports numpy.ma on first use
-    occupied = np.flatnonzero(np.bincount(n_exc[initial.amplitudes != 0]))
-    blocks = [np.flatnonzero(n_exc == k) for k in occupied]
-    width = max((b.size for b in blocks), default=0)
-    # one row of flat indices per occupied sector, padded with space.dim,
-    # the factory's zero state; amplitudes get a zero slot at that index.
-    # An all-zero state gives a (0, 0) stack, which the norm guard rejects.
-    rows = np.array(
-        [np.pad(b, (0, width - b.size), constant_values=space.dim) for b in blocks],
-        dtype=int,
-    ).reshape(len(blocks), width)
+    _, rows = _sector_rows(initial)
     factory = HamiltonianFactory(space, params, rows)
 
     rec_times = [t_start]
@@ -171,6 +184,154 @@ def evolve(
     return Trajectory(
         np.array(rec_times), np.array(rec_amps), space, params, schedule, stats
     )
+
+
+def _sector_rows(initial: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied excitation sectors of a state and their padded index rows.
+
+    Returns the sorted sector numbers and an (S, d) array holding one row
+    of flat indices per occupied sector, padded with space.dim, the
+    factory's zero state; amplitudes get a zero slot at that index.  An
+    all-zero state gives a (0, 0) stack, which the norm guard rejects.
+    """
+    space = initial.space
+    n_exc = basis_labels(space).sum(axis=0)
+    # np.bincount, not np.unique, which imports numpy.ma on first use
+    occupied = np.flatnonzero(np.bincount(n_exc[initial.amplitudes != 0]))
+    blocks = [np.flatnonzero(n_exc == k) for k in occupied]
+    width = max((b.size for b in blocks), default=0)
+    rows = np.array(
+        [np.pad(b, (0, width - b.size), constant_values=space.dim) for b in blocks],
+        dtype=int,
+    ).reshape(len(blocks), width)
+    return occupied, rows
+
+
+def _exp_apply(generator, duration, psi):
+    """exp(-i G duration) psi per block, from one eigendecomposition of G."""
+    w, v = np.linalg.eigh(generator)
+    return _rotate(v, np.exp(w * (-1j * duration)), psi)
+
+
+def _rotate(v, phases, psi):
+    """V diag(phases) V^H psi per block of an (S, d) stack."""
+    c = (psi[:, None, :] @ v.conj())[:, 0]
+    return (v @ (phases * c)[:, :, None])[:, :, 0]
+
+
+def evolve_loop(
+    initial: StateVector,
+    loop: PathSpec,
+    params: ModelParams,
+    dt: float | None = None,
+) -> LoopRun:
+    """Propagate a state once around a loop, leg by leg.
+
+    Each straight leg runs at constant (theta', phi') and takes one route:
+
+    * azimuth (constant theta), exact in any truncation: one
+      eigendecomposition of H(theta, phi_a) - phi' N-, then the diagonal
+      frame exp(-i dphi N-);
+    * meridian (constant phi), exact when every occupied sector is
+      complete (k <= min(nmax_plus, nmax_minus)): one eigendecomposition
+      of H(theta_a, phi) - theta' K_phi with K_phi = exp(-i phi N-) K
+      exp(i phi N-), then the frame exp(-i dtheta K_phi); K's own
+      eigendecomposition is made once per call;
+    * any other leg, including a meridian that crosses an incomplete
+      sector: the midpoint stepper, ceil(leg duration / dt) steps.
+
+    A zero-rate leg is an azimuth leg, so a frozen drive costs one
+    exponential.  Only the sectors the initial state occupies are
+    propagated.
+
+    Parameters
+    ----------
+    initial : StateVector
+        State at the loop's first knot.
+    loop : PathSpec
+    params : ModelParams
+    dt : float, optional
+        Target step (ms) on stepped legs.  Default: loop duration / 20000.
+
+    Returns
+    -------
+    LoopRun
+
+    Raises
+    ------
+    IntegrationError
+        If amplitudes become non-finite or the norm drifts beyond 1e-8
+        after any leg; the message names the leg.
+    """
+    if dt is not None and dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    space = initial.space
+    occupied, rows = _sector_rows(initial)
+    factory = HamiltonianFactory(space, params, rows)
+    m = factory.minus_photons
+    # sector k is complete when both modes can hold all k of its photons
+    complete = occupied.size == 0 or occupied[-1] <= min(
+        space.nmax_plus, space.nmax_minus
+    )
+    psi = np.append(initial.amplitudes, 0.0)[rows]
+    max_drift = abs(np.linalg.norm(psi) - 1.0)
+    k_mat = None
+    stats = {"exact_legs": 0, "stepped_legs": 0, "steps": 0}
+    t_leg = 0.0
+    legs = zip(loop.knots, loop.knots[1:], loop.durations)
+    for leg, ((th_a, ph_a), (th_b, ph_b), dur) in enumerate(legs, 1):
+        d_th, d_ph = th_b - th_a, ph_b - ph_a
+        if d_th == 0.0:
+            route = "azimuth"
+            n_minus = m[..., :, None] * np.eye(m.shape[-1])
+            generator = factory.dense(th_a, ph_a) - (d_ph / dur) * n_minus
+            psi = np.exp(-1j * d_ph * m) * _exp_apply(generator, dur, psi)
+        elif d_ph == 0.0 and complete:
+            route = "meridian"
+            if k_mat is None:
+                k_mat = factory.mode_rotation()
+                k_w, k_v = np.linalg.eigh(k_mat)
+            # frame at azimuth phi: K_phi = R K R^H with R = exp(-i phi N-)
+            rot = np.exp(-1j * ph_a * m)
+            k_phi = rot[..., :, None] * k_mat * rot.conj()[..., None, :]
+            generator = factory.dense(th_a, ph_a) - (d_th / dur) * k_phi
+            psi = _exp_apply(generator, dur, psi)
+            psi = rot * _rotate(k_v, np.exp(-1j * d_th * k_w), rot.conj() * psi)
+        else:
+            route = "stepped"
+            steps = _resolve_steps(dur, loop.total_time, dt)
+            sched = Schedule(
+                np.array([0.0, dur]), np.array([th_a, th_b]), np.array([ph_a, ph_b])
+            )
+            try:
+                psi, _ = _propagate(
+                    psi, factory.dense, sched, 0.0, dur, steps, steps, lambda *_: None
+                )
+            except IntegrationError as exc:
+                raise IntegrationError(
+                    f"leg {leg} ({route}, from t = {t_leg:.6g} ms): {exc}"
+                ) from exc
+            stats["steps"] += steps
+        stats["stepped_legs" if route == "stepped" else "exact_legs"] += 1
+        t_leg += dur
+        where = f"after leg {leg} ({route}, t = {t_leg:.6g} ms)"
+        max_drift = max(max_drift, _check_state(psi, where))
+    full = np.zeros(space.dim + 1, dtype=complex)
+    full[rows] = psi
+    stats["max_norm_drift"] = float(max_drift)
+    return LoopRun(StateVector(full[:-1], space, normalized=True), stats)
+
+
+def _check_state(psi, where: str) -> float:
+    """Norm drift of psi; raises IntegrationError if it is broken there."""
+    if not np.all(np.isfinite(psi)):
+        raise IntegrationError(f"non-finite amplitudes {where}")
+    drift = abs(np.linalg.norm(psi) - 1.0)
+    if drift > NORM_DRIFT_LIMIT:
+        raise IntegrationError(
+            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} {where}"
+        )
+    return drift
 
 
 def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
@@ -214,17 +375,8 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
         done = end
         if end % stride == 0 or end == steps:
             t_now = t_start + end * h
-            if not np.all(np.isfinite(psi)):
-                raise IntegrationError(
-                    f"non-finite amplitudes at step {end} (t = {t_now:.6g} ms)"
-                )
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            max_drift = max(max_drift, drift)
-            if drift > NORM_DRIFT_LIMIT:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} at step "
-                    f"{end} (t = {t_now:.6g} ms)"
-                )
+            where = f"at step {end} (t = {t_now:.6g} ms)"
+            max_drift = max(max_drift, _check_state(psi, where))
             on_sample(t_now, v, psi)
     stats = {
         "dt": h,
@@ -250,7 +402,7 @@ def brute_force_evolve(
     from scipy.linalg import expm
 
     duration = schedule.duration
-    steps = _resolve_steps(duration, schedule, dt)
+    steps = _resolve_steps(duration, duration, dt)
     factory = HamiltonianFactory(initial.space, params)
     psi = initial.amplitudes.astype(complex).copy()
     if steps == 0:

@@ -154,7 +154,8 @@ class HamiltonianFactory:
         idx = np.arange(space.dim) if sector is None else np.asarray(sector, dtype=int)
         # the padding state's level -1 gives it no diagonal and no coupling
         labels = np.append(basis_labels(space), [[-1], [0], [0]], axis=1)
-        level, n, m = labels[:, idx]
+        self._labels = labels[:, idx]
+        level, n, m = self._labels
         row, col = (..., slice(None), None), (..., None, slice(None))
         diag = np.select(
             [level == 1, level == 0],
@@ -182,6 +183,34 @@ class HamiltonianFactory:
             [1.0, s_plus, s_plus.conjugate(), s_minus, s_minus.conjugate()]
         )
         return (weights @ self._pieces).reshape(self._shape)
+
+    @property
+    def minus_photons(self) -> np.ndarray:
+        """Photon number m of mode "-" on each state of the block (0 on padding).
+
+        The azimuth is a diagonal frame in any truncation:
+        H(theta, phi) = exp(-i phi N-) H(theta, 0) exp(i phi N-).
+        """
+        return self._labels[2]
+
+    def mode_rotation(self) -> np.ndarray:
+        """Dense K = -(i/2)(a+^H a- - a-^H a+) on the same states as dense().
+
+        K rotates the two modes into each other and carries the drive down
+        a meridian: H(theta, 0) = exp(-i theta K) H(0, 0) exp(i theta K).
+        The identity holds on every complete excitation sector, k <=
+        min(nmax_plus, nmax_minus); a sector cut by a cutoff lacks states
+        the rotation reaches, and there it fails.
+        """
+        level, n, m = self._labels
+        row, col = (..., slice(None), None), (..., None, slice(None))
+        # a+^H a- moves one photon from mode "-" to mode "+" on either level
+        hop = np.where(
+            (level[row] == level[col]) & (n[row] == n[col] + 1) & (m[row] == m[col] - 1),
+            np.sqrt(n[row] * m[col]),
+            0.0,
+        )
+        return -0.5j * (hop - hop.swapaxes(-1, -2))
 
 
 def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:

@@ -285,7 +285,7 @@ def adiabatic_eigenstate_transport(
     min_gap = _gap_precheck(factory, schedule, e0)
 
     duration = schedule.duration
-    steps = _resolve_steps(duration, schedule, dt)
+    steps = _resolve_steps(duration, duration, dt)
     min_fidelity = 1.0
 
     def track(t_now, v, psi):

@@ -15,6 +15,11 @@ full-dynamics mode the caliber arm evolves the same state for the same time
 with the polarization frozen at the loop's starting point; in ideal-phase
 mode it is the prepared state unchanged.
 
+Propagation.  Full-dynamics arms follow the loop leg by leg
+(dynamics.evolve_loop).  The lasso's legs are covariant, so they are
+propagated exactly, and the frozen caliber arm is one exponential; the
+integrator step dt applies only to legs that are not covariant.
+
 Closing pulse convention (fixed; all shifts are caliber-relative so physics
 does not depend on it):
 
@@ -44,15 +49,8 @@ from .hilbert import (
     state_index,
 )
 from .model import ModelParams, default_params
-from .poincare_path import (
-    PathSpec,
-    frozen_schedule,
-    lasso_path,
-    make_schedule,
-    rescaled_path,
-    solid_angle,
-)
-from .dynamics import evolve
+from .poincare_path import PathSpec, lasso_path, rescaled_path, solid_angle
+from .dynamics import evolve_loop
 from .phases import ideal_phase_map, wrap_phase
 
 __all__ = [
@@ -230,9 +228,15 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 
     Returns fitted fringes for the loop and caliber arms; fitted_shift is
     the wrapped difference of their fringe phases, the convention-free
-    observable.  Result metadata records the solid angle, the interaction
-    time actually used (after integer-flip rounding), the adiabaticity
-    ratio, arm cyclicities, and any quality flags.
+    observable.  In full mode both arms go through dynamics.evolve_loop:
+    lasso legs are propagated exactly, and config.dt sets the step only on
+    legs that are not covariant (tilted legs, or meridians that cross an
+    incomplete excitation sector).  The caliber arm is a single zero-rate
+    leg, one exponential.  Result metadata records the solid angle, the
+    interaction time actually used (after integer-flip rounding), the
+    adiabaticity ratio, arm cyclicities, any quality flags, and under
+    loop_propagation (None in ideal mode) each arm's exact and stepped
+    leg counts, steps taken and worst norm drift.
     """
     params = config.params
     gamma = solid_angle(config.loop)
@@ -245,12 +249,14 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     prep = prepare(config.space, config.cavity)
 
     flags: list[str] = []
+    propagation = None
     if config.mode == "full":
-        loop_traj = evolve(prep, make_schedule(loop), params, dt=config.dt)
-        state_loop = loop_traj.final_state
-        caliber_sched = frozen_schedule(*loop.knots[0], tau)
-        caliber_traj = evolve(prep, caliber_sched, params, dt=config.dt)
-        state_caliber = caliber_traj.final_state
+        loop_run = evolve_loop(prep, loop, params, dt=config.dt)
+        # the caliber arm is one zero-rate leg at the loop's first knot
+        frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
+        caliber_run = evolve_loop(prep, frozen, params, dt=config.dt)
+        state_loop, state_caliber = loop_run.final_state, caliber_run.final_state
+        propagation = {"loop": loop_run.stats, "caliber": caliber_run.stats}
     else:
         state_loop = ideal_phase_map(prep, gamma)
         state_caliber = prep
@@ -293,6 +299,7 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
         "cyclicity_loop": cyc_loop,
         "cyclicity_caliber": cyc_caliber,
         "flags": flags,
+        "loop_propagation": propagation,
     }
     return RamseyResult(
         xi_grid=config.xi_grid,

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import loopqed.cli
+import loopqed.ramsey
 from loopqed.cli import (
     ConfigError,
     RunConfig,
@@ -220,6 +222,37 @@ def test_exit_one_on_inadequate_truncation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "alpha = 3.0" in err
+
+
+def test_inadequate_truncation_names_the_failing_alpha(tmp_path, capsys):
+    # a later amplitude that does not fit fails the whole sweep, naming it,
+    # before any CSV is written
+    cfg = write_cfg(tmp_path, **FAST_IDEAL)
+    out = tmp_path / "out"
+    rc = main(["alpha-sweep", "--config", cfg, "--out", str(out),
+               "--alphas", "0,0.1,3.0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "alpha-sweep: truncation inadequate for alpha = 3.0: coherent state" in err
+    assert not out.exists()
+
+
+def test_alpha_sweep_checks_its_loop_once(tmp_path, capsys, monkeypatch):
+    # one solid angle for the header and the lasso check, and one per
+    # amplitude inside run_experiment
+    calls = []
+    real = loopqed.ramsey.solid_angle
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(loopqed.cli, "solid_angle", counting)
+    monkeypatch.setattr(loopqed.ramsey, "solid_angle", counting)
+    cfg = write_cfg(tmp_path, alphas="0,0.1,0.2", **FAST_IDEAL)
+    assert main(["alpha-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 + 3
 
 
 def test_exit_two_on_degenerate_transport(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Unit tests for time-dependent propagation against analytic references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from loopqed.dynamics import (
     IntegrationError,
     brute_force_evolve,
     evolve,
+    evolve_loop,
 )
 from loopqed.hilbert import StateVector, fock_state, make_space, state_index
 from loopqed.model import (
@@ -18,9 +20,11 @@ from loopqed.model import (
     excitation_sector_indices,
 )
 from loopqed.poincare_path import (
+    PathSpec,
     frozen_schedule,
     lasso_path,
     make_schedule,
+    piecewise_path,
     rescaled_path,
 )
 from loopqed.ramsey import CavityInput, prepare
@@ -233,25 +237,6 @@ def test_halving_dt_is_exact_when_frozen():
     assert d < 1e-12
 
 
-def test_halving_dt_agrees_on_fine_grid():
-    space = make_space(1, 1)
-    params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
-    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.3 / 80000)
-    assert d < 1e-8
-
-
-def test_convergence_is_second_order():
-    # halving dt divides the self-discrepancy by ~4
-    space = make_space(1, 1)
-    params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 1.2), samples_per_leg=64)
-    st = fock_state(space, 2, 0, 0)
-    d1 = _halving_discrepancy(st, sched, params, dt=1.2 / 10000)
-    d2 = _halving_discrepancy(st, sched, params, dt=1.2 / 20000)
-    assert d1 / d2 == pytest.approx(4.0, rel=0.1)
-
-
 def test_halving_dt_exposes_fast_coarse_run():
     # a fast loop stepped coarsely must fail self-convergence, not hide it
     space = make_space(1, 1)
@@ -259,6 +244,128 @@ def test_halving_dt_exposes_fast_coarse_run():
     sched = make_schedule(lasso_path(math.pi, 0.12), samples_per_leg=64)
     d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.12 / 50)
     assert d > 1e-8
+
+
+# ---------------------------------------------------------------------------
+# leg-by-leg loop propagation
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [
+        lasso_path(math.pi, 1.2).knots,
+        # a part turn: the azimuth frame exp(-i dphi N-) is not the
+        # identity, and the return meridian takes the rotated K_phi
+        [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)],
+    ],
+    ids=["lasso", "part-turn"],
+)
+def test_stepper_converges_to_the_exact_loop_at_second_order(knots):
+    # sectors 0-2 of a (2, 2) box are complete, so evolve_loop propagates
+    # all three legs exactly; against it, the midpoint stepper's error
+    # falls by 4 each time dt halves
+    space = make_space(2, 2)
+    params = default_params()
+    loop = piecewise_path(knots, [0.3, 0.6, 0.3])
+    st = _three_sector_state(space)
+    run = evolve_loop(st, loop, params)
+    assert (run.stats["exact_legs"], run.stats["steps"]) == (3, 0)
+    sched = make_schedule(loop)
+    errors = [
+        float(np.linalg.norm(
+            evolve(st, sched, params, dt=dt).amplitudes[-1] - run.final_state.amplitudes
+        ))
+        for dt in (1.2e-3, 0.6e-3)
+    ]
+    assert errors[0] < 2e-4
+    assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "make_state, sectors, exact, stepped",
+    [
+        # sectors 0 and 1 are complete: every lasso leg is exact
+        (lambda space: prepare(space, CavityInput()), (0, 1), 3, 0),
+        # sector 3 is cut by nmax_minus = 2: the meridians are stepped
+        (lambda space: fock_state(space, 1, 3, 0), (3,), 1, 2),
+    ],
+    ids=["vacuum-prepare", "fock-1-3-0"],
+)
+def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors, exact, stepped):
+    space = make_space(4, 2)
+    occupied = [i for k in sectors for i in excitation_sector_indices(space, k)]
+    empty = np.setdiff1d(np.arange(space.dim), occupied)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    st = make_state(space)
+    run = evolve_loop(st, lasso_path(math.pi, 0.3), default_params(), dt=0.3 / 600)
+    stats = run.stats
+    assert (stats["exact_legs"], stats["stepped_legs"]) == (exact, stepped)
+    assert stats["steps"] == 150 * stepped
+    assert stats["max_norm_drift"] < 1e-12
+    # one eigendecomposition per exact leg, one for the meridian frame K,
+    # and one per step
+    assert len(shapes) == exact + (exact > 1) + stats["steps"]
+    # amplitudes of unoccupied sectors stay exactly zero
+    assert np.all(run.final_state.amplitudes[empty] == 0.0)
+
+
+def test_evolve_loop_steps_tilted_legs_like_evolve():
+    # a loop of tilted legs is stepped leg by leg; with each leg a whole
+    # number of steps long the steps and midpoints are those of evolve
+    space = make_space(1, 1)
+    params = default_params()
+    loop = piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.5, 2.0), (0.0, 0.0)], [0.1] * 3)
+    st = _three_sector_state(space)
+    run = evolve_loop(st, loop, params, dt=0.3 / 600)
+    assert (run.stats["stepped_legs"], run.stats["steps"]) == (3, 600)
+    traj = evolve(st, make_schedule(loop), params, dt=0.3 / 600)
+    np.testing.assert_allclose(
+        run.final_state.amplitudes, traj.amplitudes[-1], rtol=0, atol=1e-11
+    )
+
+
+def test_frozen_loop_is_one_exponential():
+    space = make_space(1, 1)
+    params = default_params()
+    theta, phi, T = 0.7, 0.3, 0.12
+    st = _three_sector_state(space)
+    run = evolve_loop(st, PathSpec(((theta, phi), (theta, phi)), (T,)), params)
+    assert run.stats == {
+        "exact_legs": 1, "stepped_legs": 0, "steps": 0,
+        "max_norm_drift": run.stats["max_norm_drift"],
+    }
+    w, v = np.linalg.eigh(HamiltonianFactory(space, params).dense(theta, phi))
+    exact = v @ (np.exp(-1j * w * T) * (v.conj().T @ st.amplitudes))
+    np.testing.assert_allclose(run.final_state.amplitudes, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loop, message",
+    [
+        (lasso_path(math.pi, 0.12), "after leg 1 (meridian, t = 0.03 ms)"),
+        (piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)], [0.06, 0.06]),
+         "leg 1 (stepped, from t = 0 ms): norm drift"),
+    ],
+    ids=["exact", "stepped"],
+)
+def test_evolve_loop_guard_names_the_leg(loop, message):
+    space = make_space(1, 1)
+    st = StateVector(1.1 * fock_state(space, 2, 0, 0).amplitudes, space, normalized=False)
+    with pytest.raises(IntegrationError, match=re.escape(message)):
+        evolve_loop(st, loop, default_params())
+
+
+def test_evolve_loop_rejects_bad_dt():
+    space = make_space(1, 0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve_loop(fock_state(space, 1, 0, 0), lasso_path(1.0, 0.1), default_params(), dt=0.0)
 
 
 def test_rescaling_invariance_is_machine_exact():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopqed.hilbert import fock_state, make_space, state_index
 from loopqed.model import (
@@ -230,3 +231,74 @@ def test_excitation_operator_is_the_integer_labels(cutoffs):
                 labels[state_index(space, level, n, m)] = (level - 1) + n + m
     n_exc = excitation_operator(space).dense()
     assert np.array_equal(n_exc, np.diag(labels))
+
+
+# ---------------------------------------------------------------------------
+# covariance of H along azimuths and meridians (what makes lasso legs exact)
+
+COVARIANCE_SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, database=None
+)
+TRUNCATIONS = [(1, 1), (2, 3), (4, 2), (8, 2), (6, 6)]
+
+
+def _rotated(k, theta, h):
+    """exp(-i theta K) h exp(i theta K), from one eigendecomposition of K."""
+    w, v = np.linalg.eigh(k)
+    u = (v * np.exp(-1j * theta * w)) @ v.conj().T
+    return u @ h @ u.conj().T
+
+
+@COVARIANCE_SETTINGS
+@given(st.sampled_from(TRUNCATIONS), st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
+def test_azimuth_is_a_diagonal_frame_in_any_truncation(cutoffs, theta, phi):
+    # H(theta, phi) = exp(-i phi N-) H(theta, 0) exp(i phi N-), compared in
+    # units of the flip rate lam
+    params = default_params()
+    factory = HamiltonianFactory(make_space(*cutoffs), params)
+    r = np.exp(-1j * phi * factory.minus_photons)
+    framed = r[:, None] * factory.dense(theta, 0.0) * r.conj()[None, :]
+    deviation = np.max(np.abs(factory.dense(theta, phi) - framed)) / params.lam
+    assert deviation < 1e-12
+
+
+@COVARIANCE_SETTINGS
+@given(st.sampled_from(TRUNCATIONS), st.data(), st.floats(0.0, math.pi))
+def test_meridian_is_a_mode_rotation_in_complete_sectors(cutoffs, data, theta):
+    # H(theta, 0) = exp(-i theta K) H(0, 0) exp(i theta K) on sector k when
+    # both modes can hold all k photons
+    space = make_space(*cutoffs)
+    k = data.draw(st.integers(0, min(cutoffs)), label="sector")
+    params = default_params()
+    factory = HamiltonianFactory(space, params, excitation_sector_indices(space, k))
+    rotated = _rotated(factory.mode_rotation(), theta, factory.dense(0.0, 0.0))
+    deviation = np.max(np.abs(factory.dense(theta, 0.0) - rotated)) / params.lam
+    assert deviation < 1e-12
+
+
+@COVARIANCE_SETTINGS
+@given(st.floats(0.3, math.pi))
+def test_meridian_rotation_fails_in_a_truncated_sector(theta):
+    # sector 3 at (4, 2) lacks |1, 0, 3>, which the rotation reaches: the
+    # identity fails visibly, so meridian legs there must be stepped
+    space = make_space(4, 2)
+    params = default_params()
+    factory = HamiltonianFactory(space, params, excitation_sector_indices(space, 3))
+    rotated = _rotated(factory.mode_rotation(), theta, factory.dense(0.0, 0.0))
+    deviation = np.max(np.abs(factory.dense(theta, 0.0) - rotated)) / params.lam
+    assert deviation > 1e-3
+
+
+def test_mode_rotation_on_a_padded_stack_is_the_blocks():
+    # the stack's K is each sector's K, with exact zeros on the padding
+    space = make_space(2, 2)
+    params = default_params()
+    blocks = [excitation_sector_indices(space, k) for k in (1, 2)]
+    width = max(len(b) for b in blocks)
+    rows = np.array([b + [space.dim] * (width - len(b)) for b in blocks])
+    stack = HamiltonianFactory(space, params, rows).mode_rotation()
+    full = HamiltonianFactory(space, params).mode_rotation()
+    for b, block in zip(blocks, stack):
+        np.testing.assert_array_equal(block[: len(b), : len(b)], full[np.ix_(b, b)])
+        assert np.all(block[len(b):] == 0) and np.all(block[:, len(b):] == 0)
+    np.testing.assert_array_equal(full, full.conj().T)

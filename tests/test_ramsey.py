@@ -1,6 +1,7 @@
 """Unit tests for the interferometry pipeline and its closed-form references."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -430,6 +431,60 @@ def test_full_fast_run_raises_flags():
     result = run_experiment(cfg)
     assert "non-adiabatic" in result.metadata["flags"]
     assert result.metadata["adiabaticity_ratio"] > 1.0
+
+
+def _default_vacuum_config():
+    # the CLI defaults: a 6 ms pi lasso in the (4, 2) box
+    return RamseyConfig(
+        space=make_space(4, 2),
+        params=default_params(),
+        loop=lasso_path(math.pi, 6.0),
+        mode="full",
+    )
+
+
+def test_loop_propagation_metadata_reports_each_arm():
+    md = run_experiment(_default_vacuum_config()).metadata["loop_propagation"]
+    assert set(md) == {"loop", "caliber"}
+    # the vacuum occupies complete sectors 0-1: all three lasso legs exact
+    assert (md["loop"]["exact_legs"], md["loop"]["stepped_legs"]) == (3, 0)
+    assert md["loop"]["steps"] == 0
+    # the caliber arm is one zero-rate leg
+    assert (md["caliber"]["exact_legs"], md["caliber"]["steps"]) == (1, 0)
+    for arm in md.values():
+        assert arm["max_norm_drift"] < 1e-12
+
+    # a coherent state at (8, 2) reaches sectors cut by nmax_minus = 2, so
+    # its meridians are stepped, 1.5 ms / 6e-3 ms = 250 steps each
+    coherent = replace(
+        _default_vacuum_config(),
+        space=make_space(8, 2),
+        cavity=CavityInput(kind="coherent", alpha=1.0),
+        dt=6e-3,
+    )
+    loop = run_experiment(coherent).metadata["loop_propagation"]["loop"]
+    assert (loop["exact_legs"], loop["stepped_legs"], loop["steps"]) == (1, 2, 500)
+
+
+def test_ideal_run_reports_no_loop_propagation():
+    cfg = replace(_default_vacuum_config(), mode="ideal")
+    assert run_experiment(cfg).metadata["loop_propagation"] is None
+
+
+def test_default_vacuum_fringe_makes_five_eigendecompositions(monkeypatch):
+    # three exact lasso legs, the meridian frame K, and the frozen caliber
+    # arm; stepping the loop arm made 20 001
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    result = run_experiment(_default_vacuum_config())
+    assert len(calls) <= 5
+    assert result.fitted_shift == pytest.approx(math.pi / 4, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
