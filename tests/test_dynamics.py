@@ -237,6 +237,25 @@ def test_halving_dt_is_exact_when_frozen():
     assert d < 1e-12
 
 
+def test_halving_dt_agrees_on_fine_grid():
+    space = make_space(1, 1)
+    params = default_params()
+    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.3 / 80000)
+    assert d < 1e-8
+
+
+def test_convergence_is_second_order():
+    # halving dt divides the self-discrepancy by ~4
+    space = make_space(1, 1)
+    params = default_params()
+    sched = make_schedule(lasso_path(math.pi, 1.2), samples_per_leg=64)
+    st = fock_state(space, 2, 0, 0)
+    d1 = _halving_discrepancy(st, sched, params, dt=1.2 / 10000)
+    d2 = _halving_discrepancy(st, sched, params, dt=1.2 / 20000)
+    assert d1 / d2 == pytest.approx(4.0, rel=0.1)
+
+
 def test_halving_dt_exposes_fast_coarse_run():
     # a fast loop stepped coarsely must fail self-convergence, not hide it
     space = make_space(1, 1)
