@@ -21,7 +21,11 @@ deterministic, so no key seeds anything.  Keys and defaults:
     omega_khz = 50.0          drive Rabi frequency Omega/2pi in kHz
     delta_ratio = 3.0         detuning delta as a multiple of Omega
     nmax_plus = 4             photon cutoff, driven mode "+"
-    nmax_minus = 2            photon cutoff, mode "-"
+    nmax_minus = 2            photon cutoff, mode "-", for dressed-phases
+                              only: full-dynamics runs propagate in the
+                              complete box (K, K) of the highest occupied
+                              excitation sector K, and ideal runs do not
+                              depend on it
     tail_tol = 1e-3           coherent-state truncation tail tolerance
     gamma = 3.141592653589793 lasso solid angle in steradians
     loop_knots =              optional explicit path "theta:phi;..." (rad)
@@ -31,8 +35,8 @@ deterministic, so no key seeds anything.  Keys and defaults:
     xi_points = 33            Ramsey phase grid size (>= 16)
     mode = full               "full" dynamics or "ideal" phase map
     dt_ms =                   integrator step in ms for the transport and
-                              for stepped loop legs; exact lasso legs
-                              ignore it (empty: duration/20000)
+                              for tilted loop legs; lasso legs are exact
+                              and ignore it (empty: duration/20000)
     round_flips = true        round interaction time to whole Rabi flips
     out_dir = runs            output directory
     alphas = 0,0.5            alpha-sweep amplitudes
@@ -46,8 +50,9 @@ echoed in every output header.
 
 All outputs are CSV with '#'-prefixed header lines echoing the complete
 resolved configuration and the package version, '.' decimal separator,
-fixed column order, and 12 significant digits.  Identical configs produce
-byte-identical files.
+fixed column order, and 12 significant digits.  fringe.csv also echoes
+propagation_box, the cutoffs its arms actually ran in.  Identical configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -491,6 +496,7 @@ def cmd_fringe(config: RunConfig, out_dir: str | None = None) -> list[str]:
         ("gamma_solid_angle", _fmt(md["gamma"])),
         ("tau_used_ms", _fmt(md["tau_used_ms"])),
         ("rabi_flips", str(md["rabi_flips"]) if md["rabi_flips"] is not None else "none"),
+        ("propagation_box", ",".join(map(str, md["propagation_box"]))),
         ("fitted_shift_rad", _fmt(result.fitted_shift)),
         ("fit_residual", _fmt(result.fit_residual)),
         ("loop_fit_offset", _fmt(result.loop_fit.offset)),

@@ -17,7 +17,10 @@ the mode rotation exp(-i theta K_phi) in complete sectors
 (HamiltonianFactory.mode_rotation).  Such a leg costs one
 eigendecomposition of its generator.  Any other leg, tilted or crossing an
 incomplete sector, is stepped with the midpoint stepper below, and the
-step size sets only those legs' accuracy.
+step size sets only those legs' accuracy.  ramsey.run_experiment passes
+states written in the sector-complete box of their highest sector
+(hilbert.embed_state), so its lasso legs are all exact; the stepped
+meridian remains for callers that pass an incomplete box.
 
 evolve steps a sampled Schedule with the midpoint stepper: each step
 freezes the Hamiltonian at the step's midpoint angles and applies its
@@ -238,7 +241,10 @@ def evolve_loop(
       exp(i phi N-), then the frame exp(-i dtheta K_phi); K's own
       eigendecomposition is made once per call;
     * any other leg, including a meridian that crosses an incomplete
-      sector: the midpoint stepper, ceil(leg duration / dt) steps.
+      sector: the midpoint stepper, ceil(leg duration / dt) steps.  To
+      make every meridian exact, write the state in the box (K, K) of its
+      highest occupied sector K first (hilbert.embed_state), as
+      ramsey.run_experiment does.
 
     A zero-rate leg is an azimuth leg, so a frozen drive costs one
     exponential.  Only the sectors the initial state occupies are

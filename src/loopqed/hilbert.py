@@ -9,7 +9,8 @@ atom-major, then the "+" photon number, then the "-" photon number:
 This order is part of the public contract (ramsey.close_and_detect reads
 the level-1 and level-2 halves of the vector).  basis_labels gives the
 integer labels of every flat index as one table, from which the model,
-the sector maps and the ideal phase map are all built.  Amplitudes are
+the sector maps, the ideal phase map and the re-embedding of a state into
+another space (embed_state) are all built.  Amplitudes are
 complex numpy arrays.  OperatorMatrix holds a sparse operator; scipy is
 imported only when one is made.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "make_space",
     "state_index",
     "basis_labels",
+    "embed_state",
     "fock_state",
     "coherent_mode_coefficients",
     "coherent_tail_mass",
@@ -157,6 +159,28 @@ class OperatorMatrix:
 
     def dense(self) -> np.ndarray:
         return self.entries.toarray()
+
+
+def embed_state(state: StateVector, space: SpaceConfig) -> StateVector:
+    """The same state written in another space, matched by basis label.
+
+    Each amplitude moves to the flat index of its (level, n, m) in space;
+    labels absent there must carry zero amplitude, else TruncationError.
+    """
+    level, n, m = basis_labels(state.space)
+    held = state.amplitudes != 0
+    if np.any(n[held] > space.nmax_plus) or np.any(m[held] > space.nmax_minus):
+        raise TruncationError(
+            f"state occupies photon numbers beyond the cutoffs "
+            f"({space.nmax_plus}, {space.nmax_minus})"
+        )
+    # state_index for every held label at once
+    index = np.ravel_multi_index(
+        (level[held], n[held], m[held]), (2, space.nmax_plus + 1, space.nmax_minus + 1)
+    )
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[index] = state.amplitudes[held]
+    return StateVector(amps, space, normalized=state.normalized)
 
 
 def fock_state(space: SpaceConfig, level: int, n: int, m: int) -> StateVector:

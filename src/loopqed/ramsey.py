@@ -15,10 +15,17 @@ full-dynamics mode the caliber arm evolves the same state for the same time
 with the polarization frozen at the loop's starting point; in ideal-phase
 mode it is the prepared state unchanged.
 
-Propagation.  Full-dynamics arms follow the loop leg by leg
-(dynamics.evolve_loop).  The lasso's legs are covariant, so they are
-propagated exactly, and the frozen caliber arm is one exponential; the
-integrator step dt applies only to legs that are not covariant.
+Propagation.  The state is prepared in the configured space, whose
+nmax_plus sets the field's cutoff and tail check.  Full-dynamics arms then
+run in the sector-complete box (K, K), K the highest excitation sector
+the prepared state occupies (1 for vacuum, nmax_plus + 1 for a field
+filling the "+" cutoff): sector k holds at most k photons per mode, so
+every occupied sector is whole there and the "-" cutoff cuts nothing.
+Both arms follow the loop leg by leg (dynamics.evolve_loop); in complete
+sectors every lasso leg is covariant and propagated exactly, and the
+frozen caliber arm is one exponential, so the integrator step dt applies
+only to tilted legs of explicit paths.  Ideal-phase arms keep the
+configured space: the phase map is diagonal and gains nothing from a box.
 
 Closing pulse convention (fixed; all shifts are caliber-relative so physics
 does not depend on it):
@@ -44,7 +51,9 @@ from .hilbert import (
     DEFAULT_TAIL_TOL,
     SpaceConfig,
     StateVector,
+    basis_labels,
     coherent_mode_coefficients,
+    embed_state,
     make_space,
     state_index,
 )
@@ -228,15 +237,18 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 
     Returns fitted fringes for the loop and caliber arms; fitted_shift is
     the wrapped difference of their fringe phases, the convention-free
-    observable.  In full mode both arms go through dynamics.evolve_loop:
-    lasso legs are propagated exactly, and config.dt sets the step only on
-    legs that are not covariant (tilted legs, or meridians that cross an
-    incomplete excitation sector).  The caliber arm is a single zero-rate
-    leg, one exponential.  Result metadata records the solid angle, the
+    observable.  In full mode the prepared state is re-embedded into the
+    sector-complete box (K, K) of its highest occupied sector K (see the
+    module docstring), whatever config.space.nmax_minus says, and both
+    arms go through dynamics.evolve_loop there: lasso legs are propagated
+    exactly, and config.dt sets the step only on tilted legs.  The caliber
+    arm is a single zero-rate leg, one exponential.  Ideal mode keeps
+    config.space.  Result metadata records the solid angle, the
     interaction time actually used (after integer-flip rounding), the
-    adiabaticity ratio, arm cyclicities, any quality flags, and under
-    loop_propagation (None in ideal mode) each arm's exact and stepped
-    leg counts, steps taken and worst norm drift.
+    adiabaticity ratio, arm cyclicities, any quality flags,
+    propagation_box (the (nmax_plus, nmax_minus) cutoffs the arms ran in),
+    and under loop_propagation (None in ideal mode) each arm's exact and
+    stepped leg counts, steps taken and worst norm drift.
     """
     params = config.params
     gamma = solid_angle(config.loop)
@@ -250,7 +262,13 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 
     flags: list[str] = []
     propagation = None
+    box = (config.space.nmax_plus, config.space.nmax_minus)
     if config.mode == "full":
+        # sector k holds at most k photons per mode, so the box (K, K) of
+        # the highest occupied sector K holds every occupied sector whole
+        top = int(basis_labels(prep.space).sum(axis=0)[prep.amplitudes != 0].max())
+        box = (top, top)
+        prep = embed_state(prep, make_space(*box))
         loop_run = evolve_loop(prep, loop, params, dt=config.dt)
         # the caliber arm is one zero-rate leg at the loop's first knot
         frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
@@ -300,6 +318,7 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
         "cyclicity_caliber": cyc_caliber,
         "flags": flags,
         "loop_propagation": propagation,
+        "propagation_box": box,
     }
     return RamseyResult(
         xi_grid=config.xi_grid,

@@ -167,6 +167,8 @@ def test_exit_zero_and_fringe_output(tmp_path, capsys):
     assert any("2*pi*f_khz rad/ms" in ln for ln in header)
     for key in ("fitted_shift_rad", "fit_residual", "gamma_solid_angle", "flags"):
         assert any(ln.startswith(f"# {key} = ") for ln in header), key
+    # an ideal run keeps the config's own space, (nmax_plus, nmax_minus)
+    assert "# propagation_box = 2,1" in header
 
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "xi_rad,p2_loop,p2_caliber"
@@ -386,14 +388,19 @@ def test_full_mode_runs_are_byte_identical(tmp_path, capsys):
     assert main(["fringe", "--config", cfg, "--out", str(second)]) == 0
     capsys.readouterr()
     assert (first / "fringe.csv").read_bytes() == (second / "fringe.csv").read_bytes()
+    # a full vacuum run propagates in the complete box of sector 1
+    assert "# propagation_box = 1,1" in (first / "fringe.csv").read_text().splitlines()
 
 
 def test_run_path_never_imports_scipy(tmp_path):
     # scipy serves only brute_force_evolve and excitation_operator; importing
-    # the CLI and running fringe, ideal alpha-sweep and dressed-phases must
-    # not load it
+    # the CLI and running fringe (vacuum, and coherent through the re-embedding
+    # into its complete box), ideal alpha-sweep and dressed-phases must not
+    # load it
+    coherent = {**FAST_FULL, "nmax_plus": 3, "cavity": "coherent:0.5"}
     runs = [
         ("fringe", write_cfg(tmp_path, name="full.cfg", xi_points=16, **FAST_FULL)),
+        ("fringe", write_cfg(tmp_path, name="coherent.cfg", xi_points=16, **coherent)),
         ("alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
         ("dressed-phases", write_cfg(
             tmp_path, name="dressed.cfg", nmax_plus=1, nmax_minus=0,

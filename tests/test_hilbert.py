@@ -12,6 +12,7 @@ from loopqed.hilbert import (
     TruncationError,
     basis_labels,
     coherent_mode_coefficients,
+    embed_state,
     coherent_tail_mass,
     fock_state,
     make_space,
@@ -73,6 +74,37 @@ def test_index_validation():
         state_index(space, 1, 3, 0)
     with pytest.raises(ValueError):
         state_index(space, 1, 0, -1)
+
+
+@pytest.mark.parametrize("target", [(3, 3), (5, 2), (2, 6), (1, 4), (4, 1)])
+def test_embed_state_moves_each_amplitude_to_its_label(target):
+    source = make_space(2, 2)
+    amps = np.zeros(source.dim, dtype=complex)
+    labelled = {(1, 0, 0): 0.6, (2, 1, 0): 0.48j, (1, 2, 2): -0.64}
+    for (level, n, m), a in labelled.items():
+        amps[state_index(source, level, n, m)] = a
+    state = StateVector(amps, source)
+    space = make_space(*target)
+    held = {k: a for k, a in labelled.items() if k[1] <= target[0] and k[2] <= target[1]}
+    if len(held) < len(labelled):
+        with pytest.raises(TruncationError):
+            embed_state(state, space)
+        return
+    moved = embed_state(state, space)
+    expected = np.zeros(space.dim, dtype=complex)
+    for (level, n, m), a in held.items():
+        expected[state_index(space, level, n, m)] = a
+    assert moved.space == space
+    np.testing.assert_array_equal(moved.amplitudes, expected)
+    # and back again, bit for bit
+    np.testing.assert_array_equal(embed_state(moved, source).amplitudes, amps)
+
+
+def test_embed_state_drops_only_zero_labels():
+    # a vacuum written in a big box fits the smallest one
+    big = fock_state(make_space(6, 6), 2, 0, 0)
+    small = embed_state(big, make_space(0, 0))
+    np.testing.assert_array_equal(small.amplitudes, [0.0, 1.0])
 
 
 def test_fock_state_one_hot():

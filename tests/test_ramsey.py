@@ -6,16 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from loopqed.dynamics import evolve_loop
 from loopqed.hilbert import (
     StateVector,
     TruncationError,
     coherent_tail_mass,
+    embed_state,
     fock_state,
     make_space,
     state_index,
 )
 from loopqed.model import default_params
-from loopqed.poincare_path import lasso_path
+from loopqed.phases import wrap_phase
+from loopqed.poincare_path import PathSpec, lasso_path, rescaled_path
 from loopqed.ramsey import (
     AdiabaticityRow,
     AlphaSweepRow,
@@ -443,6 +446,15 @@ def _default_vacuum_config():
     )
 
 
+def _default_coherent_config():
+    # the coherent fringe of the benchmark: alpha = 1 prepared at (8, 2)
+    return replace(
+        _default_vacuum_config(),
+        space=make_space(8, 2),
+        cavity=CavityInput(kind="coherent", alpha=1.0),
+    )
+
+
 def test_loop_propagation_metadata_reports_each_arm():
     md = run_experiment(_default_vacuum_config()).metadata["loop_propagation"]
     assert set(md) == {"loop", "caliber"}
@@ -454,26 +466,63 @@ def test_loop_propagation_metadata_reports_each_arm():
     for arm in md.values():
         assert arm["max_norm_drift"] < 1e-12
 
-    # a coherent state at (8, 2) reaches sectors cut by nmax_minus = 2, so
-    # its meridians are stepped, 1.5 ms / 6e-3 ms = 250 steps each
-    coherent = replace(
-        _default_vacuum_config(),
-        space=make_space(8, 2),
-        cavity=CavityInput(kind="coherent", alpha=1.0),
-        dt=6e-3,
-    )
-    loop = run_experiment(coherent).metadata["loop_propagation"]["loop"]
-    assert (loop["exact_legs"], loop["stepped_legs"], loop["steps"]) == (1, 2, 500)
+    # a coherent state prepared at (8, 2) reaches sector 9; full runs
+    # propagate it in the complete box (9, 9), where every lasso leg is exact
+    coherent = _default_coherent_config()
+    md = run_experiment(coherent).metadata
+    assert md["propagation_box"] == (9, 9)
+    loop = md["loop_propagation"]["loop"]
+    assert (loop["exact_legs"], loop["stepped_legs"], loop["steps"]) == (3, 0, 0)
+
+    # evolve_loop itself still steps meridians through sectors cut by a
+    # cutoff: at (8, 2), 1.5 ms / 6e-3 ms = 250 steps each
+    prep = prepare(coherent.space, coherent.cavity)
+    tau = md["tau_used_ms"]
+    stepped = evolve_loop(prep, rescaled_path(coherent.loop, tau), coherent.params, dt=6e-3)
+    assert (
+        stepped.stats["exact_legs"], stepped.stats["stepped_legs"], stepped.stats["steps"]
+    ) == (1, 2, 500)
 
 
 def test_ideal_run_reports_no_loop_propagation():
     cfg = replace(_default_vacuum_config(), mode="ideal")
-    assert run_experiment(cfg).metadata["loop_propagation"] is None
+    md = run_experiment(cfg).metadata
+    assert md["loop_propagation"] is None
+    # the diagonal phase map gains nothing from a box; it keeps the config's
+    assert md["propagation_box"] == (4, 2)
 
 
-def test_default_vacuum_fringe_makes_five_eigendecompositions(monkeypatch):
-    # three exact lasso legs, the meridian frame K, and the frozen caliber
-    # arm; stepping the loop arm made 20 001
+def test_complete_box_is_converged_in_the_box():
+    # enlarging the box beyond (K, K) adds only states no occupied sector
+    # reaches, so the loop arm and the shift must not move
+    cfg = _default_coherent_config()
+    result = run_experiment(cfg)
+    loop = rescaled_path(cfg.loop, result.metadata["tau_used_ms"])
+    frozen = PathSpec((loop.knots[0], loop.knots[0]), (loop.total_time,))
+    prep = prepare(cfg.space, cfg.cavity)
+    for box in ((10, 10), (11, 12)):
+        start = embed_state(prep, make_space(*box))
+        arms = [
+            close_and_detect(evolve_loop(start, path, cfg.params).final_state, cfg.xi_grid)
+            for path in (loop, frozen)
+        ]
+        shift = wrap_phase(
+            fit_fringe(cfg.xi_grid, arms[0]).phase - fit_fringe(cfg.xi_grid, arms[1]).phase
+        )
+        assert np.max(np.abs(arms[0] - result.p2_loop)) <= 1e-9
+        assert abs(shift - result.fitted_shift) <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [2.0, 4.0])
+def test_full_coherent_fringe_is_cyclic_off_pi(gamma):
+    # at (8, 2) the cut "-" mode pushed these runs below the cyclicity floor
+    cfg = replace(_default_coherent_config(), loop=lasso_path(gamma, 6.0))
+    md = run_experiment(cfg).metadata
+    assert md["cyclicity_loop"] >= 0.99
+    assert "non-cyclic" not in md["flags"]
+
+
+def _count_eigh(monkeypatch, cfg):
     calls = []
     eigh = np.linalg.eigh
 
@@ -482,9 +531,24 @@ def test_default_vacuum_fringe_makes_five_eigendecompositions(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    result = run_experiment(_default_vacuum_config())
-    assert len(calls) <= 5
+    return run_experiment(cfg), len(calls)
+
+
+def test_default_vacuum_fringe_makes_five_eigendecompositions(monkeypatch):
+    # three exact lasso legs, the meridian frame K, and the frozen caliber
+    # arm; stepping the loop arm made 20 001
+    result, calls = _count_eigh(monkeypatch, _default_vacuum_config())
+    assert calls <= 5
     assert result.fitted_shift == pytest.approx(math.pi / 4, abs=0.01)
+
+
+def test_default_coherent_fringe_makes_five_eigendecompositions(monkeypatch):
+    # in the complete box (9, 9) the coherent fringe takes the same route
+    # as the vacuum one; at (8, 2) its stepped meridians made 2 502
+    result, calls = _count_eigh(monkeypatch, _default_coherent_config())
+    assert calls <= 5
+    assert result.fitted_shift == pytest.approx(1.23322, abs=1e-4)
+    assert result.metadata["flags"] == []
 
 
 # ---------------------------------------------------------------------------
