@@ -13,7 +13,7 @@ Subpackage map:
     poincare_path  polarization loops, schedules, solid angles
     dynamics       time-dependent Schrodinger propagation: exact
                    covariant loop legs, midpoint stepper
-    phases         Pancharatnam / adiabatic-transport phase extraction
+    phases         dressed-branch transport phases, ideal phase map
     ramsey         interferometry protocol, fringe fits, closed forms
     cli            command-line front end ("loopqed" executable)
 """
@@ -57,12 +57,9 @@ from .dynamics import (
 )
 from .phases import (
     PhaseReading,
-    OverlapReading,
     NonCyclicWarning,
     DegeneracyError,
     wrap_phase,
-    pancharatnam_phase,
-    dynamical_phase_reference,
     analytic_dressed_phase,
     adiabatic_eigenstate_transport,
     dressed_phase_pair,
@@ -114,12 +111,9 @@ __all__ = [
     "evolve_loop",
     "brute_force_evolve",
     "PhaseReading",
-    "OverlapReading",
     "NonCyclicWarning",
     "DegeneracyError",
     "wrap_phase",
-    "pancharatnam_phase",
-    "dynamical_phase_reference",
     "analytic_dressed_phase",
     "adiabatic_eigenstate_transport",
     "dressed_phase_pair",

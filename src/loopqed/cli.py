@@ -20,12 +20,8 @@ deterministic, so no key seeds anything.  Keys and defaults:
     g_khz = 50.0              atom-cavity coupling g/2pi in kHz
     omega_khz = 50.0          drive Rabi frequency Omega/2pi in kHz
     delta_ratio = 3.0         detuning delta as a multiple of Omega
-    nmax_plus = 4             photon cutoff, driven mode "+"
-    nmax_minus = 2            photon cutoff, mode "-", for dressed-phases
-                              only: full-dynamics runs propagate in the
-                              complete box (K, K) of the highest occupied
-                              excitation sector K, and ideal runs do not
-                              depend on it
+    nmax_plus = 4             photon cutoff of the driven mode "+" for
+                              fringe, alpha-sweep and adiabaticity
     tail_tol = 1e-3           coherent-state truncation tail tolerance
     gamma = 3.141592653589793 lasso solid angle in steradians
     loop_knots =              optional explicit path "theta:phi;..." (rad)
@@ -41,7 +37,9 @@ deterministic, so no key seeds anything.  Keys and defaults:
     out_dir = runs            output directory
     alphas = 0,0.5            alpha-sweep amplitudes
     time_ladder_ms = 0.6,1.2,2.4   adiabaticity loop times
-    doublets = 0,0            dressed-phase doublets "n,m;n,m;..."
+    doublets = 0,0            dressed-phase doublets "n,m;n,m;..."; each
+                              runs in the box (k, k) that holds its
+                              excitation sector k = n + 1 + m whole
     branch = both             dressed-phase branch: upper, lower, or both
 
 Frequencies are entered in kHz and converted to angular units internally:
@@ -53,6 +51,12 @@ resolved configuration and the package version, '.' decimal separator,
 fixed column order, and 12 significant digits.  fringe.csv also echoes
 propagation_box, the cutoffs its arms actually ran in.  Identical configs
 produce byte-identical files.
+
+No key sets the cutoff of the dark mode "-".  It starts in vacuum, and an
+excitation sector k holds at most k photons per mode, so a run takes its
+box from the sectors it occupies: the Ramsey subcommands prepare their
+state in (nmax_plus, 0) and full-dynamics arms propagate in the complete
+box (K, K) of the highest sector K that state occupies.
 """
 
 from __future__ import annotations
@@ -64,12 +68,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .hilbert import (
-    SpaceConfig,
-    TruncationError,
-    coherent_mode_coefficients,
-    make_space,
-)
+from .hilbert import TruncationError, coherent_mode_coefficients, make_space
 from .model import ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
 from .dynamics import IntegrationError
@@ -106,7 +105,6 @@ _DEFAULTS: dict[str, str] = {
     "omega_khz": "50.0",
     "delta_ratio": "3.0",
     "nmax_plus": "4",
-    "nmax_minus": "2",
     "tail_tol": "1e-3",
     "gamma": repr(math.pi),
     "loop_knots": "",
@@ -163,7 +161,6 @@ class RunConfig:
     omega_khz: float = 50.0
     delta_ratio: float = 3.0
     nmax_plus: int = 4
-    nmax_minus: int = 2
     tail_tol: float = 1e-3
     gamma: float = math.pi
     loop_knots: tuple[tuple[float, float], ...] = ()
@@ -192,10 +189,8 @@ class RunConfig:
             raise ConfigError(
                 f"field 'delta_ratio': must be positive, got {self.delta_ratio}"
             )
-        if self.nmax_plus < 1 or self.nmax_minus < 0:
-            raise ConfigError(
-                "field 'nmax_plus'/'nmax_minus': need nmax_plus >= 1, nmax_minus >= 0"
-            )
+        if self.nmax_plus < 1:
+            raise ConfigError(f"field 'nmax_plus': must be >= 1, got {self.nmax_plus}")
         if self.tail_tol <= 0:
             raise ConfigError(f"field 'tail_tol': must be positive, got {self.tail_tol}")
         if not (0.0 <= self.gamma < 2.0 * TWO_PI):
@@ -226,11 +221,6 @@ class RunConfig:
         for n, m in self.doublets:
             if n < 0 or m < 0:
                 raise ConfigError(f"field 'doublets': labels must be >= 0, got ({n},{m})")
-            if n + 1 > self.nmax_plus or m > self.nmax_minus:
-                raise ConfigError(
-                    f"field 'doublets': doublet ({n},{m}) needs nmax_plus >= {n + 1} "
-                    f"and nmax_minus >= {m}"
-                )
         if not self.time_ladder_ms or any(t <= 0 for t in self.time_ladder_ms):
             raise ConfigError("field 'time_ladder_ms': need positive loop times")
         if any(a < 0 for a in self.alphas):
@@ -256,9 +246,6 @@ class RunConfig:
     def model_params(self) -> ModelParams:
         return ModelParams(g=self.g, omega_drive=self.omega, delta=self.delta)
 
-    def space(self) -> SpaceConfig:
-        return make_space(self.nmax_plus, self.nmax_minus)
-
     def loop(self) -> PathSpec:
         if self.loop_knots:
             return piecewise_path(self.loop_knots, self.loop_leg_times)
@@ -275,7 +262,7 @@ class RunConfig:
 
     def ramsey_config(self) -> RamseyConfig:
         return RamseyConfig(
-            space=self.space(),
+            space=make_space(self.nmax_plus, 0),
             params=self.model_params(),
             loop=self.loop(),
             cavity=self.cavity(),
@@ -297,7 +284,6 @@ class RunConfig:
             ("omega_khz", _fmt(self.omega_khz)),
             ("delta_ratio", _fmt(self.delta_ratio)),
             ("nmax_plus", str(self.nmax_plus)),
-            ("nmax_minus", str(self.nmax_minus)),
             ("tail_tol", _fmt(self.tail_tol)),
             ("gamma", _fmt(self.gamma)),
             (
@@ -371,15 +357,6 @@ def _parse_doublets(raw: str) -> tuple[tuple[int, int], ...]:
     return tuple(doublets)
 
 
-def _mode_alias(raw: str) -> str:
-    low = raw.strip().lower()
-    if low in ("full", "full-dynamics"):
-        return "full"
-    if low in ("ideal", "ideal-phase"):
-        return "ideal"
-    return low
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse `key = value` lines into a validated RunConfig."""
     values = dict(_DEFAULTS)
@@ -413,7 +390,6 @@ def _build_config(values: dict[str, str]) -> RunConfig:
         omega_khz=_to_float("omega_khz", values["omega_khz"]),
         delta_ratio=_to_float("delta_ratio", values["delta_ratio"]),
         nmax_plus=_to_int("nmax_plus", values["nmax_plus"]),
-        nmax_minus=_to_int("nmax_minus", values["nmax_minus"]),
         tail_tol=_to_float("tail_tol", values["tail_tol"]),
         gamma=_to_float("gamma", values["gamma"]),
         loop_knots=knots,
@@ -423,7 +399,7 @@ def _build_config(values: dict[str, str]) -> RunConfig:
         cavity_photons=cavity_photons,
         cavity_alpha=cavity_alpha,
         xi_points=_to_int("xi_points", values["xi_points"]),
-        mode=_mode_alias(values["mode"]),
+        mode=values["mode"].strip().lower(),
         dt_ms=_to_float("dt_ms", dt_raw) if dt_raw else None,
         round_flips=_to_bool("round_flips", values["round_flips"]),
         out_dir=values["out_dir"].strip() or "runs",
@@ -623,6 +599,9 @@ def cmd_dressed_phases(
 ) -> list[str]:
     """Adiabatic transport phases per doublet; write dressed_phases.csv.
 
+    Each doublet (n, m) is transported in the box (k, k), k = n + 1 + m,
+    which holds its excitation sector whole, so no cutoff cuts it.
+
     The analytic column is the resonant-doublet law (branch sign times
     gamma/2*(n - m + 1/2)); a doublet is resonant exactly when
     omega^2 = g^2 * (n + 1 + m).  The resonant column records whether that
@@ -630,7 +609,6 @@ def cmd_dressed_phases(
     phases straddle the law and the pairing is only approximate.
     """
     wanted = doublets if doublets is not None else config.doublets
-    space = config.space()
     params = config.model_params()
     loop = config.loop()
     gamma = solid_angle(loop)
@@ -639,14 +617,15 @@ def cmd_dressed_phases(
     rows = []
     failed = []
     for n, m in wanted:
+        k = n + 1 + m
         resonant = (
-            abs(params.omega_drive**2 - params.g**2 * (n + 1 + m))
+            abs(params.omega_drive**2 - params.g**2 * k)
             <= 1e-9 * max(params.omega_drive**2, params.g**2)
         )
         for branch in branches:
             try:
                 reading = _branch_reading(
-                    space, params, loop, (n, m), branch, config.dt_ms
+                    make_space(k, k), params, loop, (n, m), branch, config.dt_ms
                 )
                 phase, cyclicity, gap, status = (
                     _fmt(reading.geometric_phase), _fmt(reading.cyclicity),

@@ -1,14 +1,14 @@
-"""Phase extraction from propagated states and the analytic phase laws.
+"""Dressed-branch transport phases, the ideal phase map and the analytic laws.
 
 Conventions used throughout (and relied on by the tests):
 
-* Total phase between two states is the overlap argument arg<initial|final>
-  together with its magnitude (the cyclicity).
-* Dynamical phase is removed by a reference arm: a twin run with the drive
-  polarization frozen at its starting point, which for an eigenstate
-  reduces to -E0 T.  Geometric phase is the wrapped difference.  Transport
-  runs step with dynamics' stepper inside the doublet's excitation sector
-  and also record the energy integral -int <H> dt in their metadata.
+* The total phase of a transport run is the overlap argument
+  arg<initial|final>, and its magnitude is the cyclicity.
+* The dynamical phase removed is -E0 T, which is what a twin run with the
+  drive polarization frozen at its starting point gives an eigenstate.
+  Geometric phase is the wrapped difference.  Transport runs step with
+  dynamics' stepper inside the doublet's excitation sector and also record
+  the energy integral -int <H> dt in their metadata.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -36,17 +36,14 @@ import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
-from .poincare_path import PathSpec, Schedule, frozen_schedule, make_schedule, reversed_path
-from .dynamics import _propagate, _resolve_steps, evolve
+from .poincare_path import PathSpec, Schedule, make_schedule, reversed_path
+from .dynamics import _propagate, _resolve_steps
 
 __all__ = [
-    "OverlapReading",
     "PhaseReading",
     "NonCyclicWarning",
     "DegeneracyError",
     "wrap_phase",
-    "pancharatnam_phase",
-    "dynamical_phase_reference",
     "analytic_dressed_phase",
     "adiabatic_eigenstate_transport",
     "dressed_phase_pair",
@@ -62,7 +59,7 @@ FIDELITY_SAMPLES = 256
 
 
 class NonCyclicWarning(UserWarning):
-    """Signals that an overlap used as a phase reference has small magnitude."""
+    """Signals that a transport run's return overlap has small magnitude."""
 
 
 class DegeneracyError(RuntimeError):
@@ -75,15 +72,6 @@ def wrap_phase(x: float) -> float:
     if w == -math.pi:
         w = math.pi
     return w
-
-
-@dataclass(frozen=True)
-class OverlapReading:
-    """Overlap argument and magnitude between two states."""
-
-    phase: float
-    cyclicity: float
-    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -109,56 +97,6 @@ class PhaseReading:
             )
         if not -1e-10 <= self.cyclicity <= 1.0 + 1e-10:
             raise ValueError(f"cyclicity {self.cyclicity} outside [0, 1]")
-
-
-def pancharatnam_phase(
-    initial: StateVector,
-    final: StateVector,
-    cyclicity_floor: float = DEFAULT_CYCLICITY_FLOOR,
-) -> OverlapReading:
-    """Overlap phase arg<initial|final> with its magnitude.
-
-    A cyclicity below the floor attaches a warning message to the reading
-    (the phase is still returned; the caller decides what is acceptable).
-    """
-    ov = complex(np.vdot(initial.amplitudes, final.amplitudes))
-    cyc = abs(ov)
-    warning = None
-    if cyc < cyclicity_floor:
-        warning = (
-            f"overlap magnitude {cyc:.6f} below cyclicity floor "
-            f"{cyclicity_floor:.2f}; the run is not cyclic"
-        )
-    phase = float(np.angle(ov)) if cyc > 0 else 0.0
-    return OverlapReading(phase=phase, cyclicity=cyc, warning=warning)
-
-
-def dynamical_phase_reference(
-    initial: StateVector,
-    schedule: Schedule,
-    params: ModelParams,
-    dt: float | None = None,
-    cyclicity_floor: float = DEFAULT_CYCLICITY_FLOOR,
-) -> float:
-    """Reference-arm dynamical phase of a run.
-
-    Evolves the same initial state for the same duration with the
-    polarization frozen at the schedule's starting angles and returns
-    arg<psi(0)|psi_ref(T)>.  Subtracting this from a loop run's total phase
-    leaves the loop's geometric phase.
-    """
-    ref_sched = frozen_schedule(
-        float(schedule.thetas[0]), float(schedule.phis[0]), schedule.duration
-    )
-    traj = evolve(initial, ref_sched, params, dt=dt)
-    reading = pancharatnam_phase(
-        initial, traj.final_state, cyclicity_floor=cyclicity_floor
-    )
-    if reading.warning is not None:
-        warnings.warn(
-            f"reference arm: {reading.warning}", NonCyclicWarning, stacklevel=2
-        )
-    return reading.phase
 
 
 def analytic_dressed_phase(n: int, m: int, gamma: float, branch: str) -> float:

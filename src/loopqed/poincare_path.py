@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import coupling_weights
+
 __all__ = [
     "PathSpec",
     "Schedule",
@@ -44,20 +46,15 @@ class ClosureError(ValueError):
     """Raised when an operation requiring a closed loop receives an open one."""
 
 
-def _sphere_xyz(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
-    )
+def _same_drive(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    """Whether two knots give the Hamiltonian the same drive weights.
 
-
-def _is_closed(knots: list[tuple[float, float]], tol: float = CLOSURE_TOL) -> bool:
-    first = _sphere_xyz(*knots[0])
-    last = _sphere_xyz(*knots[-1])
-    return bool(np.linalg.norm(first - last) <= tol)
+    The weights are (cos theta/2, sin theta/2 e^{i phi}) (coupling_weights),
+    so the north pole matches at any azimuth and the south pole only at
+    equal azimuth modulo 2 pi.
+    """
+    (plus_a, minus_a), (plus_b, minus_b) = coupling_weights(*a), coupling_weights(*b)
+    return abs(plus_a - plus_b) + abs(minus_a - minus_b) <= CLOSURE_TOL
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,11 @@ class PathSpec:
 
     knots are (theta, phi) pairs; phi is kept as an unreduced real number so
     windings survive (a full sweep ends at phi = 2 pi, the same sphere point
-    as phi = 0).  Closure is judged on sphere points, so the poles match at
-    any azimuth.  Each leg runs linearly in (theta, phi) at constant speed,
-    which makes solid_angle and max_rate exact closed forms over the legs.
+    as phi = 0).  Closure is judged on the drive weights, not on sphere
+    points (see _same_drive): the north pole closes at any azimuth, the
+    south pole only at equal azimuth modulo 2 pi.  Each leg runs linearly
+    in (theta, phi) at constant speed, which makes solid_angle and max_rate
+    exact closed forms over the legs.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -87,9 +86,9 @@ class PathSpec:
                 raise ValueError(f"theta = {theta} outside [0, pi]")
         if any(d <= 0 for d in self.durations):
             raise ValueError("all leg durations must be positive")
-        if not _is_closed(list(self.knots)):
+        if not _same_drive(self.knots[0], self.knots[-1]):
             raise ClosureError(
-                "path is not closed: first and last knots are distinct sphere points"
+                "path is not closed: first and last knots give different drive weights"
             )
 
     @property
@@ -154,16 +153,14 @@ def reversed_path(spec: PathSpec) -> PathSpec:
 
 
 def concatenated_path(first: PathSpec, second: PathSpec) -> PathSpec:
-    """Traverse first, then second.  Both must share the junction point.
+    """Traverse first, then second, which must start in the drive first ends in.
 
     The second path's azimuths are re-branched by a whole number of turns
     so that the running azimuth stays continuous across the junction;
     cumulative winding (and hence signed solid angle) is preserved when a
     loop is concatenated with itself.
     """
-    end = _sphere_xyz(*first.knots[-1])
-    start = _sphere_xyz(*second.knots[0])
-    if np.linalg.norm(end - start) > CLOSURE_TOL:
+    if not _same_drive(first.knots[-1], second.knots[0]):
         raise ClosureError("loops do not share a junction point")
     shift = TWO_PI * round((first.knots[-1][1] - second.knots[0][1]) / TWO_PI)
     shifted = tuple((th, ph + shift) for th, ph in second.knots[1:])

@@ -15,6 +15,8 @@ from loopqed.cli import (
     main,
     parse_config_text,
 )
+from loopqed.hilbert import make_space
+from loopqed.phases import dressed_phase_pair
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,10 +28,8 @@ def write_cfg(tmp_path, name="run.cfg", **overrides):
     return str(path)
 
 
-FAST_IDEAL = dict(nmax_plus=2, nmax_minus=1, mode="ideal", loop_time_ms=0.6)
-FAST_FULL = dict(
-    nmax_plus=1, nmax_minus=1, mode="full", loop_time_ms=0.6, dt_ms=3e-4
-)
+FAST_IDEAL = dict(nmax_plus=2, mode="ideal", loop_time_ms=0.6)
+FAST_FULL = dict(nmax_plus=1, mode="full", loop_time_ms=0.6, dt_ms=3e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +102,11 @@ def test_cavity_parsing_variants():
 
 
 def test_mode_aliases():
-    assert parse_config_text("mode = ideal-phase").mode == "ideal"
-    assert parse_config_text("mode = full-dynamics").mode == "full"
-    with pytest.raises(ConfigError, match="mode"):
-        parse_config_text("mode = magic")
+    # mode takes exactly "full" or "ideal"; the old spelled-out names are
+    # rejected like any other value
+    for raw in ("ideal-phase", "full-dynamics", "magic"):
+        with pytest.raises(ConfigError, match="mode"):
+            parse_config_text(f"mode = {raw}")
 
 
 def test_validation_rules():
@@ -116,7 +117,7 @@ def test_validation_rules():
     with pytest.raises(ConfigError, match="gamma"):
         parse_config_text("gamma = 13.0")
     with pytest.raises(ConfigError, match="doublets"):
-        parse_config_text("nmax_plus = 2\ndoublets = 2,0")
+        parse_config_text("doublets = 2,-1")
     with pytest.raises(ConfigError, match="cavity"):
         parse_config_text("cavity = fock:5")
     with pytest.raises(ConfigError, match="dt_ms"):
@@ -167,8 +168,8 @@ def test_exit_zero_and_fringe_output(tmp_path, capsys):
     assert any("2*pi*f_khz rad/ms" in ln for ln in header)
     for key in ("fitted_shift_rad", "fit_residual", "gamma_solid_angle", "flags"):
         assert any(ln.startswith(f"# {key} = ") for ln in header), key
-    # an ideal run keeps the config's own space, (nmax_plus, nmax_minus)
-    assert "# propagation_box = 2,1" in header
+    # an ideal run keeps the prepared state's space, (nmax_plus, 0)
+    assert "# propagation_box = 2,0" in header
 
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "xi_rad,p2_loop,p2_caliber"
@@ -202,8 +203,8 @@ def test_exit_one_on_argparse_problems(capsys):
 
 
 def test_exit_one_on_removed_options(tmp_path, capsys):
-    # there is no --threads flag and no seed or samples_per_leg key; each
-    # is a usage error
+    # there is no --threads flag and no seed, samples_per_leg or nmax_minus
+    # key; each is a usage error
     cfg = write_cfg(tmp_path, **FAST_IDEAL)
     assert main(["fringe", "--config", cfg, "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
@@ -213,6 +214,24 @@ def test_exit_one_on_removed_options(tmp_path, capsys):
     sampled = write_cfg(tmp_path, name="sampled.cfg", samples_per_leg=256, **FAST_IDEAL)
     assert main(["fringe", "--config", sampled]) == 1
     assert "unknown field 'samples_per_leg'" in capsys.readouterr().err
+    # every run takes its box from the sectors it occupies, so no key sets
+    # the "-" cutoff
+    cut = write_cfg(tmp_path, name="cut.cfg", nmax_minus=2, **FAST_IDEAL)
+    assert main(["fringe", "--config", cut]) == 1
+    assert "unknown field 'nmax_minus'" in capsys.readouterr().err
+
+
+def test_exit_one_on_a_loop_open_at_the_south_pole(tmp_path, capsys):
+    # the south pole is a different drive at each azimuth, so a loop that
+    # leaves it at phi = 0 and returns at phi = 1 is open
+    cfg = write_cfg(
+        tmp_path,
+        loop_knots=f"{math.pi!r}:0;{math.pi / 2!r}:0;{math.pi / 2!r}:1;{math.pi!r}:1",
+        loop_leg_times="1;1;1",
+        **FAST_IDEAL,
+    )
+    assert main(["fringe", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "not closed" in capsys.readouterr().err
 
 
 def test_exit_one_on_inadequate_truncation(tmp_path, capsys):
@@ -261,7 +280,7 @@ def test_exit_two_on_degenerate_transport(tmp_path, capsys):
     # a loop crossing in a fraction of a flip period trips the gap
     # precheck; the CSV is still written with a degenerate status row
     cfg = write_cfg(
-        tmp_path, nmax_plus=2, nmax_minus=1, loop_time_ms=0.004, branch="upper"
+        tmp_path, nmax_plus=2, loop_time_ms=0.004, branch="upper"
     )
     out = tmp_path / "out"
     rc = main(["dressed-phases", "--config", cfg, "--out", str(out)])
@@ -279,7 +298,6 @@ def test_alpha_sweep_output(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         nmax_plus=8,
-        nmax_minus=1,
         mode="ideal",
         loop_time_ms=0.6,
         alphas="0,0.5,1.0",
@@ -306,7 +324,6 @@ def test_adiabaticity_output(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         nmax_plus=1,
-        nmax_minus=1,
         dt_ms=2e-4,
         time_ladder_ms="0.12,0.24",
     )
@@ -329,7 +346,6 @@ def test_dressed_phases_output(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
         nmax_plus=2,
-        nmax_minus=1,
         loop_time_ms=3.0,
         dt_ms=6e-4,
         branch="both",
@@ -380,6 +396,24 @@ def test_dressed_phases_runs_only_the_requested_branch(tmp_path, capsys):
     assert float(min_gap) == pytest.approx(125.7, abs=0.1)
 
 
+def test_dressed_phases_run_each_doublet_in_its_complete_box(tmp_path, capsys):
+    # doublet (1,1) lives in sector 3, which the box (3, 3) holds whole;
+    # the CLI reads the same phases there whatever nmax_plus says
+    cfg = write_cfg(tmp_path, nmax_plus=4, doublets="1,1", dt_ms=6e-3)
+    assert main(["dressed-phases", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "dressed_phases.csv").read_text(encoding="utf-8").splitlines()
+    body = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    config = load_config(cfg)
+    pair = dressed_phase_pair(
+        make_space(3, 3), config.model_params(), config.loop(), (1, 1), dt=6e-3
+    )
+    assert [(row[2], row[3], row[8]) for row in body] == [
+        (branch, f"{pair[branch].geometric_phase:.11e}", "ok")
+        for branch in ("upper", "lower")
+    ]
+
+
 def test_full_mode_runs_are_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path, **FAST_FULL)
     first = tmp_path / "a"
@@ -403,7 +437,7 @@ def test_run_path_never_imports_scipy(tmp_path):
         ("fringe", write_cfg(tmp_path, name="coherent.cfg", xi_points=16, **coherent)),
         ("alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
         ("dressed-phases", write_cfg(
-            tmp_path, name="dressed.cfg", nmax_plus=1, nmax_minus=0,
+            tmp_path, name="dressed.cfg", nmax_plus=1,
             loop_time_ms=3.0, dt_ms=3e-3, branch="upper",
         )),
     ]

@@ -9,17 +9,14 @@ from loopqed.hilbert import StateVector, fock_state, make_space, state_index
 from loopqed.model import ModelParams, default_params
 from loopqed.phases import (
     DegeneracyError,
-    NonCyclicWarning,
     PhaseReading,
     adiabatic_eigenstate_transport,
     analytic_dressed_phase,
     dressed_phase_pair,
-    dynamical_phase_reference,
     ideal_phase_map,
-    pancharatnam_phase,
     wrap_phase,
 )
-from loopqed.poincare_path import frozen_schedule, lasso_path, make_schedule
+from loopqed.poincare_path import lasso_path, make_schedule
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,52 +78,6 @@ def test_analytic_dressed_phase_validation():
 
 
 # ---------------------------------------------------------------------------
-# Pancharatnam overlap reading
-
-
-def test_pancharatnam_identical_state():
-    space = make_space(1, 1)
-    psi = fock_state(space, 2, 0, 0)
-    reading = pancharatnam_phase(psi, psi)
-    assert reading.phase == pytest.approx(0.0, abs=1e-15)
-    assert reading.cyclicity == pytest.approx(1.0, abs=1e-12)
-    assert reading.warning is None
-
-
-def test_pancharatnam_reads_global_phase():
-    space = make_space(1, 1)
-    psi = fock_state(space, 2, 0, 0)
-    rotated = StateVector(psi.amplitudes * np.exp(0.3j), space)
-    reading = pancharatnam_phase(psi, rotated)
-    assert reading.phase == pytest.approx(0.3, abs=1e-12)
-    assert reading.cyclicity == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pancharatnam_orthogonal_states_warn():
-    space = make_space(1, 1)
-    a = fock_state(space, 1, 0, 0)
-    b = fock_state(space, 2, 0, 0)
-    reading = pancharatnam_phase(a, b)
-    assert reading.cyclicity == pytest.approx(0.0, abs=1e-15)
-    assert reading.phase == 0.0
-    assert reading.warning is not None
-    assert "cyclicity floor" in reading.warning
-
-
-def test_pancharatnam_floor_is_configurable():
-    space = make_space(1, 1)
-    a = fock_state(space, 1, 0, 0)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[0] = math.sqrt(0.5)
-    amps[space.dim // 2] = math.sqrt(0.5)
-    half = StateVector(amps, space)
-    loose = pancharatnam_phase(a, half, cyclicity_floor=0.5)
-    assert loose.warning is None
-    strict = pancharatnam_phase(a, half, cyclicity_floor=0.9)
-    assert strict.warning is not None
-
-
-# ---------------------------------------------------------------------------
 # PhaseReading invariant
 
 
@@ -165,37 +116,6 @@ def test_phase_reading_decomposition_wraps_modulo_turns():
         cyclicity=1.0,
     )
     assert reading.geometric_phase == pytest.approx(0.75, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# reference-arm dynamical phase
-
-
-def test_dynamical_phase_reference_dark_state_oracle():
-    # |1,0,1> at the north pole is an exact eigenstate: the "+" mode weight
-    # is 1 and the "-" mode weight 0, so the coupling cannot move it, and
-    # the diagonal lower-level shift gives energy (g^2/delta) * 1.
-    space = make_space(1, 1)
-    params = default_params()
-    dark = fock_state(space, 1, 0, 1)
-    duration = 0.013
-    phase = dynamical_phase_reference(dark, frozen_schedule(0.0, 0.0, duration), params)
-    assert phase == pytest.approx(wrap_phase(-params.lam * duration), abs=1e-9)
-
-
-def test_dynamical_phase_reference_warns_for_non_eigenstate():
-    # An equal atomic superposition frozen at the pole Rabi-flops; after a
-    # quarter flip the overlap with the start drops to 1/2 and the reading
-    # must flag the arm as non-cyclic.
-    space = make_space(1, 1)
-    params = default_params()
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[0] = math.sqrt(0.5)
-    amps[space.dim // 2] = math.sqrt(0.5)
-    plus = StateVector(amps, space)
-    duration = (math.pi / 2) / params.lam
-    with pytest.warns(NonCyclicWarning):
-        dynamical_phase_reference(plus, frozen_schedule(0.0, 0.0, duration), params)
 
 
 # ---------------------------------------------------------------------------

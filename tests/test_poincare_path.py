@@ -100,6 +100,26 @@ def test_piecewise_requires_closure():
     assert spec.total_time == pytest.approx(2.0)
 
 
+def test_closure_is_judged_on_the_drive_weights():
+    # the south pole's drive weights (0, e^{i phi}) differ at each azimuth:
+    # returning there at phi = 1 leaves the Hamiltonian somewhere else
+    south = math.pi
+    with pytest.raises(ClosureError):
+        piecewise_path(
+            [(south, 0.0), (math.pi / 2, 0.0), (math.pi / 2, 1.0), (south, 1.0)],
+            [1.0, 1.0, 1.0],
+        )
+    closed = piecewise_path(
+        [(south, 0.0), (math.pi / 2, 0.0), (math.pi / 2, TWO_PI), (south, TWO_PI)],
+        [1.0, 1.0, 1.0],
+    )
+    # a junction at the south pole needs the same azimuth modulo 2 pi too
+    assert concatenated_path(closed, closed).total_time == pytest.approx(6.0)
+    turned = PathSpec(tuple((th, ph + 1.0) for th, ph in closed.knots), closed.durations)
+    with pytest.raises(ClosureError):
+        concatenated_path(closed, turned)
+
+
 def test_path_validation_errors():
     with pytest.raises(ValueError):
         piecewise_path([(0.0, 0.0)], [])  # too few knots
