@@ -65,9 +65,8 @@ class Trajectory:
     """Sampled history of one propagation run.
 
     times are absolute schedule times (ms); amplitudes[k] is the state at
-    times[k].  step_stats records the step size used, the number of steps,
-    the worst sampled norm drift, and the accumulated energy integral
-    (sum of instantaneous <H> times dt, rad).
+    times[k].  step_stats records the step size used, the number of steps
+    and the worst sampled norm drift.
     """
 
     times: np.ndarray
@@ -350,9 +349,8 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
     eigendecomposition of the whole stack per step.  A constant schedule
     takes a single eigendecomposition in all and advances from one sample
     to the next with one exponential exp(-i w n h) for the n steps in
-    between; the step count, the sample times, the checks and the energy
-    integral (n h <H> per advance, summed over the blocks) are the same as
-    stepping.  After every stride-th step and after the last, the
+    between; the step count, the sample times and the checks are the same
+    as stepping.  After every stride-th step and after the last, the
     amplitudes are checked and on_sample(t, v, psi) receives the time, the
     (S, d, d) eigenvectors and the state.  Returns the final amplitudes and
     the step_stats dict of Trajectory.
@@ -368,29 +366,19 @@ def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
     else:
         ends = range(1, steps + 1)
     max_drift = abs(np.linalg.norm(psi) - 1.0)
-    energy_integral = 0.0
     done = 0
     for end in ends:
         n = end - done
         if done == 0 or not constant:
             w, v = np.linalg.eigh(dense(float(th_mid[done]), float(ph_mid[done])))
-        # c = V^H psi per block, written as the row psi^T conj(V)
-        c = (psi[:, None, :] @ v.conj())[:, 0]
-        energy_integral += n * h * float(np.vdot(c, w * c).real)
-        psi = (v @ (np.exp(w * (-1j * n * h)) * c)[:, :, None])[:, :, 0]
+        psi = _rotate(v, np.exp(w * (-1j * n * h)), psi)
         done = end
         if end % stride == 0 or end == steps:
             t_now = t_start + end * h
             where = f"at step {end} (t = {t_now:.6g} ms)"
             max_drift = max(max_drift, _check_state(psi, where))
             on_sample(t_now, v, psi)
-    stats = {
-        "dt": h,
-        "steps": steps,
-        "max_norm_drift": max_drift,
-        "energy_integral": energy_integral,
-    }
-    return psi, stats
+    return psi, {"dt": h, "steps": steps, "max_norm_drift": max_drift}
 
 
 def brute_force_evolve(

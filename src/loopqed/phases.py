@@ -7,8 +7,9 @@ Conventions used throughout (and relied on by the tests):
 * The dynamical phase removed is -E0 T, which is what a twin run with the
   drive polarization frozen at its starting point gives an eigenstate.
   Geometric phase is the wrapped difference.  Transport runs step with
-  dynamics' stepper inside the doublet's excitation sector and also record
-  the energy integral -int <H> dt in their metadata.
+  dynamics' stepper inside the doublet's excitation sector, which must be
+  complete; there the spectrum is the same at every point of the sphere,
+  so the tracked level's gap is exact and constant along any loop.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -36,7 +37,7 @@ import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
-from .poincare_path import PathSpec, Schedule, make_schedule, reversed_path
+from .poincare_path import PathSpec, make_schedule, reversed_path
 from .dynamics import _propagate, _resolve_steps
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_CYCLICITY_FLOOR = 0.99
-# the tracked level's gap must stay above this multiple of the sweep rate
+# the tracked level's gap must stay above this multiple of the peak sweep rate
 GAP_FACTOR = 10.0
 # adiabatic fidelity is sampled about this many times per transport run
 FIDELITY_SAMPLES = 256
@@ -134,94 +135,64 @@ def _select_doublet_branch(
     return w, v[:, col].copy(), int(col)
 
 
-def _gap_precheck(
-    factory: HamiltonianFactory, schedule: Schedule, tracked_eigenvalue: float
-) -> float:
-    """Verify the tracked level keeps a gap above GAP_FACTOR times the sweep rate.
-
-    Scans the schedule's own samples with the sector factory.  Returns the
-    smallest gap found; raises DegeneracyError naming the time of closest
-    approach.
-    """
-    times = schedule.times
-    min_gap = math.inf
-    worst_margin = math.inf
-    worst_time = 0.0
-    for k in range(times.size):
-        w = np.linalg.eigvalsh(
-            factory.dense(float(schedule.thetas[k]), float(schedule.phis[k]))
-        )
-        tracked = w[np.argmin(np.abs(w - tracked_eigenvalue))]
-        others = w[np.abs(w - tracked) > 1e-12]
-        gap = float(np.min(np.abs(others - tracked))) if others.size else math.inf
-        rate = _local_rate(schedule, k)
-        margin = gap - GAP_FACTOR * rate
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_time = float(times[k])
-        min_gap = min(min_gap, gap)
-        if margin <= 0:
-            raise DegeneracyError(
-                f"tracked level gap {gap:.4g} rad/ms falls below {GAP_FACTOR:.0f}x "
-                f"the sweep rate {rate:.4g} rad/ms at t = {worst_time:.6g} ms"
-            )
-    return min_gap
-
-
-def _local_rate(schedule: Schedule, k: int) -> float:
-    lo = max(0, k - 1)
-    hi = min(schedule.times.size - 1, k + 1)
-    if hi == lo:
-        return 0.0
-    dth = schedule.thetas[hi] - schedule.thetas[lo]
-    dph = schedule.phis[hi] - schedule.phis[lo]
-    dt = schedule.times[hi] - schedule.times[lo]
-    return float(math.hypot(dth, dph) / dt)
-
-
 def adiabatic_eigenstate_transport(
     space: SpaceConfig,
     params: ModelParams,
-    schedule: Schedule,
+    loop: PathSpec,
     doublet: tuple[int, int],
     branch: str = "upper",
     dt: float | None = None,
 ) -> PhaseReading:
     """Carry one dressed doublet branch around a loop and read its phases.
 
-    The run starts in the instantaneous eigenstate of H at the schedule's
-    first sample that belongs to the (n, m) doublet (the one spanned by
-    |2,n,m> and |1,n+1,m>) on the requested branch, propagates it with
-    dynamics' midpoint-frozen exact steps restricted to its excitation
-    sector, and decomposes the Pancharatnam phase into dynamical and
-    geometric parts.
+    The run starts in the eigenstate of H at the loop's first knot that
+    belongs to the (n, m) doublet (the one spanned by |2,n,m> and
+    |1,n+1,m>) on the requested branch, propagates it with dynamics'
+    midpoint-frozen exact steps restricted to its excitation sector, and
+    decomposes the Pancharatnam phase into dynamical and geometric parts.
 
-    The dynamical phase removed is the reference arm's -E0 T (the
-    frozen-drive twin of an eigenstate reduces to its eigenvalue); the
-    energy integral -int <H> dt is recorded in metadata beside it.
+    The doublet's sector k = n + 1 + m must be complete (k <= min(nmax_plus,
+    nmax_minus)).  There H at every point of the sphere is unitarily
+    equivalent to H at the first knot, so the spectrum is the same all
+    along the loop: min_gap, the tracked level's distance to the nearest
+    other level of the sector, is exact from the first eigendecomposition,
+    for any loop.  The dynamical phase removed is the reference arm's
+    -E0 T (the frozen-drive twin of an eigenstate reduces to its
+    eigenvalue).
 
-    Raises DegeneracyError when the tracked eigenvalue's spectral gap drops
-    to GAP_FACTOR times the local sweep rate anywhere along the path, and
-    IntegrationError when the propagated state turns non-finite or loses
-    its norm.
+    Raises ValueError when the space cuts the doublet's sector,
+    DegeneracyError when min_gap is not above GAP_FACTOR times the loop's
+    peak sweep rate, and IntegrationError when the propagated state turns
+    non-finite or loses its norm.
     """
     n, m = doublet
     if n < 0 or m < 0:
         raise ValueError(f"doublet labels must be >= 0, got {doublet}")
-    if n + 1 > space.nmax_plus or m > space.nmax_minus:
+    k = n + 1 + m
+    if k > min(space.nmax_plus, space.nmax_minus):
         raise ValueError(
-            f"doublet ({n}, {m}) needs nmax_plus >= {n + 1} and nmax_minus >= {m}"
+            f"doublet ({n}, {m}) lives in sector {k}, which needs "
+            f"nmax_plus >= {k} and nmax_minus >= {k} to be complete"
         )
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
 
-    sector = excitation_sector_indices(space, n + 1 + m)
+    sector = excitation_sector_indices(space, k)
     factory = HamiltonianFactory(space, params, sector)
-    h0 = factory.dense(float(schedule.thetas[0]), float(schedule.phis[0]))
+    theta0, phi0 = loop.knots[0]
+    h0 = factory.dense(float(theta0), float(phi0))
     w0, v0, col = _select_doublet_branch(h0, sector, space, n, m, branch)
     e0 = float(w0[col])
-    min_gap = _gap_precheck(factory, schedule, e0)
+    others = w0[np.abs(w0 - e0) > 1e-12]
+    min_gap = float(np.min(np.abs(others - e0))) if others.size else math.inf
+    if min_gap <= GAP_FACTOR * loop.max_rate:
+        raise DegeneracyError(
+            f"tracked level gap {min_gap:.4g} rad/ms is not above "
+            f"{GAP_FACTOR:.0f}x the peak sweep rate {loop.max_rate:.4g} rad/ms"
+        )
 
+    # legs are straight in (theta, phi), so the knots alone interpolate them
+    schedule = make_schedule(loop, samples_per_leg=2)
     duration = schedule.duration
     steps = _resolve_steps(duration, duration, dt)
     min_fidelity = 1.0
@@ -236,7 +207,7 @@ def adiabatic_eigenstate_transport(
         min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
     # the sector is the stepper's one block: a stack of S = 1
-    psi, stats = _propagate(
+    psi, _ = _propagate(
         v0[None], lambda theta, phi: factory.dense(theta, phi)[None], schedule,
         0.0, duration, steps, max(1, steps // FIDELITY_SAMPLES), track,
     )
@@ -260,7 +231,6 @@ def adiabatic_eigenstate_transport(
         "min_gap": min_gap,
         "min_adiabatic_fidelity": min_fidelity,
         "dynamical_phase_reference": dynamical,
-        "dynamical_phase_energy_integral": -stats["energy_integral"],
         "duration": duration,
     }
     return PhaseReading(
@@ -301,14 +271,9 @@ def _branch_reading(
     branch: str,
     dt: float | None,
 ) -> PhaseReading:
-    """One reading of dressed_phase_pair: the lower branch runs the reversed loop.
-
-    The schedule's samples (make_schedule's default grid) are the points
-    the gap precheck scans.
-    """
+    """One reading of dressed_phase_pair: the lower branch runs the reversed loop."""
     path = loop if branch == "upper" else reversed_path(loop)
-    schedule = make_schedule(path)
-    return adiabatic_eigenstate_transport(space, params, schedule, doublet, branch, dt)
+    return adiabatic_eigenstate_transport(space, params, path, doublet, branch, dt)
 
 
 def ideal_phase_map(state: StateVector, gamma: float) -> StateVector:

@@ -1,14 +1,22 @@
 """Unit tests for geometric-phase extraction and dressed-branch transport."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopqed.hilbert import StateVector, fock_state, make_space, state_index
-from loopqed.model import ModelParams, default_params
+from loopqed.model import (
+    HamiltonianFactory,
+    ModelParams,
+    default_params,
+    excitation_sector_indices,
+)
 from loopqed.phases import (
     DegeneracyError,
+    NonCyclicWarning,
     PhaseReading,
     adiabatic_eigenstate_transport,
     analytic_dressed_phase,
@@ -16,7 +24,12 @@ from loopqed.phases import (
     ideal_phase_map,
     wrap_phase,
 )
-from loopqed.poincare_path import lasso_path, make_schedule
+from loopqed.poincare_path import (
+    lasso_path,
+    make_schedule,
+    piecewise_path,
+    rescaled_path,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,9 +176,10 @@ def test_higher_doublet_pair_is_opposite_when_resonant():
     assert params.lam == pytest.approx(g / 3.0, rel=1e-12)
     space = make_space(2, 2)
     gamma = math.pi
-    # 56 flips keeps the azimuth sweep below a tenth of the smallest gap
-    # this doublet sees mid-loop (other levels in its excitation sector
-    # approach it far closer than the vacuum doublet's constant gap)
+    # 56 flips keeps the azimuth sweep below a tenth of this doublet's gap.
+    # The gap is the same all along the loop, but another level of its
+    # excitation sector lies far closer than in the vacuum doublet:
+    # 43.38 rad/ms against lam = 104.7
     loop = lasso_path(gamma, 56 * params.flip_period)
     pair = dressed_phase_pair(space, params, loop, (1, 0))
     up = pair["upper"].geometric_phase
@@ -176,58 +190,140 @@ def test_higher_doublet_pair_is_opposite_when_resonant():
     assert pair["upper"].cyclicity > 0.99
 
 
-def test_transport_energy_integral_scheme():
-    # Removing the energy integral -int <H> dt instead of the reference
-    # arm's -E0 T differs by a non-adiabatic correction; the two removals
-    # must agree in the slow limit.  Both are recorded in metadata, so one
-    # run per speed reads out both.
-    space = make_space(2, 1)
-    params = default_params()
-
-    def scheme_gap(flips: int) -> float:
-        loop = lasso_path(math.pi, flips * params.flip_period)
-        sched = make_schedule(loop, effective_coupling=params.lam)
-        reading = adiabatic_eigenstate_transport(
-            space, params, sched, (0, 0), branch="upper",
-            dt=loop.total_time / 4000,
-        )
-        assert reading.dynamical_phase == pytest.approx(
-            reading.metadata["dynamical_phase_reference"]
-        )
-        geo_energy = wrap_phase(
-            reading.total_phase - reading.metadata["dynamical_phase_energy_integral"]
-        )
-        return abs(wrap_phase(reading.geometric_phase - geo_energy))
-
-    fast = scheme_gap(24)
-    slow = scheme_gap(96)
-    assert fast < 0.5
-    assert slow < 0.6 * fast
-
-
 def test_transport_rejects_bad_inputs():
     space = make_space(2, 1)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 1.2), effective_coupling=params.lam)
+    loop = lasso_path(math.pi, 1.2)
     with pytest.raises(ValueError):
-        adiabatic_eigenstate_transport(space, params, sched, (-1, 0))
+        adiabatic_eigenstate_transport(space, params, loop, (-1, 0))
     with pytest.raises(ValueError):
-        # needs nmax_plus >= n + 1
-        adiabatic_eigenstate_transport(space, params, sched, (2, 0))
+        # sector 3 needs nmax_plus >= 3
+        adiabatic_eigenstate_transport(space, params, loop, (2, 0))
     with pytest.raises(ValueError):
-        adiabatic_eigenstate_transport(space, params, sched, (0, 2))
+        adiabatic_eigenstate_transport(space, params, loop, (0, 2))
     with pytest.raises(ValueError):
-        adiabatic_eigenstate_transport(space, params, sched, (0, 0), branch="top")
+        adiabatic_eigenstate_transport(space, params, loop, (0, 0), branch="top")
+    with pytest.raises(ValueError, match="sector 3"):
+        # (4, 2) holds |2,1,1> and |1,2,1> but cuts their sector 3, which
+        # lacks |1,0,3>; its phases there (+2.37 / -1.88 rad at 6 ms) are
+        # not the complete sector's (+1.2154 / -0.3607)
+        dressed_phase_pair(
+            make_space(4, 2), params, lasso_path(math.pi, 6.0), (1, 1)
+        )
 
 
 def test_transport_raises_on_fast_sweep_gap_violation():
     # A loop traversed in a fraction of a flip period sweeps angles far
-    # faster than the protective gap, and the precheck must refuse to run.
+    # faster than the protective gap, and the transport must refuse to run.
     space = make_space(2, 1)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 0.004), effective_coupling=params.lam)
     with pytest.raises(DegeneracyError, match="sweep rate"):
-        adiabatic_eigenstate_transport(space, params, sched, (0, 0))
+        adiabatic_eigenstate_transport(
+            space, params, lasso_path(math.pi, 0.004), (0, 0)
+        )
+
+
+def _tilted_loop():
+    # no leg of this loop runs along a meridian or a circle of latitude
+    knots = [(0.3, 0.2), (1.4, 1.1), (2.2, 3.9), (0.9, 5.0), (0.3, 0.2 + 2 * math.pi)]
+    return piecewise_path(knots, [1.0, 2.0, 1.5, 1.0])
+
+
+@pytest.mark.parametrize("shape", ["lasso", "tilted"])
+def test_gap_rule_is_exact_at_the_threshold(shape):
+    # At default parameters the vacuum doublet's gap is lam.  The lasso's
+    # peak rate is its azimuth sweep, 2 pi / (T / 2), so T = 1.2 ms puts
+    # ten times the peak rate exactly at lam; the tilted loop is rescaled
+    # to the same point.  A relative step of 1e-6 either way decides.
+    space = make_space(2, 1)
+    params = default_params()
+    if shape == "lasso":
+        t_edge = 1.2
+        make = lambda t: lasso_path(math.pi, t)
+    else:
+        base = _tilted_loop()
+        t_edge = base.total_time * 10.0 * base.max_rate / params.lam
+        make = lambda t: rescaled_path(base, t)
+    with pytest.raises(DegeneracyError, match="sweep rate"):
+        adiabatic_eigenstate_transport(
+            space, params, make(t_edge * (1 - 1e-6)), (0, 0), dt=t_edge / 200
+        )
+    loop = make(t_edge * (1 + 1e-6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonCyclicWarning)
+        reading = adiabatic_eigenstate_transport(
+            space, params, loop, (0, 0), dt=t_edge / 200
+        )
+    assert reading.metadata["min_gap"] == pytest.approx(params.lam, rel=1e-12)
+    assert 10.0 * loop.max_rate < reading.metadata["min_gap"]
+
+
+def _scanned_gap(space, params, loop, k, eigenvalue) -> float:
+    """Smallest gap of the tracked level over a sampled scan of the loop."""
+    factory = HamiltonianFactory(space, params, excitation_sector_indices(space, k))
+    sched = make_schedule(loop, samples_per_leg=33)
+    gap = math.inf
+    for theta, phi in zip(sched.thetas, sched.phis):
+        w = np.linalg.eigvalsh(factory.dense(float(theta), float(phi)))
+        tracked = w[np.argmin(np.abs(w - eigenvalue))]
+        others = w[np.abs(w - tracked) > 1e-12]
+        gap = min(gap, float(np.min(np.abs(others - tracked))))
+    return gap
+
+
+_angle = st.floats(0.0, math.pi)
+_azimuth = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    knots=st.lists(st.tuples(_angle, _azimuth), min_size=3, max_size=4),
+    rates=st.lists(st.floats(0.5, 3.5), min_size=5, max_size=5),
+    doublet=st.sampled_from([(0, 0), (1, 0), (0, 1)]),
+    branch=st.sampled_from(["upper", "lower"]),
+)
+def test_min_gap_equals_a_sampled_scan_of_the_loop(knots, rates, doublet, branch):
+    # In a complete sector the spectrum is the same at every point of the
+    # sphere, so the gap read at the first knot is the gap along any loop,
+    # tilted legs included.  The oracle scans >= 64 points of the loop.
+    params = default_params()
+    k = doublet[0] + 1 + doublet[1]
+    space = make_space(k, k)
+    points = [*knots, knots[0]]
+    # each leg sweeps at most 3.5 rad/ms: ten times that stays below the
+    # smallest tracked gap of these doublets (40 rad/ms in sector 2)
+    durations = [
+        max(math.hypot(tb - ta, pb - pa), 0.1) / rate
+        for (ta, pa), (tb, pb), rate in zip(points, points[1:], rates)
+    ]
+    loop = piecewise_path(points, durations)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonCyclicWarning)
+        reading = adiabatic_eigenstate_transport(
+            space, params, loop, doublet, branch, dt=loop.total_time / 20
+        )
+    scanned = _scanned_gap(space, params, loop, k, reading.metadata["eigenvalue"])
+    assert reading.metadata["min_gap"] == pytest.approx(scanned, rel=1e-9)
+
+
+def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
+    # one eigendecomposition selects the branch and reads the gap, then one
+    # per step; no sampled eigenvalue scan runs
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    loop = lasso_path(math.pi, 6.0)
+    adiabatic_eigenstate_transport(
+        make_space(2, 1), default_params(), loop, (0, 0), "upper",
+        dt=loop.total_time / 2000,
+    )
+    assert calls == {"eigh": 2001, "eigvalsh": 0}
 
 
 # ---------------------------------------------------------------------------
