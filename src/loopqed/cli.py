@@ -155,29 +155,29 @@ def _float_list(key: str, raw: str, sep: str = ",") -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully parsed and validated run configuration."""
+    """Parsed, validated run configuration; built by _build_config from _DEFAULTS."""
 
-    g_khz: float = 50.0
-    omega_khz: float = 50.0
-    delta_ratio: float = 3.0
-    nmax_plus: int = 4
-    tail_tol: float = 1e-3
-    gamma: float = math.pi
-    loop_knots: tuple[tuple[float, float], ...] = ()
-    loop_leg_times: tuple[float, ...] = ()
-    loop_time_ms: float = 6.0
-    cavity_kind: str = "fock"
-    cavity_photons: int = 0
-    cavity_alpha: float = 0.0
-    xi_points: int = 33
-    mode: str = "full"
-    dt_ms: float | None = None
-    round_flips: bool = True
-    out_dir: str = "runs"
-    alphas: tuple[float, ...] = (0.0, 0.5)
-    time_ladder_ms: tuple[float, ...] = (0.6, 1.2, 2.4)
-    doublets: tuple[tuple[int, int], ...] = ((0, 0),)
-    branch: str = "both"
+    g_khz: float
+    omega_khz: float
+    delta_ratio: float
+    nmax_plus: int
+    tail_tol: float
+    gamma: float
+    loop_knots: tuple[tuple[float, float], ...]
+    loop_leg_times: tuple[float, ...]
+    loop_time_ms: float
+    cavity_kind: str
+    cavity_photons: int
+    cavity_alpha: float
+    xi_points: int
+    mode: str
+    dt_ms: float | None
+    round_flips: bool
+    out_dir: str
+    alphas: tuple[float, ...]
+    time_ladder_ms: tuple[float, ...]
+    doublets: tuple[tuple[int, int], ...]
+    branch: str
 
     def __post_init__(self):
         if self.g_khz <= 0 or self.omega_khz <= 0:

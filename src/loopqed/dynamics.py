@@ -22,13 +22,14 @@ states written in the sector-complete box of their highest sector
 (hilbert.embed_state), so its lasso legs are all exact; the stepped
 meridian remains for callers that pass an incomplete box.
 
-evolve steps a sampled Schedule with the midpoint stepper: each step
-freezes the Hamiltonian at the step's midpoint angles and applies its
-exact unitary exponential, so every step is exactly unitary and phase
-extraction downstream is never polluted by integrator norm error.  The
-time-ordering error falls as dt**2, which the exact legs of evolve_loop
-pin down.  A constant schedule takes a single eigendecomposition and
-advances from one sample to the next with one exponential.
+The midpoint stepper freezes the Hamiltonian at each step's midpoint
+angles and applies its exact unitary exponential, so every step is exactly
+unitary and phase extraction downstream is never polluted by integrator
+norm error.  The time-ordering error falls as dt**2, which the exact legs
+of evolve_loop pin down.  evolve steps a sampled Schedule, taking the
+midpoints from its interpolation; a stepped leg of evolve_loop and the
+dressed-branch transport step straight legs, whose midpoints lie at equal
+fractions of the leg.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Sampled history of one propagation run.
 
-    times are absolute schedule times (ms); amplitudes[k] is the state at
+    times are schedule times (ms) from 0; amplitudes[k] is the state at
     times[k].  step_stats records the step size used, the number of steps
     and the worst sampled norm drift.
     """
@@ -72,8 +73,6 @@ class Trajectory:
     times: np.ndarray
     amplitudes: np.ndarray
     space: SpaceConfig
-    params: ModelParams
-    schedule: Schedule
     step_stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -120,10 +119,8 @@ def evolve(
     params: ModelParams,
     dt: float | None = None,
     sample_stride: int | None = None,
-    t_start: float = 0.0,
-    t_end: float | None = None,
 ) -> Trajectory:
-    """Propagate a state along (part of) a schedule.
+    """Propagate a state along a schedule with the midpoint stepper.
 
     Only the excitation sectors in which the initial state has amplitude
     are stepped; the recorded amplitudes of every other sector are exactly
@@ -132,19 +129,18 @@ def evolve(
     Parameters
     ----------
     initial : StateVector
-        State at t_start.
+        State at t = 0.
     schedule : Schedule
-        Polarization angles versus time; evaluated by linear interpolation.
+        Polarization angles versus time; evaluated by linear interpolation
+        at each step's midpoint.
     params : ModelParams
     dt : float, optional
         Target step in ms.  Default: schedule duration / 20000.  The actual
-        step divides the propagation window evenly and is never larger than
-        the target.
+        step divides the schedule evenly and is never larger than the
+        target.
     sample_stride : int, optional
         Record every sample_stride-th step (the initial and final states are
         always recorded).  Default keeps roughly 512 samples.
-    t_start, t_end : float
-        Window of the schedule to propagate over; defaults to the whole.
 
     Returns
     -------
@@ -156,11 +152,8 @@ def evolve(
         If amplitudes become non-finite or the norm drifts beyond 1e-8;
         the message reports the offending step and time.
     """
-    if t_end is None:
-        t_end = schedule.duration
-    if t_end < t_start:
-        raise ValueError(f"t_end {t_end} precedes t_start {t_start}")
-    steps = _resolve_steps(t_end - t_start, schedule.duration, dt)
+    duration = schedule.duration
+    steps = _resolve_steps(duration, duration, dt)
     if sample_stride is None:
         sample_stride = max(1, steps // 512)
     if sample_stride < 1:
@@ -170,7 +163,7 @@ def evolve(
     _, rows = _sector_rows(initial)
     factory = HamiltonianFactory(space, params, rows)
 
-    rec_times = [t_start]
+    rec_times = [0.0]
     rec_amps = [initial.amplitudes.astype(complex)]
 
     def record(t_now, v, psi):
@@ -179,13 +172,12 @@ def evolve(
         rec_times.append(t_now)
         rec_amps.append(full[:-1])
 
-    _, stats = _propagate(
-        np.append(initial.amplitudes, 0.0)[rows], factory.dense, schedule,
-        t_start, t_end, steps, sample_stride, record,
+    h = duration / steps if steps else 0.0
+    _, stats = _step(
+        np.append(initial.amplitudes, 0.0)[rows], factory.dense,
+        schedule.angles_at((np.arange(steps) + 0.5) * h), h, sample_stride, record,
     )
-    return Trajectory(
-        np.array(rec_times), np.array(rec_amps), space, params, schedule, stats
-    )
+    return Trajectory(np.array(rec_times), np.array(rec_amps), space, stats)
 
 
 def _sector_rows(initial: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -305,17 +297,9 @@ def evolve_loop(
         else:
             route = "stepped"
             steps = _resolve_steps(dur, loop.total_time, dt)
-            sched = Schedule(
-                np.array([0.0, dur]), np.array([th_a, th_b]), np.array([ph_a, ph_b])
+            psi = _step_leg(
+                psi, factory.dense, loop, leg - 1, steps, steps, lambda *_: None
             )
-            try:
-                psi, _ = _propagate(
-                    psi, factory.dense, sched, 0.0, dur, steps, steps, lambda *_: None
-                )
-            except IntegrationError as exc:
-                raise IntegrationError(
-                    f"leg {leg} ({route}, from t = {t_leg:.6g} ms): {exc}"
-                ) from exc
             stats["steps"] += steps
         stats["stepped_legs" if route == "stepped" else "exact_legs"] += 1
         t_leg += dur
@@ -339,46 +323,54 @@ def _check_state(psi, where: str) -> float:
     return drift
 
 
-def _propagate(psi, dense, schedule, t_start, t_end, steps, stride, on_sample):
-    """Step psi from t_start to t_end; the package's one stepping loop.
+def _step(psi, dense, mid_angles, h, stride, on_sample):
+    """Midpoint-step psi; the package's one stepping loop.
 
     psi is an (S, d) stack of sector amplitudes and dense(theta, phi)
-    returns the matching (S, d, d) stack of Hamiltonian blocks.  Each of
-    the `steps` equal steps applies the exact exponential V exp(-i w h) V^H
-    of the blocks frozen at the step's midpoint angles, from one batched
-    eigendecomposition of the whole stack per step.  A constant schedule
-    takes a single eigendecomposition in all and advances from one sample
-    to the next with one exponential exp(-i w n h) for the n steps in
-    between; the step count, the sample times and the checks are the same
-    as stepping.  After every stride-th step and after the last, the
-    amplitudes are checked and on_sample(t, v, psi) receives the time, the
-    (S, d, d) eigenvectors and the state.  Returns the final amplitudes and
-    the step_stats dict of Trajectory.
+    returns the matching (S, d, d) stack of Hamiltonian blocks.  mid_angles
+    is the pair of arrays (theta, phi) at the midpoints of equal steps of h
+    ms.  Each step applies the exact exponential V exp(-i w h) V^H of the
+    blocks frozen at its midpoint, from one batched eigendecomposition of
+    the whole stack.  After every stride-th step and after the last, the
+    amplitudes are checked and on_sample(t, v, psi) receives the time from
+    the first step's start, the (S, d, d) eigenvectors and the state.
+    Returns the final amplitudes and the step_stats dict of Trajectory.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the step and time.
     """
-    h = (t_end - t_start) / steps if steps else 0.0
-    th_mid, ph_mid = schedule.angles_at(t_start + (np.arange(steps) + 0.5) * h)
-    constant = schedule.max_rate == 0.0
-    if constant:
-        ends = [*range(stride, steps, stride), steps] if steps else []
-    else:
-        ends = range(1, steps + 1)
+    th_mid, ph_mid = mid_angles
+    steps = len(th_mid)
+    phase = -1j * h
     max_drift = abs(np.linalg.norm(psi) - 1.0)
-    done = 0
-    for end in ends:
-        n = end - done
-        if done == 0 or not constant:
-            w, v = np.linalg.eigh(dense(float(th_mid[done]), float(ph_mid[done])))
-        psi = _rotate(v, np.exp(w * (-1j * n * h)), psi)
-        done = end
+    for end, (th, ph) in enumerate(zip(th_mid.tolist(), ph_mid.tolist()), 1):
+        w, v = np.linalg.eigh(dense(th, ph))
+        psi = _rotate(v, np.exp(w * phase), psi)
         if end % stride == 0 or end == steps:
-            t_now = t_start + end * h
+            t_now = end * h
             where = f"at step {end} (t = {t_now:.6g} ms)"
             max_drift = max(max_drift, _check_state(psi, where))
             on_sample(t_now, v, psi)
     return psi, {"dt": h, "steps": steps, "max_norm_drift": max_drift}
+
+
+def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
+    """Midpoint-step psi along leg `leg` (from 0) of a loop, in `steps` equal steps.
+
+    A leg is straight in (theta, phi), so the step midpoints lie at equal
+    fractions of it; stride and on_sample are _step's.  Returns the final
+    amplitudes, and re-raises an IntegrationError with the leg named.
+    """
+    fracs = (np.arange(steps) + 0.5) / steps
+    mid_angles = tuple(a + fracs * (b - a) for a, b in zip(*loop.knots[leg:leg + 2]))
+    h = loop.durations[leg] / steps
+    try:
+        return _step(psi, dense, mid_angles, h, stride, on_sample)[0]
+    except IntegrationError as exc:
+        t_leg = sum(loop.durations[:leg])
+        raise IntegrationError(
+            f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
+        ) from exc
 
 
 def brute_force_evolve(
@@ -389,9 +381,9 @@ def brute_force_evolve(
 ) -> StateVector:
     """Independent reference propagator: scipy expm per midpoint-frozen step.
 
-    Shares no stepping code with evolve (no eigendecomposition, no constant
-    fast path), so agreement between the two is a genuine cross-check.
-    Intended for small spaces only.
+    Shares no stepping code with evolve (no eigendecomposition), so
+    agreement between the two is a genuine cross-check.  Intended for small
+    spaces only.
     """
     from scipy.linalg import expm
 

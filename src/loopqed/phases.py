@@ -6,10 +6,11 @@ Conventions used throughout (and relied on by the tests):
   arg<initial|final>, and its magnitude is the cyclicity.
 * The dynamical phase removed is -E0 T, which is what a twin run with the
   drive polarization frozen at its starting point gives an eigenstate.
-  Geometric phase is the wrapped difference.  Transport runs step with
-  dynamics' stepper inside the doublet's excitation sector, which must be
-  complete; there the spectrum is the same at every point of the sphere,
-  so the tracked level's gap is exact and constant along any loop.
+  Geometric phase is the wrapped difference.  Transport runs step the
+  loop leg by leg with dynamics' midpoint stepper, ceil(leg / dt) steps a
+  leg, inside the doublet's excitation sector, which must be complete;
+  there the spectrum is the same at every point of the sphere, so the
+  tracked level's gap is exact and constant along any loop.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -37,8 +38,8 @@ import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
-from .poincare_path import PathSpec, make_schedule, reversed_path
-from .dynamics import _propagate, _resolve_steps
+from .poincare_path import PathSpec, reversed_path
+from .dynamics import _resolve_steps, _step_leg
 
 __all__ = [
     "PhaseReading",
@@ -147,9 +148,11 @@ def adiabatic_eigenstate_transport(
 
     The run starts in the eigenstate of H at the loop's first knot that
     belongs to the (n, m) doublet (the one spanned by |2,n,m> and
-    |1,n+1,m>) on the requested branch, propagates it with dynamics'
-    midpoint-frozen exact steps restricted to its excitation sector, and
-    decomposes the Pancharatnam phase into dynamical and geometric parts.
+    |1,n+1,m>) on the requested branch, propagates it leg by leg with
+    dynamics' midpoint-frozen exact steps restricted to its excitation
+    sector (ceil(leg duration / dt) steps a leg; dt defaults to the loop
+    duration / 20000), and decomposes the Pancharatnam phase into dynamical
+    and geometric parts.
 
     The doublet's sector k = n + 1 + m must be complete (k <= min(nmax_plus,
     nmax_minus)).  There H at every point of the sphere is unitarily
@@ -178,9 +181,10 @@ def adiabatic_eigenstate_transport(
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
 
     sector = excitation_sector_indices(space, k)
-    factory = HamiltonianFactory(space, params, sector)
+    # the sector is the stepper's one block: a stack of S = 1
+    factory = HamiltonianFactory(space, params, [sector])
     theta0, phi0 = loop.knots[0]
-    h0 = factory.dense(float(theta0), float(phi0))
+    h0 = factory.dense(float(theta0), float(phi0))[0]
     w0, v0, col = _select_doublet_branch(h0, sector, space, n, m, branch)
     e0 = float(w0[col])
     others = w0[np.abs(w0 - e0) > 1e-12]
@@ -191,10 +195,8 @@ def adiabatic_eigenstate_transport(
             f"{GAP_FACTOR:.0f}x the peak sweep rate {loop.max_rate:.4g} rad/ms"
         )
 
-    # legs are straight in (theta, phi), so the knots alone interpolate them
-    schedule = make_schedule(loop, samples_per_leg=2)
-    duration = schedule.duration
-    steps = _resolve_steps(duration, duration, dt)
+    leg_steps = [_resolve_steps(dur, loop.total_time, dt) for dur in loop.durations]
+    stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
     min_fidelity = 1.0
 
     def track(t_now, v, psi):
@@ -206,17 +208,14 @@ def adiabatic_eigenstate_transport(
         overlaps = v[0].conj().T @ psi[0]
         min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
-    # the sector is the stepper's one block: a stack of S = 1
-    psi, _ = _propagate(
-        v0[None], lambda theta, phi: factory.dense(theta, phi)[None], schedule,
-        0.0, duration, steps, max(1, steps // FIDELITY_SAMPLES), track,
-    )
-    psi = psi[0]
+    psi = v0[None]
+    for leg, steps in enumerate(leg_steps):
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, track)
 
-    ov = complex(np.vdot(v0, psi))
+    ov = complex(np.vdot(v0, psi[0]))
     cyclicity = abs(ov)
     total = float(np.angle(ov))
-    dynamical = -e0 * duration
+    dynamical = -e0 * loop.total_time
     if cyclicity < DEFAULT_CYCLICITY_FLOOR:
         warnings.warn(
             f"transport run cyclicity {cyclicity:.6f} below floor "
@@ -231,7 +230,7 @@ def adiabatic_eigenstate_transport(
         "min_gap": min_gap,
         "min_adiabatic_fidelity": min_fidelity,
         "dynamical_phase_reference": dynamical,
-        "duration": duration,
+        "duration": loop.total_time,
     }
     return PhaseReading(
         total_phase=total,

@@ -10,7 +10,7 @@ the pole.  It encloses 2 pi (1 - cos theta0), and its time splits 1:2:1
 over the three legs (LASSO_LEG_FRACTIONS).
 
 Schedules sample a PathSpec uniformly in time per leg and interpolate
-linearly; the propagator steps along them.
+linearly; dynamics.evolve steps along them.
 """
 
 from __future__ import annotations
@@ -214,16 +214,6 @@ class Schedule:
         phi = np.interp(t, self.times, self.phis)
         return theta, phi
 
-    @property
-    def max_rate(self) -> float:
-        """Peak finite-difference speed sqrt(dtheta^2 + dphi^2)/dt over samples."""
-        if self.times.size < 2:
-            return 0.0
-        dt = np.diff(self.times)
-        dth = np.diff(self.thetas)
-        dph = np.diff(self.phis)
-        return float(np.max(np.hypot(dth, dph) / dt))
-
 
 def make_schedule(
     spec: PathSpec,
@@ -255,25 +245,19 @@ def make_schedule(
         thetas.append(th_a + fracs * (th_b - th_a))
         phis.append(ph_a + fracs * (ph_b - ph_a))
         t0 += dur
-    sched = Schedule(*(np.concatenate(part) for part in (times, thetas, phis)))
     meta = {"max_rate": spec.max_rate}
     if effective_coupling is not None and effective_coupling > 0:
         meta["adiabaticity_ratio"] = spec.max_rate / effective_coupling
-    object.__setattr__(sched, "metadata", meta)
-    return sched
+    return Schedule(*(np.concatenate(part) for part in (times, thetas, phis)), meta)
 
 
 def frozen_schedule(theta: float, phi: float, duration: float) -> Schedule:
     """Constant-polarization schedule of the given duration (duration >= 0)."""
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    if duration == 0.0:
-        times = np.array([0.0])
-        return Schedule(times, np.array([theta]), np.array([phi]), {"max_rate": 0.0})
-    times = np.array([0.0, duration])
-    sched = Schedule(times, np.array([theta, theta]), np.array([phi, phi]))
-    object.__setattr__(sched, "metadata", {"max_rate": 0.0})
-    return sched
+    size = 1 if duration == 0.0 else 2
+    times = np.array([0.0, duration][:size])
+    return Schedule(times, np.full(size, theta), np.full(size, phi), {"max_rate": 0.0})
 
 
 def solid_angle(spec: PathSpec) -> float:

@@ -428,13 +428,21 @@ def test_full_mode_runs_are_byte_identical(tmp_path, capsys):
 
 def test_run_path_never_imports_scipy(tmp_path):
     # scipy serves only brute_force_evolve and excitation_operator; importing
-    # the CLI and running fringe (vacuum, and coherent through the re-embedding
-    # into its complete box), ideal alpha-sweep and dressed-phases must not
-    # load it
+    # the CLI and running fringe (vacuum, coherent through the re-embedding
+    # into its complete box, and a tilted loop whose legs are stepped), ideal
+    # alpha-sweep and dressed-phases must not load it.  Nor does any of them
+    # build a Schedule: stepped legs and the transport take their midpoints
+    # from the loop's legs
     coherent = {**FAST_FULL, "nmax_plus": 3, "cavity": "coherent:0.5"}
+    tilted = {
+        **FAST_FULL,
+        "loop_knots": "0:0;1.0:0.5;1.0:2.5;0:3.0",
+        "loop_leg_times": "0.15;0.3;0.15",
+    }
     runs = [
         ("fringe", write_cfg(tmp_path, name="full.cfg", xi_points=16, **FAST_FULL)),
         ("fringe", write_cfg(tmp_path, name="coherent.cfg", xi_points=16, **coherent)),
+        ("fringe", write_cfg(tmp_path, name="tilted.cfg", xi_points=16, **tilted)),
         ("alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
         ("dressed-phases", write_cfg(
             tmp_path, name="dressed.cfg", nmax_plus=1,
@@ -444,6 +452,9 @@ def test_run_path_never_imports_scipy(tmp_path):
     script = "\n".join([
         "import sys",
         "from loopqed.cli import main",
+        "from loopqed.poincare_path import Schedule",
+        "def refuse(self): raise AssertionError('a Schedule was built')",
+        "Schedule.__post_init__ = refuse",
         *(f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
           for cmd, cfg in runs),
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",

@@ -97,23 +97,6 @@ def test_dt_validation():
         evolve(fock_state(space, 1, 0, 0), frozen_schedule(0, 0, 1.0), params, dt=-1.0)
 
 
-def test_evolution_composes():
-    # evolving 0 -> T equals evolving 0 -> T/2 then T/2 -> T with the same dt
-    space = make_space(2, 1)
-    params = default_params()
-    sched = make_schedule(lasso_path(1.0, 0.8), samples_per_leg=64)
-    st = fock_state(space, 2, 0, 0)
-    dt = 0.8 / 8000
-    full = evolve(st, sched, params, dt=dt)
-    first = evolve(st, sched, params, dt=dt, t_end=0.4)
-    second = evolve(
-        first.final_state, sched, params, dt=dt, t_start=0.4, t_end=0.8
-    )
-    np.testing.assert_allclose(
-        second.amplitudes[-1], full.amplitudes[-1], atol=1e-9
-    )
-
-
 def _three_sector_state(space):
     # |1,0,0> + |2,0,0> + |1,1,1>: excitation sectors 0, 1 and 2
     amps = sum(
@@ -176,9 +159,9 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
 
 
 def test_frozen_schedule_advances_sample_to_sample():
-    # a constant schedule jumps between samples with exp(-i w n h); the
-    # result is the exact propagator, with the step count and sample times
-    # of stepping one step at a time
+    # every midpoint of a constant schedule is the same point, so stepping
+    # composes the exact propagator, with the stepper's step count and
+    # sample times
     space = make_space(1, 1)
     params = default_params()
     theta, phi, T = 0.7, 0.3, 0.12

@@ -308,7 +308,10 @@ def test_min_gap_equals_a_sampled_scan_of_the_loop(knots, rates, doublet, branch
 
 def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
     # one eigendecomposition selects the branch and reads the gap, then one
-    # per step; no sampled eigenvalue scan runs
+    # per step; no sampled eigenvalue scan runs.  Each leg takes
+    # ceil(leg / dt) steps: dt = 0.0009 ms cuts the 1.5, 3 and 1.5 ms legs
+    # of the 6 ms lasso into 1667 + 3334 + 1667 steps, where a single count
+    # over the whole loop would give ceil(6 / 0.0009) = 6667
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -319,11 +322,12 @@ def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     loop = lasso_path(math.pi, 6.0)
-    adiabatic_eigenstate_transport(
-        make_space(2, 1), default_params(), loop, (0, 0), "upper",
-        dt=loop.total_time / 2000,
-    )
-    assert calls == {"eigh": 2001, "eigvalsh": 0}
+    for dt, eigh_calls in ((loop.total_time / 2000, 2001), (0.0009, 6669)):
+        calls.update(eigh=0, eigvalsh=0)
+        adiabatic_eigenstate_transport(
+            make_space(2, 1), default_params(), loop, (0, 0), "upper", dt=dt
+        )
+        assert calls == {"eigh": eigh_calls, "eigvalsh": 0}
 
 
 # ---------------------------------------------------------------------------

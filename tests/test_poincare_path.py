@@ -162,11 +162,11 @@ def test_schedule_max_rate_and_adiabaticity():
     loop = lasso_path(math.pi, 8.0)
     sched = make_schedule(loop, samples_per_leg=64, effective_coupling=100.0)
     # the azimuth sweep dominates: dphi/dt = 2*pi / 4.0
-    assert sched.max_rate == pytest.approx(TWO_PI / 4.0)
+    assert sched.metadata["max_rate"] == pytest.approx(TWO_PI / 4.0)
     assert sched.metadata["adiabaticity_ratio"] == pytest.approx(TWO_PI / 400.0)
     # rate scales inversely with loop time
     slow = make_schedule(rescaled_path(loop, 80.0), samples_per_leg=64)
-    assert slow.max_rate == pytest.approx(TWO_PI / 40.0)
+    assert slow.metadata["max_rate"] == pytest.approx(TWO_PI / 40.0)
 
 
 def test_path_max_rate_is_exact_per_leg():
@@ -203,7 +203,7 @@ def test_schedule_validation():
 
 def test_frozen_schedule():
     sched = frozen_schedule(0.3, 1.2, 5.0)
-    assert sched.max_rate == 0.0
+    assert sched.metadata == {"max_rate": 0.0}
     theta, phi = sched.angles_at(2.5)
     assert (theta, phi) == (0.3, 1.2)
     # zero-duration freeze is allowed (used for instantaneous references)
