@@ -74,6 +74,7 @@ from .ramsey import (
     close_and_detect,
     fit_fringe,
     run_experiment,
+    run_batch,
     p2_vacuum_formula,
     p2_coherent_formula,
     formula_fringe_shift,
@@ -126,6 +127,7 @@ __all__ = [
     "close_and_detect",
     "fit_fringe",
     "run_experiment",
+    "run_batch",
     "p2_vacuum_formula",
     "p2_coherent_formula",
     "formula_fringe_shift",

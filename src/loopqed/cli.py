@@ -68,7 +68,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .hilbert import TruncationError, coherent_mode_coefficients, make_space
+from .hilbert import TruncationError, make_space
 from .model import ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
 from .dynamics import IntegrationError
@@ -125,9 +125,12 @@ _DEFAULTS: dict[str, str] = {
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"field {key!r}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"field {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _to_int(key: str, raw: str) -> int:
@@ -514,16 +517,14 @@ def cmd_alpha_sweep(
     base = config.ramsey_config()
     gamma = solid_angle(base.loop)
 
-    # each amplitude's truncation is checked up front, so the sweep itself
-    # runs once over the whole grid and checks its loop once
-    for alpha in alpha_list:
-        try:
-            coherent_mode_coefficients(alpha, base.space.nmax_plus, base.cavity.tail_tol)
-        except TruncationError as exc:
-            raise ConfigError(
-                f"alpha-sweep: truncation inadequate for alpha = {alpha}: {exc}"
-            ) from exc
-    results = effective_shift_vs_alpha(alpha_list, gamma, config.mode, base)
+    # the batch checks every amplitude's truncation before it runs, so a
+    # failure leaves no CSV behind
+    try:
+        results = effective_shift_vs_alpha(alpha_list, gamma, config.mode, base)
+    except TruncationError as exc:
+        raise ConfigError(
+            f"alpha-sweep: truncation inadequate for alpha = {exc.alpha}: {exc}"
+        ) from exc
     rows = [
         [
             _fmt(r.alpha),

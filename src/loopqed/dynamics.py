@@ -1,13 +1,15 @@
 """Norm-preserving propagation of the model along polarization loops.
 
 H conserves total excitation, so propagation works on a stack of sector
-blocks: the state is an (S, d) array with one row per excitation sector,
-and each Hamiltonian is the (S, d, d) stack of H's blocks on those
-sectors, diagonalized with one batched eigendecomposition.  Rows of
-smaller sectors are padded to the largest width d with states whose rows
-and columns of H are exactly zero and whose amplitudes start at zero.
-Only the sectors the initial state occupies are propagated, so the others
-stay exactly zero; the dressed-branch transport steps its single sector.
+blocks: the state is an (S, d, B) array with one row per excitation sector
+and one column per state of a batch, and each Hamiltonian is the (S, d, d)
+stack of H's blocks on those sectors, diagonalized with one batched
+eigendecomposition that serves every state of the batch.  Rows of smaller
+sectors are padded to the largest width d with states whose rows and
+columns of H are exactly zero and whose amplitudes start at zero.  Only
+the sectors some initial state occupies are propagated, so the others stay
+exactly zero; the dressed-branch transport steps its single sector, a
+(1, d, 1) stack.
 
 evolve_loop propagates along the legs of a PathSpec.  Each lasso leg has a
 time-independent generator in a rotating frame, so it is exact:
@@ -167,31 +169,32 @@ def evolve(
     rec_amps = [initial.amplitudes.astype(complex)]
 
     def record(t_now, v, psi):
-        full = np.zeros(space.dim + 1, dtype=complex)
-        full[rows] = psi
         rec_times.append(t_now)
-        rec_amps.append(full[:-1])
+        rec_amps.append(_scatter(psi, rows, space)[0])
 
     h = duration / steps if steps else 0.0
     _, stats = _step(
-        np.append(initial.amplitudes, 0.0)[rows], factory.dense,
+        _gather(initial, rows), factory.dense,
         schedule.angles_at((np.arange(steps) + 0.5) * h), h, sample_stride, record,
     )
+    stats["max_norm_drift"] = float(stats["max_norm_drift"][0])
     return Trajectory(np.array(rec_times), np.array(rec_amps), space, stats)
 
 
 def _sector_rows(initial: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied excitation sectors of a state and their padded index rows.
+    """Occupied excitation sectors of a state or batch and their padded index rows.
 
-    Returns the sorted sector numbers and an (S, d) array holding one row
-    of flat indices per occupied sector, padded with space.dim, the
-    factory's zero state; amplitudes get a zero slot at that index.  An
-    all-zero state gives a (0, 0) stack, which the norm guard rejects.
+    Returns the sorted sector numbers some state occupies and an (S, d)
+    array holding one row of flat indices per occupied sector, padded with
+    space.dim, the factory's zero state; amplitudes get a zero slot at that
+    index.  An all-zero state gives a (0, 0) stack, which the norm guard
+    rejects.
     """
     space = initial.space
     n_exc = basis_labels(space).sum(axis=0)
+    held = np.any(initial.amplitudes.reshape(-1, space.dim) != 0, axis=0)
     # np.bincount, not np.unique, which imports numpy.ma on first use
-    occupied = np.flatnonzero(np.bincount(n_exc[initial.amplitudes != 0]))
+    occupied = np.flatnonzero(np.bincount(n_exc[held]))
     blocks = [np.flatnonzero(n_exc == k) for k in occupied]
     width = max((b.size for b in blocks), default=0)
     rows = np.array(
@@ -201,6 +204,21 @@ def _sector_rows(initial: StateVector) -> tuple[np.ndarray, np.ndarray]:
     return occupied, rows
 
 
+def _gather(initial: StateVector, rows: np.ndarray) -> np.ndarray:
+    """The (S, d, B) stack of a state's amplitudes on the sector rows (B = 1
+    for a single state)."""
+    amps = initial.amplitudes.reshape(-1, initial.space.dim)
+    padded = np.concatenate([amps, np.zeros((amps.shape[0], 1))], axis=1)
+    return padded[:, rows].transpose(1, 2, 0)
+
+
+def _scatter(psi: np.ndarray, rows: np.ndarray, space: SpaceConfig) -> np.ndarray:
+    """The (B, dim) amplitudes of an (S, d, B) stack; inverse of _gather."""
+    full = np.zeros((psi.shape[-1], space.dim + 1), dtype=complex)
+    full[:, rows] = psi.transpose(2, 0, 1)
+    return full[:, :-1]
+
+
 def _exp_apply(generator, duration, psi):
     """exp(-i G duration) psi per block, from one eigendecomposition of G."""
     w, v = np.linalg.eigh(generator)
@@ -208,9 +226,13 @@ def _exp_apply(generator, duration, psi):
 
 
 def _rotate(v, phases, psi):
-    """V diag(phases) V^H psi per block of an (S, d) stack."""
-    c = (psi[:, None, :] @ v.conj())[:, 0]
-    return (v @ (phases * c)[:, :, None])[:, :, 0]
+    """V diag(phases) V^H psi per block of an (S, d, B) stack.
+
+    V^H psi is taken as (psi^T conj(V))^T, so a batch of one goes through
+    the same vector-matrix products as a lone state.
+    """
+    c = (psi.swapaxes(-1, -2) @ v.conj()).swapaxes(-1, -2)
+    return v @ (phases[..., None] * c)
 
 
 def evolve_loop(
@@ -219,8 +241,11 @@ def evolve_loop(
     params: ModelParams,
     dt: float | None = None,
 ) -> LoopRun:
-    """Propagate a state once around a loop, leg by leg.
+    """Propagate a state, or a batch of states, once around a loop, leg by leg.
 
+    A batch (amplitudes of shape (B, dim)) is propagated as one (S, d, B)
+    stack over the sectors any of its states occupies, so each leg costs
+    the same eigendecompositions for the whole batch as for one state.
     Each straight leg runs at constant (theta', phi') and takes one route:
 
     * azimuth (constant theta), exact in any truncation: one
@@ -244,7 +269,7 @@ def evolve_loop(
     Parameters
     ----------
     initial : StateVector
-        State at the loop's first knot.
+        State, or batch of states, at the loop's first knot.
     loop : PathSpec
     params : ModelParams
     dt : float, optional
@@ -253,12 +278,15 @@ def evolve_loop(
     Returns
     -------
     LoopRun
+        Its final_state has the shape of initial, and its max_norm_drift
+        is a float for one state and a (B,) array for a batch.
 
     Raises
     ------
     IntegrationError
-        If amplitudes become non-finite or the norm drifts beyond 1e-8
-        after any leg; the message names the leg.
+        If any state's amplitudes become non-finite or its norm drifts
+        beyond 1e-8 after any leg; the message names the leg, and for a
+        batch the state.
     """
     if dt is not None and dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -270,8 +298,8 @@ def evolve_loop(
     complete = occupied.size == 0 or occupied[-1] <= min(
         space.nmax_plus, space.nmax_minus
     )
-    psi = np.append(initial.amplitudes, 0.0)[rows]
-    max_drift = abs(np.linalg.norm(psi) - 1.0)
+    psi = _gather(initial, rows)
+    max_drift = _norm_drift(psi)
     k_mat = None
     stats = {"exact_legs": 0, "stepped_legs": 0, "steps": 0}
     t_leg = 0.0
@@ -282,15 +310,15 @@ def evolve_loop(
             route = "azimuth"
             n_minus = m[..., :, None] * np.eye(m.shape[-1])
             generator = factory.dense(th_a, ph_a) - (d_ph / dur) * n_minus
-            psi = np.exp(-1j * d_ph * m) * _exp_apply(generator, dur, psi)
+            psi = np.exp(-1j * d_ph * m)[..., None] * _exp_apply(generator, dur, psi)
         elif d_ph == 0.0 and complete:
             route = "meridian"
             if k_mat is None:
                 k_mat = factory.mode_rotation()
                 k_w, k_v = np.linalg.eigh(k_mat)
             # frame at azimuth phi: K_phi = R K R^H with R = exp(-i phi N-)
-            rot = np.exp(-1j * ph_a * m)
-            k_phi = rot[..., :, None] * k_mat * rot.conj()[..., None, :]
+            rot = np.exp(-1j * ph_a * m)[..., None]
+            k_phi = rot * k_mat * rot.conj().swapaxes(-1, -2)
             generator = factory.dense(th_a, ph_a) - (d_th / dur) * k_phi
             psi = _exp_apply(generator, dur, psi)
             psi = rot * _rotate(k_v, np.exp(-1j * d_th * k_w), rot.conj() * psi)
@@ -304,21 +332,34 @@ def evolve_loop(
         stats["stepped_legs" if route == "stepped" else "exact_legs"] += 1
         t_leg += dur
         where = f"after leg {leg} ({route}, t = {t_leg:.6g} ms)"
-        max_drift = max(max_drift, _check_state(psi, where))
-    full = np.zeros(space.dim + 1, dtype=complex)
-    full[rows] = psi
-    stats["max_norm_drift"] = float(max_drift)
-    return LoopRun(StateVector(full[:-1], space, normalized=True), stats)
+        max_drift = np.maximum(max_drift, _check_state(psi, where))
+    final = _scatter(psi, rows, space)
+    batched = initial.amplitudes.ndim == 2
+    stats["max_norm_drift"] = max_drift if batched else float(max_drift[0])
+    return LoopRun(
+        StateVector(final if batched else final[0], space, normalized=True), stats
+    )
 
 
-def _check_state(psi, where: str) -> float:
-    """Norm drift of psi; raises IntegrationError if it is broken there."""
-    if not np.all(np.isfinite(psi)):
-        raise IntegrationError(f"non-finite amplitudes {where}")
-    drift = abs(np.linalg.norm(psi) - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+def _norm_drift(psi) -> np.ndarray:
+    """|norm - 1| of each state of an (S, d, B) stack, a (B,) array."""
+    return np.abs(np.sqrt(np.sum(np.abs(psi) ** 2, axis=(0, 1))) - 1.0)
+
+
+def _check_state(psi, where: str) -> np.ndarray:
+    """Per-state norm drift of an (S, d, B) stack; raises IntegrationError
+    if any state is broken there, naming it when the batch has more than one."""
+    batched = psi.shape[-1] > 1
+    finite = np.all(np.isfinite(psi), axis=(0, 1))
+    if not finite.all():
+        which = f" in batch state {np.argmin(finite)}" if batched else ""
+        raise IntegrationError(f"non-finite amplitudes{which} {where}")
+    drift = _norm_drift(psi)
+    worst = int(np.argmax(drift))
+    if drift[worst] > NORM_DRIFT_LIMIT:
+        which = f" in batch state {worst}" if batched else ""
         raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT} {where}"
+            f"norm drift {drift[worst]:.3e} exceeds {NORM_DRIFT_LIMIT}{which} {where}"
         )
     return drift
 
@@ -326,7 +367,7 @@ def _check_state(psi, where: str) -> float:
 def _step(psi, dense, mid_angles, h, stride, on_sample):
     """Midpoint-step psi; the package's one stepping loop.
 
-    psi is an (S, d) stack of sector amplitudes and dense(theta, phi)
+    psi is an (S, d, B) stack of sector amplitudes and dense(theta, phi)
     returns the matching (S, d, d) stack of Hamiltonian blocks.  mid_angles
     is the pair of arrays (theta, phi) at the midpoints of equal steps of h
     ms.  Each step applies the exact exponential V exp(-i w h) V^H of the
@@ -334,7 +375,8 @@ def _step(psi, dense, mid_angles, h, stride, on_sample):
     the whole stack.  After every stride-th step and after the last, the
     amplitudes are checked and on_sample(t, v, psi) receives the time from
     the first step's start, the (S, d, d) eigenvectors and the state.
-    Returns the final amplitudes and the step_stats dict of Trajectory.
+    Returns the final amplitudes and the step_stats dict of Trajectory, whose
+    max_norm_drift is per state, a (B,) array.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the step and time.
@@ -342,14 +384,14 @@ def _step(psi, dense, mid_angles, h, stride, on_sample):
     th_mid, ph_mid = mid_angles
     steps = len(th_mid)
     phase = -1j * h
-    max_drift = abs(np.linalg.norm(psi) - 1.0)
+    max_drift = _norm_drift(psi)
     for end, (th, ph) in enumerate(zip(th_mid.tolist(), ph_mid.tolist()), 1):
         w, v = np.linalg.eigh(dense(th, ph))
         psi = _rotate(v, np.exp(w * phase), psi)
         if end % stride == 0 or end == steps:
             t_now = end * h
             where = f"at step {end} (t = {t_now:.6g} ms)"
-            max_drift = max(max_drift, _check_state(psi, where))
+            max_drift = np.maximum(max_drift, _check_state(psi, where))
             on_sample(t_now, v, psi)
     return psi, {"dt": h, "steps": steps, "max_norm_drift": max_drift}
 

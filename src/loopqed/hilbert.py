@@ -42,7 +42,14 @@ DEFAULT_TAIL_TOL = 1e-3
 
 
 class TruncationError(ValueError):
-    """Raised when a requested state does not fit the photon cutoffs."""
+    """Raised when a requested state does not fit the photon cutoffs.
+
+    alpha is the coherent amplitude at fault, when a coherent state is.
+    """
+
+    def __init__(self, message: str, alpha: complex | None = None):
+        super().__init__(message)
+        self.alpha = alpha
 
 
 @dataclass(frozen=True)
@@ -104,10 +111,12 @@ def basis_labels(space: SpaceConfig) -> np.ndarray:
 
 @dataclass
 class StateVector:
-    """Complex amplitude vector over a SpaceConfig.
+    """Complex amplitude vector over a SpaceConfig, or a batch of them.
 
-    `normalized` records whether the vector is meant to be unit norm.  When
-    True the constructor enforces it within 1e-10; intermediates that are not
+    amplitudes is (dim,) for one state or (B, dim) for a batch of B states
+    in the same space, one per row.  `normalized` records whether each
+    vector is meant to be unit norm.  When True the constructor enforces it
+    within 1e-10 (a non-finite norm fails too); intermediates that are not
     unit norm must be created with normalized=False.
     """
 
@@ -117,19 +126,25 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.space.dim,):
+        if amps.ndim not in (1, 2) or amps.shape[-1] != self.space.dim:
             raise ValueError(
                 f"amplitude shape {amps.shape} does not match space dim {self.space.dim}"
             )
         self.amplitudes = amps
         if self.normalized:
-            nrm = float(np.linalg.norm(amps))
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"state flagged normalized has norm {nrm!r}")
+            nrm = np.atleast_1d(np.linalg.norm(amps, axis=-1))
+            # written so that a NaN norm fails too
+            bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)
+            if bad.any():
+                raise ValueError(
+                    f"state flagged normalized has norm {float(nrm[bad][0])!r}"
+                )
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self):
+        """The norm: a float for one state, a (B,) array for a batch."""
+        nrm = np.linalg.norm(self.amplitudes, axis=-1)
+        return float(nrm) if nrm.ndim == 0 else nrm
 
 
 @dataclass
@@ -166,9 +181,10 @@ def embed_state(state: StateVector, space: SpaceConfig) -> StateVector:
 
     Each amplitude moves to the flat index of its (level, n, m) in space;
     labels absent there must carry zero amplitude, else TruncationError.
+    A batch keeps its rows.
     """
     level, n, m = basis_labels(state.space)
-    held = state.amplitudes != 0
+    held = np.any(state.amplitudes.reshape(-1, state.space.dim) != 0, axis=0)
     if np.any(n[held] > space.nmax_plus) or np.any(m[held] > space.nmax_minus):
         raise TruncationError(
             f"state occupies photon numbers beyond the cutoffs "
@@ -178,8 +194,8 @@ def embed_state(state: StateVector, space: SpaceConfig) -> StateVector:
     index = np.ravel_multi_index(
         (level[held], n[held], m[held]), (2, space.nmax_plus + 1, space.nmax_minus + 1)
     )
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[index] = state.amplitudes[held]
+    amps = np.zeros(state.amplitudes.shape[:-1] + (space.dim,), dtype=complex)
+    amps[..., index] = state.amplitudes[..., held]
     return StateVector(amps, space, normalized=state.normalized)
 
 
@@ -191,36 +207,55 @@ def fock_state(space: SpaceConfig, level: int, n: int, m: int) -> StateVector:
 
 
 def coherent_mode_coefficients(
-    alpha: complex, nmax: int, tail_tol: float = DEFAULT_TAIL_TOL
+    alpha, nmax: int, tail_tol=DEFAULT_TAIL_TOL
 ) -> np.ndarray:
     """Renormalized truncated coherent amplitudes for a single mode.
 
     Returns c[0..nmax] with c_n proportional to e^{-|alpha|^2/2} alpha^n /
-    sqrt(n!), rescaled to unit norm.  Raises TruncationError when the
-    probability mass beyond nmax reaches tail_tol.
+    sqrt(n!), rescaled to unit norm.  alpha may also be a sequence of
+    amplitudes, with tail_tol one tolerance or one for each; the result then
+    has one row of coefficients per amplitude.  Raises ValueError on a
+    non-finite amplitude, and TruncationError, naming the first amplitude
+    at fault, when the probability mass beyond nmax reaches tail_tol.
     """
-    tail = coherent_tail_mass(alpha, nmax)
-    if tail >= tail_tol:
-        raise TruncationError(
-            f"coherent state alpha={alpha} leaves tail mass {tail:.3e} beyond "
-            f"nmax={nmax} (tail_tol={tail_tol:.1e}); enlarge the space"
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    values = np.array(alphas, dtype=complex)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(
+            f"coherent amplitude must be finite, got {alphas[np.argmin(finite)]}"
         )
-    # stable recurrence c_{k+1} = c_k * alpha / sqrt(k+1)
-    coeffs = np.zeros(nmax + 1, dtype=complex)
-    coeffs[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    tails = coherent_tail_mass(values, nmax)
+    tols = np.broadcast_to(tail_tol, tails.shape)
+    over = tails >= tols
+    if over.any():
+        i = int(np.argmax(over))
+        raise TruncationError(
+            f"coherent state alpha={alphas[i]} leaves tail mass {tails[i]:.3e} beyond "
+            f"nmax={nmax} (tail_tol={tols[i]:.1e}); enlarge the space",
+            alphas[i],
+        )
+    # stable recurrence c_{k+1} = c_k * alpha / sqrt(k+1), one amplitude a row
+    coeffs = np.zeros((len(alphas), nmax + 1), dtype=complex)
+    coeffs[:, 0] = [math.exp(-abs(a) ** 2 / 2.0) for a in alphas]
     for k in range(nmax):
-        coeffs[k + 1] = coeffs[k] * alpha / math.sqrt(k + 1)
-    kept = float(np.sum(np.abs(coeffs) ** 2))
-    return coeffs / math.sqrt(kept)
+        coeffs[:, k + 1] = coeffs[:, k] * values / math.sqrt(k + 1)
+    kept = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    coeffs /= np.sqrt(kept)[:, None]
+    return coeffs if np.ndim(alpha) else coeffs[0]
 
 
-def coherent_tail_mass(alpha: complex, nmax: int) -> float:
-    """Poisson probability mass beyond nmax for amplitude alpha."""
-    lam = abs(alpha) ** 2
-    kept = 0.0
-    term = math.exp(-lam)
+def coherent_tail_mass(alpha, nmax: int):
+    """Poisson probability mass beyond nmax for amplitude alpha.
+
+    alpha may be an array of amplitudes, giving an array of tails.  A
+    non-finite amplitude gives NaN.
+    """
+    lam = np.abs(np.asarray(alpha)) ** 2
+    kept = np.zeros_like(lam)
+    term = np.exp(-lam)
     for k in range(nmax + 1):
         kept += term
         term *= lam / (k + 1)
-    return max(0.0, 1.0 - kept)
-
+    tail = np.maximum(0.0, 1.0 - kept)
+    return float(tail) if tail.ndim == 0 else tail

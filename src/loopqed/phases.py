@@ -205,14 +205,14 @@ def adiabatic_eigenstate_transport(
         # adiabatic fidelity (phase-smoothness gauge is implicit in taking
         # magnitudes only)
         nonlocal min_fidelity
-        overlaps = v[0].conj().T @ psi[0]
+        overlaps = v[0].conj().T @ psi[0, :, 0]
         min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
-    psi = v0[None]
+    psi = v0[None, :, None]
     for leg, steps in enumerate(leg_steps):
         psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, track)
 
-    ov = complex(np.vdot(v0, psi[0]))
+    ov = complex(np.vdot(v0, psi[0, :, 0]))
     cyclicity = abs(ov)
     total = float(np.angle(ov))
     dynamical = -e0 * loop.total_time
@@ -288,7 +288,8 @@ def ideal_phase_map(state: StateVector, gamma: float) -> StateVector:
 
     The overall ground state |1,0,0> is untouched.  These assignments make
     a symmetric atomic superposition with any photon distribution in mode
-    "+" reproduce the closed-form detection fringes exactly.
+    "+" reproduce the closed-form detection fringes exactly.  A batch of
+    states is mapped row by row with the same diagonal.
     """
     level, n, m = basis_labels(state.space)
     phase = 0.5 * gamma * np.where(

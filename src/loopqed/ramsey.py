@@ -38,6 +38,22 @@ which gives the caliber fringe P2(xi) = (1 + cos xi)/2, and a state whose
 Fringes are fitted to offset + amplitude * cos(xi - phase) by linear least
 squares, so a positive fitted shift equals the phase advance chi of the
 |2> component.
+
+Detection in closed form.  With a1 and a2 the level-1 and level-2 halves of
+the amplitudes, the pulse maps a2 to (e^{i xi} a1 + a2)/sqrt 2, so
+
+    P2(xi) = (sum |a1|^2 + sum |a2|^2)/2 + Re(e^{i xi} sum a1 conj(a2))
+
+Detection therefore takes two sums per state and never forms the pulsed
+amplitudes at every xi, whose (B, xi, dim/2) array would outweigh the
+state stack itself.
+
+Batches.  prepare, close_and_detect, fit_fringe and the phase map take a
+leading batch axis of states, and dynamics.evolve_loop propagates a batch
+with the eigendecompositions of one state.  run_batch runs one experiment
+for many cavity inputs on that axis, and run_experiment is its batch of
+one, so a sweep over amplitudes is one pass through the pipeline per
+propagation box, not one per amplitude.
 """
 
 from __future__ import annotations
@@ -71,6 +87,7 @@ __all__ = [
     "close_and_detect",
     "fit_fringe",
     "run_experiment",
+    "run_batch",
     "p2_vacuum_formula",
     "p2_coherent_formula",
     "formula_fringe_shift",
@@ -166,64 +183,96 @@ class RamseyResult:
     metadata: dict = field(default_factory=dict)
 
 
-def prepare(space: SpaceConfig, cavity: CavityInput) -> StateVector:
-    """(|1> + |2>)/sqrt 2 on the atom, the chosen field in mode "+", vacuum in "-"."""
-    if cavity.kind == "fock":
-        if cavity.photon_number > space.nmax_plus:
+def prepare(space: SpaceConfig, cavity) -> StateVector:
+    """(|1> + |2>)/sqrt 2 on the atom, the chosen field in mode "+", vacuum in "-".
+
+    cavity is one CavityInput, giving one state, or a sequence of them,
+    giving a (B, dim) batch with one row per input.  The coherent inputs'
+    truncation tails are checked together, and the first that does not fit
+    raises TruncationError naming its amplitude.
+    """
+    cavities = [cavity] if isinstance(cavity, CavityInput) else list(cavity)
+    coeffs = np.zeros((len(cavities), space.nmax_plus + 1), dtype=complex)
+    coherent = []
+    for row, cav in enumerate(cavities):
+        if cav.kind == "coherent":
+            coherent.append(row)
+        elif cav.photon_number > space.nmax_plus:
             raise ValueError(
-                f"photon_number {cavity.photon_number} exceeds nmax_plus {space.nmax_plus}"
+                f"photon_number {cav.photon_number} exceeds nmax_plus {space.nmax_plus}"
             )
-        coeffs = np.zeros(space.nmax_plus + 1, dtype=complex)
-        coeffs[cavity.photon_number] = 1.0
-    else:
-        coeffs = coherent_mode_coefficients(
-            cavity.alpha, space.nmax_plus, cavity.tail_tol
+        else:
+            coeffs[row, cav.photon_number] = 1.0
+    if coherent:
+        coeffs[coherent] = coherent_mode_coefficients(
+            [cavities[row].alpha for row in coherent],
+            space.nmax_plus,
+            [cavities[row].tail_tol for row in coherent],
         )
-    amps = np.zeros(space.dim, dtype=complex)
+    amps = np.zeros((len(cavities), space.dim), dtype=complex)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(space.nmax_plus + 1):
-        amps[state_index(space, 1, k, 0)] = coeffs[k] * inv_sqrt2
-        amps[state_index(space, 2, k, 0)] = coeffs[k] * inv_sqrt2
-    return StateVector(amps, space)
+    for level in (1, 2):
+        index = [state_index(space, level, k, 0) for k in range(space.nmax_plus + 1)]
+        amps[:, index] = coeffs * inv_sqrt2
+    return StateVector(amps[0] if isinstance(cavity, CavityInput) else amps, space)
 
 
 def close_and_detect(state: StateVector, xi):
     """Apply the closing pulse with relative phase xi; return P(level 2).
 
     The pulse acts on the atom only (identity on both modes) with the
-    convention in the module docstring; the detection sums |amplitude|^2
-    over every photon sector of level 2.  xi may be a scalar (a float is
-    returned) or an array of phases (an array of the same shape).
+    convention in the module docstring, and the detection sums
+    |amplitude|^2 over every photon sector of level 2.  That sum has the
+    closed form
+
+        P2(xi) = (sum |a1|^2 + sum |a2|^2)/2 + Re(e^{i xi} sum a1 conj(a2))
+
+    over the level-1 and level-2 halves a1, a2 of the amplitudes, so each
+    state costs two sums whatever the number of phases.  xi may be a
+    scalar or an array of phases: one state gives a float or an array of
+    xi's shape, a batch of B states a (B,) + xi.shape array.
     """
+    amps = state.amplitudes
     half = state.space.dim // 2
-    a1 = state.amplitudes[:half]
-    a2 = state.amplitudes[half:]
-    xi = np.asarray(xi, dtype=float)[..., None]
-    phase = np.cos(xi) + 1j * np.sin(xi)
-    new2 = (phase * a1 + a2) / math.sqrt(2.0)
-    p2 = np.clip(np.sum(np.abs(new2) ** 2, axis=-1), 0.0, 1.0)
+    weight = 0.5 * np.sum(np.abs(amps) ** 2, axis=-1)
+    cross = np.sum(amps[..., :half] * amps[..., half:].conj(), axis=-1)
+    xi = np.asarray(xi, dtype=float)
+    per_xi = (...,) + (None,) * xi.ndim
+    p2 = (
+        weight[per_xi]
+        + np.cos(xi) * cross.real[per_xi]
+        - np.sin(xi) * cross.imag[per_xi]
+    )
+    p2 = np.clip(p2, 0.0, 1.0)
     return float(p2) if p2.ndim == 0 else p2
 
 
-def fit_fringe(xi: np.ndarray, p2: np.ndarray) -> FringeFit:
+def fit_fringe(xi: np.ndarray, p2: np.ndarray):
     """Fit offset + amplitude cos(xi - phase) by linear least squares.
 
     The cosine is expanded over the basis {1, cos xi, sin xi}, making the
     fit a linear problem; amplitude is reported nonnegative and residual is
-    the largest absolute deviation of the fit from the data.
+    the largest absolute deviation of the fit from the data.  p2 may be a
+    (B, len(xi)) array of fringes, fitted together as one least-squares
+    problem with B right-hand sides; a list of B fits is then returned.
     """
     xi = np.asarray(xi, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if xi.size < 3 or xi.size != p2.size:
+    if xi.ndim != 1 or xi.size < 3 or p2.ndim not in (1, 2) or p2.shape[-1] != xi.size:
         raise ValueError("fringe fit needs matching xi/p2 arrays of length >= 3")
     design = np.column_stack([np.ones_like(xi), np.cos(xi), np.sin(xi)])
-    coef, *_ = np.linalg.lstsq(design, p2, rcond=None)
-    offset, c_cos, c_sin = (float(c) for c in coef)
-    amplitude = math.hypot(c_cos, c_sin)
-    phase = math.atan2(c_sin, c_cos) if amplitude > 0 else 0.0
-    model = design @ coef
-    residual = float(np.max(np.abs(model - p2))) if xi.size else 0.0
-    return FringeFit(offset=offset, amplitude=amplitude, phase=phase, residual=residual)
+    coef, *_ = np.linalg.lstsq(design, p2.T, rcond=None)
+    residual = np.max(np.abs(design @ coef - p2.T), axis=0)
+    fits = []
+    for (offset, c_cos, c_sin), res in zip(
+        coef.T.reshape(-1, 3).tolist(), np.ravel(residual).tolist()
+    ):
+        amplitude = math.hypot(c_cos, c_sin)
+        phase = math.atan2(c_sin, c_cos) if amplitude > 0 else 0.0
+        fits.append(
+            FringeFit(offset=offset, amplitude=amplitude, phase=phase, residual=res)
+        )
+    return fits if p2.ndim == 2 else fits[0]
 
 
 def _round_to_flips(tau: float, params: ModelParams) -> tuple[float, int]:
@@ -249,6 +298,24 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     propagation_box (the (nmax_plus, nmax_minus) cutoffs the arms ran in),
     and under loop_propagation (None in ideal mode) each arm's exact and
     stepped leg counts, steps taken and worst norm drift.
+
+    This is run_batch with the one input config.cavity.
+    """
+    return run_batch(config, [config.cavity])[0]
+
+
+def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
+    """Run the interferometer of config once per cavity input, as one batch.
+
+    Returns one result per input, in order, each what run_experiment gives
+    for that input alone (to the last bits of rounding): config.cavity is
+    replaced, everything else is shared.  Every stage takes the whole batch
+    at once.  prepare builds one (B, dim) stack.  In full mode the inputs
+    are grouped by the box (K, K) their prepared states need, and each
+    group is one state stack for evolve_loop, so each arm costs one
+    eigendecomposition per leg for the group.  In ideal mode the batch is
+    one group in config.space.  Detection runs once per arm and group, and
+    one least-squares solve fits every fringe of both arms.
     """
     params = config.params
     gamma = solid_angle(config.loop)
@@ -258,78 +325,100 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
         tau, flips = _round_to_flips(tau, params)
     loop = rescaled_path(config.loop, tau)
     ratio = loop.max_rate / params.lam if params.lam > 0 else None
-    prep = prepare(config.space, config.cavity)
+    prep = prepare(config.space, cavities)
+    batch = prep.amplitudes.shape[0]
 
-    flags: list[str] = []
-    propagation = None
-    box = (config.space.nmax_plus, config.space.nmax_minus)
     if config.mode == "full":
-        # sector k holds at most k photons per mode, so the box (K, K) of
-        # the highest occupied sector K holds every occupied sector whole
-        top = int(basis_labels(prep.space).sum(axis=0)[prep.amplitudes != 0].max())
-        box = (top, top)
-        prep = embed_state(prep, make_space(*box))
-        loop_run = evolve_loop(prep, loop, params, dt=config.dt)
-        # the caliber arm is one zero-rate leg at the loop's first knot
-        frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
-        caliber_run = evolve_loop(prep, frozen, params, dt=config.dt)
-        state_loop, state_caliber = loop_run.final_state, caliber_run.final_state
-        propagation = {"loop": loop_run.stats, "caliber": caliber_run.stats}
+        # sector k holds at most k photons per mode, so the box (K, K) of a
+        # state's highest occupied sector K holds its every occupied sector
+        # whole; the states sharing a box propagate together
+        n_exc = basis_labels(prep.space).sum(axis=0)
+        tops = np.where(prep.amplitudes != 0, n_exc, 0).max(axis=1)
+        groups = [
+            (np.flatnonzero(tops == top), (int(top), int(top)))
+            for top in np.flatnonzero(np.bincount(tops))
+        ]
     else:
-        state_loop = ideal_phase_map(prep, gamma)
-        state_caliber = prep
+        box = (config.space.nmax_plus, config.space.nmax_minus)
+        groups = [(np.arange(batch), box)]
 
-    # Phase-insensitive return fidelity: the loop is supposed to imprint
-    # phases on the prepared components, so the cyclicity diagnostic compares
-    # only the magnitude profiles (1 exactly when no population moved).
-    cyc_loop = float(
-        np.sum(np.abs(prep.amplitudes) * np.abs(state_loop.amplitudes))
-    )
-    cyc_caliber = float(
-        np.sum(np.abs(prep.amplitudes) * np.abs(state_caliber.amplitudes))
-    )
+    # [arm, row]: arm 0 is the loop arm, arm 1 the caliber arm
+    p2 = np.empty((2, batch, config.xi_grid.size))
+    cyclicity = np.empty((2, batch))
+    boxes: list = [None] * batch
+    propagation: list = [None] * batch
+    for rows, box in groups:
+        start = StateVector(prep.amplitudes[rows], prep.space)
+        if config.mode == "full":
+            start = embed_state(start, make_space(*box))
+            loop_run = evolve_loop(start, loop, params, dt=config.dt)
+            # the caliber arm is one zero-rate leg at the loop's first knot
+            frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
+            caliber_run = evolve_loop(start, frozen, params, dt=config.dt)
+            arms = (loop_run.final_state, caliber_run.final_state)
+            runs = {"loop": loop_run, "caliber": caliber_run}
+        else:
+            arms = (ideal_phase_map(start, gamma), start)
+            runs = None
+        for arm, state in enumerate(arms):
+            # Phase-insensitive return fidelity: the loop is supposed to
+            # imprint phases on the prepared components, so the cyclicity
+            # diagnostic compares only the magnitude profiles (1 exactly
+            # when no population moved).
+            cyclicity[arm, rows] = np.sum(
+                np.abs(start.amplitudes) * np.abs(state.amplitudes), axis=-1
+            )
+            p2[arm, rows] = close_and_detect(state, config.xi_grid)
+        for j, row in enumerate(rows):
+            boxes[row] = box
+            if runs is not None:
+                # the leg and step counts are shared, the norm drift is per state
+                propagation[row] = {}
+                for name, run in runs.items():
+                    drift = float(run.stats["max_norm_drift"][j])
+                    propagation[row][name] = {**run.stats, "max_norm_drift": drift}
 
-    p2_loop = close_and_detect(state_loop, config.xi_grid)
-    p2_caliber = close_and_detect(state_caliber, config.xi_grid)
-    loop_fit = fit_fringe(config.xi_grid, p2_loop)
-    caliber_fit = fit_fringe(config.xi_grid, p2_caliber)
-    fitted_shift = wrap_phase(loop_fit.phase - caliber_fit.phase)
-    fit_residual = max(loop_fit.residual, caliber_fit.residual)
-
-    if config.mode == "full" and ratio is not None and ratio > ADIABATICITY_FLAG_RATIO:
-        flags.append("non-adiabatic")
-    if fit_residual > FIT_RESIDUAL_FLAG:
-        flags.append("poor-fit")
-    if config.mode == "full" and cyc_loop < CYCLICITY_FLOOR:
-        flags.append("non-cyclic")
-
-    metadata = {
-        "gamma": gamma,
-        "tau_used_ms": tau,
-        "rabi_flips": flips,
-        "mode": config.mode,
-        "cavity_kind": config.cavity.kind,
-        "alpha": config.cavity.alpha if config.cavity.kind == "coherent" else None,
-        "photon_number": (
-            config.cavity.photon_number if config.cavity.kind == "fock" else None
-        ),
-        "adiabaticity_ratio": ratio,
-        "cyclicity_loop": cyc_loop,
-        "cyclicity_caliber": cyc_caliber,
-        "flags": flags,
-        "loop_propagation": propagation,
-        "propagation_box": box,
-    }
-    return RamseyResult(
-        xi_grid=config.xi_grid,
-        p2_loop=p2_loop,
-        p2_caliber=p2_caliber,
-        loop_fit=loop_fit,
-        caliber_fit=caliber_fit,
-        fitted_shift=fitted_shift,
-        fit_residual=fit_residual,
-        metadata=metadata,
-    )
+    fits = fit_fringe(config.xi_grid, p2.reshape(2 * batch, config.xi_grid.size))
+    results = []
+    for row, cavity in enumerate(cavities):
+        loop_fit, caliber_fit = fits[row], fits[batch + row]
+        fit_residual = max(loop_fit.residual, caliber_fit.residual)
+        cyc_loop, cyc_caliber = cyclicity[:, row].tolist()
+        flags: list[str] = []
+        if config.mode == "full" and ratio is not None and ratio > ADIABATICITY_FLAG_RATIO:
+            flags.append("non-adiabatic")
+        if fit_residual > FIT_RESIDUAL_FLAG:
+            flags.append("poor-fit")
+        if config.mode == "full" and cyc_loop < CYCLICITY_FLOOR:
+            flags.append("non-cyclic")
+        metadata = {
+            "gamma": gamma,
+            "tau_used_ms": tau,
+            "rabi_flips": flips,
+            "mode": config.mode,
+            "cavity_kind": cavity.kind,
+            "alpha": cavity.alpha if cavity.kind == "coherent" else None,
+            "photon_number": cavity.photon_number if cavity.kind == "fock" else None,
+            "adiabaticity_ratio": ratio,
+            "cyclicity_loop": cyc_loop,
+            "cyclicity_caliber": cyc_caliber,
+            "flags": flags,
+            "loop_propagation": propagation[row],
+            "propagation_box": boxes[row],
+        }
+        results.append(
+            RamseyResult(
+                xi_grid=config.xi_grid,
+                p2_loop=p2[0, row],
+                p2_caliber=p2[1, row],
+                loop_fit=loop_fit,
+                caliber_fit=caliber_fit,
+                fitted_shift=wrap_phase(loop_fit.phase - caliber_fit.phase),
+                fit_residual=fit_residual,
+                metadata=metadata,
+            )
+        )
+    return results
 
 
 def p2_vacuum_formula(gamma: float) -> float:
@@ -387,8 +476,10 @@ def effective_shift_vs_alpha(
 ) -> list[AlphaSweepRow]:
     """Fringe shift versus coherent amplitude on a common lasso loop.
 
-    Each amplitude runs one experiment with a coherent cavity input; the
-    formula columns come from the closed forms.  The dark-point simulation
+    The amplitudes run as one batch (run_batch) of coherent cavity inputs,
+    so the sweep prepares, maps or propagates, detects and fits once per
+    propagation box rather than once per amplitude; the formula columns
+    come from the closed forms.  The dark-point simulation
     column evaluates the loop curve at the caliber fringe's dark point
     (xi = caliber phase + pi), where the closed forms apply.
 
@@ -408,17 +499,13 @@ def effective_shift_vs_alpha(
     loop = base.loop
     if abs(solid_angle(loop) - gamma) > 1e-12:
         loop = lasso_path(gamma, base.loop.total_time)
+    cavities = [
+        CavityInput(kind="coherent", alpha=alpha, tail_tol=base.cavity.tail_tol)
+        for alpha in alpha_grid
+    ]
+    results = run_batch(replace(base, loop=loop, mode=mode), cavities)
     rows = []
-    for alpha in alpha_grid:
-        cfg = replace(
-            base,
-            loop=loop,
-            mode=mode,
-            cavity=CavityInput(
-                kind="coherent", alpha=alpha, tail_tol=base.cavity.tail_tol
-            ),
-        )
-        result = run_experiment(cfg)
+    for alpha, result in zip(alpha_grid, results):
         dark_xi = float(result.caliber_fit.phase + math.pi)
         p2_dark = close_and_detect_curve_value(result, dark_xi)
         rows.append(

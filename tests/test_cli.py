@@ -259,8 +259,8 @@ def test_inadequate_truncation_names_the_failing_alpha(tmp_path, capsys):
 
 
 def test_alpha_sweep_checks_its_loop_once(tmp_path, capsys, monkeypatch):
-    # one solid angle for the header and the lasso check, and one per
-    # amplitude inside run_experiment
+    # one solid angle for the header and the lasso check, and one for the
+    # whole batch of amplitudes inside run_batch
     calls = []
     real = loopqed.ramsey.solid_angle
 
@@ -273,7 +273,20 @@ def test_alpha_sweep_checks_its_loop_once(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, alphas="0,0.1,0.2", **FAST_IDEAL)
     assert main(["alpha-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert len(calls) == 2 + 3
+    assert len(calls) == 2 + 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("field", ["loop_time_ms", "g_khz", "dt_ms", "alphas"])
+def test_exit_one_on_non_finite_numbers(tmp_path, capsys, field, value):
+    # a NaN or infinite entry is refused at parsing, naming its field,
+    # before any subcommand runs or writes a row
+    cfg = write_cfg(tmp_path, **{**FAST_IDEAL, field: value})
+    out = tmp_path / "out"
+    assert main(["alpha-sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"field '{field}': expected a finite number, got '{value}'" in err
+    assert not out.exists()
 
 
 def test_exit_two_on_degenerate_transport(tmp_path, capsys):

@@ -362,6 +362,43 @@ def test_evolve_loop_guard_names_the_leg(loop, message):
         evolve_loop(st, loop, default_params())
 
 
+def test_evolve_loop_batch_matches_each_state():
+    # one stack for the batch, one eigendecomposition a leg: each state ends
+    # where it ends alone, and its norm drift is its own.  Routes follow the
+    # sectors the batch occupies, so every state here stays in the complete
+    # sectors 0-2 of the (2, 2) box
+    space = make_space(2, 2)
+    params = default_params()
+    states = [
+        fock_state(space, 2, 0, 0), _three_sector_state(space), fock_state(space, 1, 2, 0)
+    ]
+    batch = StateVector(np.array([st.amplitudes for st in states]), space)
+    for loop in (lasso_path(math.pi, 0.3), piecewise_path(
+        [(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)], [0.06, 0.06]
+    )):
+        run = evolve_loop(batch, loop, params, dt=0.12 / 400)
+        assert run.final_state.amplitudes.shape == (3, space.dim)
+        assert run.stats["max_norm_drift"].shape == (3,)
+        for k, st in enumerate(states):
+            alone = evolve_loop(st, loop, params, dt=0.12 / 400)
+            np.testing.assert_allclose(
+                run.final_state.amplitudes[k], alone.final_state.amplitudes,
+                rtol=0, atol=1e-12,
+            )
+            assert {key: v for key, v in run.stats.items() if key != "max_norm_drift"} == {
+                key: v for key, v in alone.stats.items() if key != "max_norm_drift"
+            }
+            assert run.stats["max_norm_drift"][k] <= 1e-12
+
+
+def test_evolve_loop_guard_names_the_batch_state():
+    space = make_space(1, 1)
+    good = fock_state(space, 2, 0, 0).amplitudes
+    batch = StateVector(np.array([good, 1.1 * good]), space, normalized=False)
+    with pytest.raises(IntegrationError, match=re.escape("in batch state 1 after leg 1")):
+        evolve_loop(batch, lasso_path(math.pi, 0.12), default_params())
+
+
 def test_evolve_loop_rejects_bad_dt():
     space = make_space(1, 0)
     with pytest.raises(ValueError, match="dt must be positive"):

@@ -185,3 +185,57 @@ def test_coherent_truncation_threshold_is_inclusive():
 def test_zero_alpha_equals_vacuum():
     np.testing.assert_allclose(coherent_mode_coefficients(0.0, 4), [1, 0, 0, 0, 0])
 
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.5, math.nan)])
+def test_non_finite_alpha_is_rejected(alpha):
+    # the tail of a NaN amplitude is NaN, which no tolerance check catches,
+    # so the amplitude itself is refused
+    assert math.isnan(coherent_tail_mass(math.nan, 8))
+    with pytest.raises(ValueError, match="must be finite"):
+        coherent_mode_coefficients(alpha, 8)
+    with pytest.raises(ValueError, match="must be finite"):
+        coherent_mode_coefficients([0.5, alpha], 8)
+
+
+def test_nan_norm_is_rejected():
+    space = make_space(1, 0)
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector(np.array([math.nan, 1.0, 0.0, 0.0]), space)
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector(np.array([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0]]), space)
+
+
+def test_coefficient_batch_matches_each_amplitude_bit_for_bit():
+    alphas = [0.0, 0.37, 1.0, 1.9, 2.01]
+    batch = coherent_mode_coefficients(alphas, 16)
+    assert batch.shape == (5, 17)
+    for alpha, row in zip(alphas, batch):
+        np.testing.assert_array_equal(row, coherent_mode_coefficients(alpha, 16))
+    tails = coherent_tail_mass(np.array(alphas), 16)
+    assert tails.tolist() == [coherent_tail_mass(a, 16) for a in alphas]
+
+
+def test_coefficient_batch_names_the_first_amplitude_that_does_not_fit():
+    with pytest.raises(TruncationError, match="alpha=3.0 ") as err:
+        coherent_mode_coefficients([0.1, 3.0, 4.0], 8)
+    assert err.value.alpha == 3.0
+    # one tolerance per amplitude
+    with pytest.raises(TruncationError) as err:
+        coherent_mode_coefficients([1.0, 1.0], 8, [1e-3, 1e-9])
+    assert err.value.alpha == 1.0
+
+
+def test_state_batch_holds_one_state_a_row():
+    space = make_space(1, 1)
+    rows = np.eye(space.dim)[[0, 3, 5]]
+    batch = StateVector(rows, space)
+    np.testing.assert_array_equal(batch.norm, [1.0, 1.0, 1.0])
+    moved = embed_state(batch, make_space(2, 2))
+    assert moved.amplitudes.shape == (3, make_space(2, 2).dim)
+    for row, single in zip(moved.amplitudes, rows):
+        np.testing.assert_array_equal(
+            row, embed_state(StateVector(single, space), make_space(2, 2)).amplitudes
+        )
+    with pytest.raises(ValueError):
+        StateVector(np.zeros((2, 3, space.dim)), space, normalized=False)

@@ -34,6 +34,7 @@ from loopqed.ramsey import (
     p2_coherent_formula,
     p2_vacuum_formula,
     prepare,
+    run_batch,
     run_experiment,
 )
 
@@ -143,12 +144,29 @@ def test_detect_on_a_grid_equals_scalar_calls_exactly(nmax_plus):
     space = make_space(nmax_plus, 2)
     rng = np.random.default_rng(nmax_plus)
     xi = default_xi_grid(33)
+    states = []
     for _ in range(20):
         amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
         state = StateVector(amps / np.linalg.norm(amps), space)
         curve = close_and_detect(state, xi)
         assert curve.shape == xi.shape
         assert np.array_equal(curve, [close_and_detect(state, float(x)) for x in xi])
+        # the closed form against the pulse applied at each xi
+        a1, a2 = np.split(state.amplitudes, 2)
+        pulsed = (np.exp(1j * xi)[:, None] * a1 + a2) / math.sqrt(2.0)
+        np.testing.assert_allclose(
+            curve, np.sum(np.abs(pulsed) ** 2, axis=1), rtol=0, atol=1e-15
+        )
+        states.append(state)
+    # a (B, dim) batch gives each state's curve, row by row, bit for bit
+    batch = StateVector(np.array([st.amplitudes for st in states]), space)
+    curves = close_and_detect(batch, xi)
+    assert curves.shape == (20, xi.size)
+    points = close_and_detect(batch, 0.4)
+    assert points.shape == (20,)
+    for k, state in enumerate(states):
+        assert np.array_equal(curves[k], close_and_detect(state, xi))
+        assert points[k] == close_and_detect(state, 0.4)
 
 
 def test_detect_output_clipped_to_unit_interval():
@@ -589,3 +607,109 @@ def test_adiabaticity_ladder_decreases_with_slower_loops():
     # error falls roughly like 1/T^2 over a factor-4 slowdown
     slope = math.log(errs[0] / errs[2]) / math.log(4.0)
     assert 0.8 <= slope <= 4.2
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+def test_prepare_batch_rows_equal_single_preparations():
+    space = make_space(6, 0)
+    cavities = [
+        CavityInput(kind="coherent", alpha=0.8),
+        CavityInput(kind="fock", photon_number=3),
+        CavityInput(kind="coherent", alpha=0.0),
+        CavityInput(kind="coherent", alpha=1.1, tail_tol=1e-2),
+    ]
+    batch = prepare(space, cavities)
+    assert batch.amplitudes.shape == (4, space.dim)
+    for row, cavity in zip(batch.amplitudes, cavities):
+        np.testing.assert_array_equal(row, prepare(space, cavity).amplitudes)
+
+
+def test_prepare_batch_names_the_first_amplitude_that_does_not_fit():
+    space = make_space(4, 0)
+    cavities = [CavityInput(kind="coherent", alpha=a) for a in (0.1, 3.0, 4.0)]
+    with pytest.raises(TruncationError, match="alpha=3.0 ") as err:
+        prepare(space, cavities)
+    assert err.value.alpha == 3.0
+
+
+def test_fit_fringe_batch_matches_each_row():
+    xi = default_xi_grid(33)
+    rng = np.random.default_rng(7)
+    p2 = np.array([
+        0.5 + a * np.cos(xi - ph) + 1e-3 * rng.standard_normal(xi.size)
+        for a, ph in ((0.4, 2.0), (0.1, -1.2), (0.45, 0.0), (0.3, 3.1))
+    ])
+    fits = fit_fringe(xi, p2)
+    assert len(fits) == 4
+    for fit, row in zip(fits, p2):
+        alone = fit_fringe(xi, row)
+        for name in ("offset", "amplitude", "phase", "residual"):
+            assert getattr(fit, name) == pytest.approx(getattr(alone, name), abs=1e-14)
+
+
+def _full_sweep_base():
+    # a fast full-dynamics lasso prepared at nmax_plus = 4
+    return RamseyConfig(
+        space=make_space(4, 0),
+        params=default_params(),
+        loop=lasso_path(math.pi, 0.6),
+        mode="full",
+    )
+
+
+SWEEP_ALPHAS = [0.0, 0.2, 0.4, 0.6, 0.7]
+
+
+def test_run_batch_matches_run_experiment_per_input():
+    base = _full_sweep_base()
+    cavities = [CavityInput(kind="coherent", alpha=a) for a in SWEEP_ALPHAS]
+    batch = run_batch(base, cavities)
+    assert len(batch) == len(cavities)
+    for result, cavity in zip(batch, cavities):
+        alone = run_experiment(replace(base, cavity=cavity))
+        assert np.max(np.abs(result.p2_loop - alone.p2_loop)) <= 1e-12
+        assert np.max(np.abs(result.p2_caliber - alone.p2_caliber)) <= 1e-12
+        assert abs(result.fitted_shift - alone.fitted_shift) <= 1e-12
+        assert abs(result.caliber_fit.phase - alone.caliber_fit.phase) <= 1e-12
+        md, md_alone = result.metadata, alone.metadata
+        # vacuum runs in (1, 1), every other amplitude fills sector 5
+        assert md["propagation_box"] == md_alone["propagation_box"]
+        assert md["propagation_box"] == ((1, 1) if cavity.alpha == 0 else (5, 5))
+        for key in ("flags", "alpha", "tau_used_ms", "cyclicity_loop"):
+            assert md[key] == pytest.approx(md_alone[key], abs=1e-12)
+        for arm in ("loop", "caliber"):
+            stats = md["loop_propagation"][arm]
+            stats_alone = md_alone["loop_propagation"][arm]
+            assert type(stats["max_norm_drift"]) is float
+            assert stats["max_norm_drift"] <= 1e-12
+            assert {k: v for k, v in stats.items() if k != "max_norm_drift"} == {
+                k: v for k, v in stats_alone.items() if k != "max_norm_drift"
+            }
+    assert run_batch(base, []) == []
+
+
+def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
+    base = _full_sweep_base()
+    alone = [
+        run_experiment(replace(base, cavity=CavityInput(kind="coherent", alpha=a)))
+        for a in SWEEP_ALPHAS
+    ]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rows = effective_shift_vs_alpha(SWEEP_ALPHAS, math.pi, mode="full", base=base)
+    # two boxes, (1, 1) for the vacuum and (5, 5) for the rest; each runs
+    # three lasso legs, the meridian frame K and the one-leg caliber arm
+    assert len(calls) == 2 * 5
+    for row, result in zip(rows, alone):
+        assert abs(row.shift_sim - result.fitted_shift) <= 1e-12
+        dark = close_and_detect_curve_value(result, result.caliber_fit.phase + math.pi)
+        assert abs(row.p2_dark_sim - dark) <= 1e-12
