@@ -56,7 +56,7 @@ No key sets the cutoff of the dark mode "-".  It starts in vacuum, and an
 excitation sector k holds at most k photons per mode, so a run takes its
 box from the sectors it occupies: the Ramsey subcommands prepare their
 state in (nmax_plus, 0) and full-dynamics arms propagate in the complete
-box (K, K) of the highest sector K that state occupies.
+box (K, K) of the highest sector K any prepared state occupies.
 """
 
 from __future__ import annotations

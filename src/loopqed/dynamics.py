@@ -11,18 +11,14 @@ the sectors some initial state occupies are propagated, so the others stay
 exactly zero; the dressed-branch transport steps its single sector, a
 (1, d, 1) stack.
 
-evolve_loop propagates along the legs of a PathSpec.  Each lasso leg has a
-time-independent generator in a rotating frame, so it is exact:
-an azimuth leg (constant theta) is covariant under the diagonal frame
-exp(-i phi N-) in any truncation, and a meridian leg (constant phi) under
-the mode rotation exp(-i theta K_phi) in complete sectors
+evolve_loop propagates along the legs of a PathSpec, in complete sectors
+only (hilbert.require_complete).  There each lasso leg has a time-independent
+generator in a rotating frame, so it is exact: an azimuth leg (constant
+theta) is covariant under the diagonal frame exp(-i phi N-), and a
+meridian leg (constant phi) under the mode rotation exp(-i theta K_phi)
 (HamiltonianFactory.mode_rotation).  Such a leg costs one
-eigendecomposition of its generator.  Any other leg, tilted or crossing an
-incomplete sector, is stepped with the midpoint stepper below, and the
-step size sets only those legs' accuracy.  ramsey.run_experiment passes
-states written in the sector-complete box of their highest sector
-(hilbert.embed_state), so its lasso legs are all exact; the stepped
-meridian remains for callers that pass an incomplete box.
+eigendecomposition of its generator.  A tilted leg is stepped with the
+midpoint stepper below, and the step size sets only those legs' accuracy.
 
 The midpoint stepper freezes the Hamiltonian at each step's midpoint
 angles and applies its exact unitary exponential, so every step is exactly
@@ -41,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import SpaceConfig, StateVector, basis_labels
+from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete
 from .model import HamiltonianFactory, ModelParams
 from .poincare_path import PathSpec, Schedule
 
@@ -245,26 +241,23 @@ def evolve_loop(
 
     A batch (amplitudes of shape (B, dim)) is propagated as one (S, d, B)
     stack over the sectors any of its states occupies, so each leg costs
-    the same eigendecompositions for the whole batch as for one state.
-    Each straight leg runs at constant (theta', phi') and takes one route:
+    the same eigendecompositions for the whole batch as for one state, and
+    each state ends where it would alone.  Every occupied sector must be
+    complete: write the state in hilbert.complete_box first, as
+    ramsey.run_batch does.  Each straight leg runs at constant
+    (theta', phi') and takes the route its shape sets:
 
-    * azimuth (constant theta), exact in any truncation: one
-      eigendecomposition of H(theta, phi_a) - phi' N-, then the diagonal
-      frame exp(-i dphi N-);
-    * meridian (constant phi), exact when every occupied sector is
-      complete (k <= min(nmax_plus, nmax_minus)): one eigendecomposition
-      of H(theta_a, phi) - theta' K_phi with K_phi = exp(-i phi N-) K
+    * azimuth (constant theta): one eigendecomposition of
+      H(theta, phi_a) - phi' N-, then the diagonal frame exp(-i dphi N-);
+    * meridian (constant phi): one eigendecomposition of
+      H(theta_a, phi) - theta' K_phi with K_phi = exp(-i phi N-) K
       exp(i phi N-), then the frame exp(-i dtheta K_phi); K's own
       eigendecomposition is made once per call;
-    * any other leg, including a meridian that crosses an incomplete
-      sector: the midpoint stepper, ceil(leg duration / dt) steps.  To
-      make every meridian exact, write the state in the box (K, K) of its
-      highest occupied sector K first (hilbert.embed_state), as
-      ramsey.run_experiment does.
+    * tilted (both angles change): the midpoint stepper,
+      ceil(leg duration / dt) steps.
 
     A zero-rate leg is an azimuth leg, so a frozen drive costs one
-    exponential.  Only the sectors the initial state occupies are
-    propagated.
+    exponential.
 
     Parameters
     ----------
@@ -283,6 +276,9 @@ def evolve_loop(
 
     Raises
     ------
+    TruncationError
+        If the space cuts an occupied sector; the message names the sector
+        and the box that holds it whole.
     IntegrationError
         If any state's amplitudes become non-finite or its norm drifts
         beyond 1e-8 after any leg; the message names the leg, and for a
@@ -292,12 +288,9 @@ def evolve_loop(
         raise ValueError(f"dt must be positive, got {dt}")
     space = initial.space
     occupied, rows = _sector_rows(initial)
+    require_complete(space, occupied)
     factory = HamiltonianFactory(space, params, rows)
     m = factory.minus_photons
-    # sector k is complete when both modes can hold all k of its photons
-    complete = occupied.size == 0 or occupied[-1] <= min(
-        space.nmax_plus, space.nmax_minus
-    )
     psi = _gather(initial, rows)
     max_drift = _norm_drift(psi)
     k_mat = None
@@ -311,7 +304,7 @@ def evolve_loop(
             n_minus = m[..., :, None] * np.eye(m.shape[-1])
             generator = factory.dense(th_a, ph_a) - (d_ph / dur) * n_minus
             psi = np.exp(-1j * d_ph * m)[..., None] * _exp_apply(generator, dur, psi)
-        elif d_ph == 0.0 and complete:
+        elif d_ph == 0.0:
             route = "meridian"
             if k_mat is None:
                 k_mat = factory.mode_rotation()

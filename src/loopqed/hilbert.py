@@ -10,7 +10,9 @@ This order is part of the public contract (ramsey.close_and_detect reads
 the level-1 and level-2 halves of the vector).  basis_labels gives the
 integer labels of every flat index as one table, from which the model,
 the sector maps, the ideal phase map and the re-embedding of a state into
-another space (embed_state) are all built.  Amplitudes are
+another space (embed_state) are all built.  A box (a, b) holds excitation
+sector k whole iff k <= min(a, b) (require_complete, complete_box).
+Amplitudes are
 complex numpy arrays.  OperatorMatrix holds a sparse operator; scipy is
 imported only when one is made.
 """
@@ -31,6 +33,8 @@ __all__ = [
     "state_index",
     "basis_labels",
     "embed_state",
+    "complete_box",
+    "require_complete",
     "fock_state",
     "coherent_mode_coefficients",
     "coherent_tail_mass",
@@ -197,6 +201,35 @@ def embed_state(state: StateVector, space: SpaceConfig) -> StateVector:
     amps = np.zeros(state.amplitudes.shape[:-1] + (space.dim,), dtype=complex)
     amps[..., index] = state.amplitudes[..., held]
     return StateVector(amps, space, normalized=state.normalized)
+
+
+def complete_box(state: StateVector) -> SpaceConfig:
+    """The box (K, K), K the highest excitation sector any row of state occupies.
+
+    It holds every occupied sector whole (require_complete); an all-zero
+    state gives (0, 0).
+    """
+    held = np.any(state.amplitudes.reshape(-1, state.space.dim) != 0, axis=0)
+    top = int(basis_labels(state.space).sum(axis=0)[held].max(initial=0))
+    return make_space(top, top)
+
+
+def require_complete(space: SpaceConfig, sectors) -> None:
+    """Raise TruncationError unless space holds every excitation sector whole.
+
+    sectors is one sector number or an array of them.  Sector k puts up to
+    k photons in either mode, so the box (a, b) holds it whole iff
+    k <= min(a, b).  The message names the lowest cut sector and the box
+    (K, K), K the highest sector, that holds them all.
+    """
+    sectors = np.atleast_1d(sectors)
+    cut = sectors[sectors > min(space.nmax_plus, space.nmax_minus)]
+    if cut.size:
+        top = sectors.max()
+        raise TruncationError(
+            f"excitation sector {cut.min()} is cut by the cutoffs ({space.nmax_plus}, "
+            f"{space.nmax_minus}); the box ({top}, {top}) holds every occupied sector whole"
+        )
 
 
 def fock_state(space: SpaceConfig, level: int, n: int, m: int) -> StateVector:

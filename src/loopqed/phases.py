@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import SpaceConfig, StateVector, basis_labels, state_index
+from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, reversed_path
 from .dynamics import _resolve_steps, _step_leg
@@ -163,7 +163,7 @@ def adiabatic_eigenstate_transport(
     -E0 T (the frozen-drive twin of an eigenstate reduces to its
     eigenvalue).
 
-    Raises ValueError when the space cuts the doublet's sector,
+    Raises TruncationError when the space cuts the doublet's sector,
     DegeneracyError when min_gap is not above GAP_FACTOR times the loop's
     peak sweep rate, and IntegrationError when the propagated state turns
     non-finite or loses its norm.
@@ -172,11 +172,7 @@ def adiabatic_eigenstate_transport(
     if n < 0 or m < 0:
         raise ValueError(f"doublet labels must be >= 0, got {doublet}")
     k = n + 1 + m
-    if k > min(space.nmax_plus, space.nmax_minus):
-        raise ValueError(
-            f"doublet ({n}, {m}) lives in sector {k}, which needs "
-            f"nmax_plus >= {k} and nmax_minus >= {k} to be complete"
-        )
+    require_complete(space, k)
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
 

@@ -17,14 +17,14 @@ mode it is the prepared state unchanged.
 
 Propagation.  The state is prepared in the configured space, whose
 nmax_plus sets the field's cutoff and tail check.  Full-dynamics arms then
-run in the sector-complete box (K, K), K the highest excitation sector
-the prepared state occupies (1 for vacuum, nmax_plus + 1 for a field
-filling the "+" cutoff): sector k holds at most k photons per mode, so
-every occupied sector is whole there and the "-" cutoff cuts nothing.
-Both arms follow the loop leg by leg (dynamics.evolve_loop); in complete
-sectors every lasso leg is covariant and propagated exactly, and the
-frozen caliber arm is one exponential, so the integrator step dt applies
-only to tilted legs of explicit paths.  Ideal-phase arms keep the
+run in the sector-complete box (K, K) (hilbert.complete_box), K the
+highest excitation sector the prepared states occupy (1 for vacuum,
+nmax_plus + 1 for a field filling the "+" cutoff): sector k holds at most
+k photons per mode, so every occupied sector is whole there and the "-"
+cutoff cuts nothing.  Both arms follow the loop leg by leg
+(dynamics.evolve_loop), where every lasso leg is propagated exactly and
+the frozen caliber arm is one exponential, so the integrator step dt
+applies only to tilted legs of explicit paths.  Ideal-phase arms keep the
 configured space: the phase map is diagonal and gains nothing from a box.
 
 Closing pulse convention (fixed; all shifts are caliber-relative so physics
@@ -52,8 +52,8 @@ Batches.  prepare, close_and_detect, fit_fringe and the phase map take a
 leading batch axis of states, and dynamics.evolve_loop propagates a batch
 with the eigendecompositions of one state.  run_batch runs one experiment
 for many cavity inputs on that axis, and run_experiment is its batch of
-one, so a sweep over amplitudes is one pass through the pipeline per
-propagation box, not one per amplitude.
+one, so a sweep over amplitudes is one pass through the pipeline, not one
+per amplitude.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from .hilbert import (
     DEFAULT_TAIL_TOL,
     SpaceConfig,
     StateVector,
-    basis_labels,
     coherent_mode_coefficients,
+    complete_box,
     embed_state,
     make_space,
     state_index,
@@ -140,17 +140,12 @@ class RamseyConfig:
     params: ModelParams
     loop: PathSpec
     cavity: CavityInput = field(default_factory=CavityInput)
-    tau_ms: float | None = None
     round_to_flips: bool = True
     xi_grid: np.ndarray = field(default_factory=default_xi_grid)
     mode: str = "full"
     dt: float | None = None
 
     def __post_init__(self):
-        tau = self.tau_ms if self.tau_ms is not None else self.loop.total_time
-        if tau <= 0:
-            raise ValueError(f"interaction time must be positive, got {tau}")
-        object.__setattr__(self, "tau_ms", float(tau))
         xi = np.asarray(self.xi_grid, dtype=float)
         if xi.size == 0:
             raise ValueError("xi_grid must be non-empty")
@@ -286,15 +281,16 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 
     Returns fitted fringes for the loop and caliber arms; fitted_shift is
     the wrapped difference of their fringe phases, the convention-free
-    observable.  In full mode the prepared state is re-embedded into the
-    sector-complete box (K, K) of its highest occupied sector K (see the
-    module docstring), whatever config.space.nmax_minus says, and both
-    arms go through dynamics.evolve_loop there: lasso legs are propagated
-    exactly, and config.dt sets the step only on tilted legs.  The caliber
-    arm is a single zero-rate leg, one exponential.  Ideal mode keeps
-    config.space.  Result metadata records the solid angle, the
-    interaction time actually used (after integer-flip rounding), the
-    adiabaticity ratio, arm cyclicities, any quality flags,
+    observable.  The interaction time is the loop's duration, rounded to
+    whole flips when config.round_to_flips is set.  In full mode the
+    prepared state is re-embedded into the sector-complete box (K, K) of
+    its highest occupied sector K (see the module docstring), whatever
+    config.space.nmax_minus says, and both arms go through
+    dynamics.evolve_loop there: lasso legs are propagated exactly, and
+    config.dt sets the step only on tilted legs.  The caliber arm is a
+    single zero-rate leg, one exponential.  Ideal mode keeps config.space.
+    Result metadata records the solid angle, the interaction time actually
+    used, the adiabaticity ratio, arm cyclicities, any quality flags,
     propagation_box (the (nmax_plus, nmax_minus) cutoffs the arms ran in),
     and under loop_propagation (None in ideal mode) each arm's exact and
     stepped leg counts, steps taken and worst norm drift.
@@ -310,73 +306,49 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     Returns one result per input, in order, each what run_experiment gives
     for that input alone (to the last bits of rounding): config.cavity is
     replaced, everything else is shared.  Every stage takes the whole batch
-    at once.  prepare builds one (B, dim) stack.  In full mode the inputs
-    are grouped by the box (K, K) their prepared states need, and each
-    group is one state stack for evolve_loop, so each arm costs one
-    eigendecomposition per leg for the group.  In ideal mode the batch is
-    one group in config.space.  Detection runs once per arm and group, and
-    one least-squares solve fits every fringe of both arms.
+    at once.  prepare builds one (B, dim) stack.  In full mode the stack
+    is embedded in the one box (K, K) of the highest sector K any input
+    occupies, and each arm is one evolve_loop call, one eigendecomposition
+    per leg for the whole batch; every result then reports that box as its
+    propagation_box.  In ideal mode the batch stays in config.space.
+    Detection runs once per arm, and one least-squares solve fits every
+    fringe of both arms.
     """
+    if not cavities:
+        return []
     params = config.params
     gamma = solid_angle(config.loop)
-    tau = config.tau_ms
-    flips = None
+    tau, flips = config.loop.total_time, None
     if config.round_to_flips:
         tau, flips = _round_to_flips(tau, params)
     loop = rescaled_path(config.loop, tau)
     ratio = loop.max_rate / params.lam if params.lam > 0 else None
-    prep = prepare(config.space, cavities)
-    batch = prep.amplitudes.shape[0]
+    start = prepare(config.space, cavities)
+    batch = len(cavities)
 
+    runs = {}
     if config.mode == "full":
-        # sector k holds at most k photons per mode, so the box (K, K) of a
-        # state's highest occupied sector K holds its every occupied sector
-        # whole; the states sharing a box propagate together
-        n_exc = basis_labels(prep.space).sum(axis=0)
-        tops = np.where(prep.amplitudes != 0, n_exc, 0).max(axis=1)
-        groups = [
-            (np.flatnonzero(tops == top), (int(top), int(top)))
-            for top in np.flatnonzero(np.bincount(tops))
-        ]
+        start = embed_state(start, complete_box(start))
+        # the caliber arm is one zero-rate leg at the loop's first knot
+        frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
+        runs = {
+            name: evolve_loop(start, path, params, dt=config.dt)
+            for name, path in (("loop", loop), ("caliber", frozen))
+        }
+        arms = [run.final_state for run in runs.values()]
     else:
-        box = (config.space.nmax_plus, config.space.nmax_minus)
-        groups = [(np.arange(batch), box)]
-
-    # [arm, row]: arm 0 is the loop arm, arm 1 the caliber arm
-    p2 = np.empty((2, batch, config.xi_grid.size))
-    cyclicity = np.empty((2, batch))
-    boxes: list = [None] * batch
-    propagation: list = [None] * batch
-    for rows, box in groups:
-        start = StateVector(prep.amplitudes[rows], prep.space)
-        if config.mode == "full":
-            start = embed_state(start, make_space(*box))
-            loop_run = evolve_loop(start, loop, params, dt=config.dt)
-            # the caliber arm is one zero-rate leg at the loop's first knot
-            frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
-            caliber_run = evolve_loop(start, frozen, params, dt=config.dt)
-            arms = (loop_run.final_state, caliber_run.final_state)
-            runs = {"loop": loop_run, "caliber": caliber_run}
-        else:
-            arms = (ideal_phase_map(start, gamma), start)
-            runs = None
-        for arm, state in enumerate(arms):
-            # Phase-insensitive return fidelity: the loop is supposed to
-            # imprint phases on the prepared components, so the cyclicity
-            # diagnostic compares only the magnitude profiles (1 exactly
-            # when no population moved).
-            cyclicity[arm, rows] = np.sum(
-                np.abs(start.amplitudes) * np.abs(state.amplitudes), axis=-1
-            )
-            p2[arm, rows] = close_and_detect(state, config.xi_grid)
-        for j, row in enumerate(rows):
-            boxes[row] = box
-            if runs is not None:
-                # the leg and step counts are shared, the norm drift is per state
-                propagation[row] = {}
-                for name, run in runs.items():
-                    drift = float(run.stats["max_norm_drift"][j])
-                    propagation[row][name] = {**run.stats, "max_norm_drift": drift}
+        arms = [ideal_phase_map(start, gamma), start]
+    box = (start.space.nmax_plus, start.space.nmax_minus)
+    # [arm, row]: arm 0 is the loop arm, arm 1 the caliber arm.
+    # Phase-insensitive return fidelity: the loop is supposed to imprint
+    # phases on the prepared components, so the cyclicity diagnostic
+    # compares only the magnitude profiles (1 exactly when no population
+    # moved).
+    cyclicity = np.array([
+        np.sum(np.abs(start.amplitudes) * np.abs(state.amplitudes), axis=-1)
+        for state in arms
+    ])
+    p2 = np.array([close_and_detect(state, config.xi_grid) for state in arms])
 
     fits = fit_fringe(config.xi_grid, p2.reshape(2 * batch, config.xi_grid.size))
     results = []
@@ -391,6 +363,11 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
             flags.append("poor-fit")
         if config.mode == "full" and cyc_loop < CYCLICITY_FLOOR:
             flags.append("non-cyclic")
+        # the leg and step counts are shared, the norm drift is per state
+        propagation = {
+            name: {**run.stats, "max_norm_drift": float(run.stats["max_norm_drift"][row])}
+            for name, run in runs.items()
+        }
         metadata = {
             "gamma": gamma,
             "tau_used_ms": tau,
@@ -403,8 +380,8 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
             "cyclicity_loop": cyc_loop,
             "cyclicity_caliber": cyc_caliber,
             "flags": flags,
-            "loop_propagation": propagation[row],
-            "propagation_box": boxes[row],
+            "loop_propagation": propagation or None,
+            "propagation_box": box,
         }
         results.append(
             RamseyResult(
@@ -477,8 +454,8 @@ def effective_shift_vs_alpha(
     """Fringe shift versus coherent amplitude on a common lasso loop.
 
     The amplitudes run as one batch (run_batch) of coherent cavity inputs,
-    so the sweep prepares, maps or propagates, detects and fits once per
-    propagation box rather than once per amplitude; the formula columns
+    so the sweep prepares, maps or propagates, detects and fits once
+    rather than once per amplitude; the formula columns
     come from the closed forms.  The dark-point simulation
     column evaluates the loop curve at the caliber fringe's dark point
     (xi = caliber phase + pi), where the closed forms apply.
@@ -491,7 +468,7 @@ def effective_shift_vs_alpha(
     if base is None:
         params = default_params()
         base = RamseyConfig(
-            space=make_space(16, 2),
+            space=make_space(16, 0),
             params=params,
             loop=lasso_path(gamma, 120.0 * params.flip_period),
             mode=mode,
@@ -547,10 +524,9 @@ def adiabaticity_study(
     """
     rows = []
     for T in time_ladder_ms:
-        cfg_full = replace(config, tau_ms=float(T), mode="full")
-        full = run_experiment(cfg_full)
-        cfg_ideal = replace(config, tau_ms=float(T), mode="ideal")
-        ideal = run_experiment(cfg_ideal)
+        cfg = replace(config, loop=rescaled_path(config.loop, float(T)))
+        full = run_experiment(replace(cfg, mode="full"))
+        ideal = run_experiment(replace(cfg, mode="ideal"))
         err = float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
         rows.append(
             AdiabaticityRow(

@@ -12,13 +12,22 @@ from loopqed.dynamics import (
     evolve,
     evolve_loop,
 )
-from loopqed.hilbert import StateVector, fock_state, make_space, state_index
+from loopqed.hilbert import (
+    StateVector,
+    TruncationError,
+    complete_box,
+    embed_state,
+    fock_state,
+    make_space,
+    state_index,
+)
 from loopqed.model import (
     HamiltonianFactory,
     ModelParams,
     default_params,
     excitation_sector_indices,
 )
+from loopqed.phases import adiabatic_eigenstate_transport
 from loopqed.poincare_path import (
     PathSpec,
     frozen_schedule,
@@ -282,17 +291,25 @@ def test_stepper_converges_to_the_exact_loop_at_second_order(knots):
 
 
 @pytest.mark.parametrize(
-    "make_state, sectors, exact, stepped",
+    "make_state, sectors",
     [
-        # sectors 0 and 1 are complete: every lasso leg is exact
-        (lambda space: prepare(space, CavityInput()), (0, 1), 3, 0),
-        # sector 3 is cut by nmax_minus = 2: the meridians are stepped
-        (lambda space: fock_state(space, 1, 3, 0), (3,), 1, 2),
+        # sectors 0 and 1 are complete in the (4, 2) box
+        (lambda space: prepare(space, CavityInput()), (0, 1)),
+        # sector 3 is cut by nmax_minus = 2, and whole in the box (3, 3)
+        (lambda space: fock_state(space, 1, 3, 0), (3,)),
     ],
     ids=["vacuum-prepare", "fock-1-3-0"],
 )
-def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors, exact, stepped):
-    space = make_space(4, 2)
+def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors):
+    st = make_state(make_space(4, 2))
+    loop = lasso_path(math.pi, 0.3)
+    if max(sectors) > 2:
+        with pytest.raises(TruncationError, match=re.escape(
+            "excitation sector 3 is cut by the cutoffs (4, 2); the box (3, 3)"
+        )):
+            evolve_loop(st, loop, default_params())
+        st = embed_state(st, complete_box(st))
+    space = st.space
     occupied = [i for k in sectors for i in excitation_sector_indices(space, k)]
     empty = np.setdiff1d(np.arange(space.dim), occupied)
     shapes = []
@@ -303,15 +320,13 @@ def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors, exact, st
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    st = make_state(space)
-    run = evolve_loop(st, lasso_path(math.pi, 0.3), default_params(), dt=0.3 / 600)
+    run = evolve_loop(st, loop, default_params(), dt=0.3 / 600)
     stats = run.stats
-    assert (stats["exact_legs"], stats["stepped_legs"]) == (exact, stepped)
-    assert stats["steps"] == 150 * stepped
+    # every lasso leg is exact: one eigendecomposition per leg and one for
+    # the meridian frame K
+    assert (stats["exact_legs"], stats["stepped_legs"], stats["steps"]) == (3, 0, 0)
     assert stats["max_norm_drift"] < 1e-12
-    # one eigendecomposition per exact leg, one for the meridian frame K,
-    # and one per step
-    assert len(shapes) == exact + (exact > 1) + stats["steps"]
+    assert len(shapes) == 4
     # amplitudes of unoccupied sectors stay exactly zero
     assert np.all(run.final_state.amplitudes[empty] == 0.0)
 
@@ -319,7 +334,7 @@ def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors, exact, st
 def test_evolve_loop_steps_tilted_legs_like_evolve():
     # a loop of tilted legs is stepped leg by leg; with each leg a whole
     # number of steps long the steps and midpoints are those of evolve
-    space = make_space(1, 1)
+    space = make_space(2, 2)
     params = default_params()
     loop = piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.5, 2.0), (0.0, 0.0)], [0.1] * 3)
     st = _three_sector_state(space)
@@ -332,7 +347,7 @@ def test_evolve_loop_steps_tilted_legs_like_evolve():
 
 
 def test_frozen_loop_is_one_exponential():
-    space = make_space(1, 1)
+    space = make_space(2, 2)
     params = default_params()
     theta, phi, T = 0.7, 0.3, 0.12
     st = _three_sector_state(space)
@@ -364,21 +379,24 @@ def test_evolve_loop_guard_names_the_leg(loop, message):
 
 def test_evolve_loop_batch_matches_each_state():
     # one stack for the batch, one eigendecomposition a leg: each state ends
-    # where it ends alone, and its norm drift is its own.  Routes follow the
-    # sectors the batch occupies, so every state here stays in the complete
-    # sectors 0-2 of the (2, 2) box
-    space = make_space(2, 2)
+    # where it ends alone in the same box, with the same leg counts, and its
+    # norm drift is its own.  The states' highest sectors are 1, 2, 2, 3
+    # and 3, all whole in the (3, 3) box
+    space = make_space(3, 3)
     params = default_params()
     states = [
-        fock_state(space, 2, 0, 0), _three_sector_state(space), fock_state(space, 1, 2, 0)
+        fock_state(space, 2, 0, 0), _three_sector_state(space), fock_state(space, 1, 2, 0),
+        fock_state(space, 1, 2, 1), fock_state(space, 2, 0, 2),
     ]
     batch = StateVector(np.array([st.amplitudes for st in states]), space)
-    for loop in (lasso_path(math.pi, 0.3), piecewise_path(
-        [(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)], [0.06, 0.06]
-    )):
+    for loop, legs in (
+        (lasso_path(math.pi, 0.3), (3, 0)),
+        (piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.0, 0.0)], [0.06, 0.06]), (0, 2)),
+    ):
         run = evolve_loop(batch, loop, params, dt=0.12 / 400)
-        assert run.final_state.amplitudes.shape == (3, space.dim)
-        assert run.stats["max_norm_drift"].shape == (3,)
+        assert run.final_state.amplitudes.shape == (len(states), space.dim)
+        assert run.stats["max_norm_drift"].shape == (len(states),)
+        assert (run.stats["exact_legs"], run.stats["stepped_legs"]) == legs
         for k, st in enumerate(states):
             alone = evolve_loop(st, loop, params, dt=0.12 / 400)
             np.testing.assert_allclose(
@@ -389,6 +407,23 @@ def test_evolve_loop_batch_matches_each_state():
                 key: v for key, v in alone.stats.items() if key != "max_norm_drift"
             }
             assert run.stats["max_norm_drift"][k] <= 1e-12
+
+
+def test_evolve_loop_refuses_a_batch_with_a_cut_sector():
+    # |2,0,0> alone is exact in the (2, 2) box, but batched with |1,2,1>,
+    # whose sector 3 the box cuts, the batch is refused before any work,
+    # with the message the dressed transport gives for the same sector
+    space = make_space(2, 2)
+    batch = StateVector(
+        np.array([fock_state(space, 2, 0, 0).amplitudes, fock_state(space, 1, 2, 1).amplitudes]),
+        space,
+    )
+    message = "excitation sector 3 is cut by the cutoffs (2, 2); the box (3, 3)"
+    with pytest.raises(TruncationError, match=re.escape(message)) as err:
+        evolve_loop(batch, lasso_path(math.pi, 0.3), default_params())
+    with pytest.raises(TruncationError) as transport_err:
+        adiabatic_eigenstate_transport(space, default_params(), lasso_path(math.pi, 6.0), (1, 1))
+    assert str(transport_err.value) == str(err.value)
 
 
 def test_evolve_loop_guard_names_the_batch_state():

@@ -1,6 +1,7 @@
 """Unit tests for the truncated state space: indexing, states, operators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from loopqed.hilbert import (
     TruncationError,
     basis_labels,
     coherent_mode_coefficients,
+    complete_box,
     embed_state,
     coherent_tail_mass,
     fock_state,
     make_space,
+    require_complete,
     state_index,
 )
 
@@ -105,6 +108,29 @@ def test_embed_state_drops_only_zero_labels():
     big = fock_state(make_space(6, 6), 2, 0, 0)
     small = embed_state(big, make_space(0, 0))
     np.testing.assert_array_equal(small.amplitudes, [0.0, 1.0])
+
+
+def test_complete_box_holds_the_highest_sector_of_any_row():
+    space = make_space(4, 2)
+    # |2,0,0> is in sector 1, |1,2,1> in sector 3
+    rows = [fock_state(space, 2, 0, 0).amplitudes, fock_state(space, 1, 2, 1).amplitudes]
+    batch = StateVector(np.array(rows), space)
+    assert complete_box(batch) == make_space(3, 3)
+    assert complete_box(StateVector(rows[0], space)) == make_space(1, 1)
+    assert complete_box(StateVector(np.zeros(space.dim), space, normalized=False)) == (
+        make_space(0, 0)
+    )
+
+
+def test_require_complete_names_the_lowest_cut_sector_and_the_box():
+    # a box (a, b) holds sector k whole iff k <= min(a, b)
+    require_complete(make_space(3, 5), [0, 1, 3])
+    require_complete(make_space(0, 0), [])
+    message = "excitation sector 3 is cut by the cutoffs (4, 2); the box (5, 5) holds"
+    with pytest.raises(TruncationError, match=re.escape(message)):
+        require_complete(make_space(4, 2), [1, 3, 5])
+    with pytest.raises(TruncationError, match=re.escape("sector 1 is cut by the cutoffs (0, 4)")):
+        require_complete(make_space(0, 4), 1)
 
 
 def test_fock_state_one_hot():

@@ -236,9 +236,6 @@ def test_excitation_operator_is_the_integer_labels(cutoffs):
 # ---------------------------------------------------------------------------
 # covariance of H along azimuths and meridians (what makes lasso legs exact)
 
-COVARIANCE_SETTINGS = settings(
-    max_examples=40, deadline=None, derandomize=True, database=None
-)
 TRUNCATIONS = [(1, 1), (2, 3), (4, 2), (8, 2), (6, 6)]
 
 
@@ -249,7 +246,7 @@ def _rotated(k, theta, h):
     return u @ h @ u.conj().T
 
 
-@COVARIANCE_SETTINGS
+@settings(max_examples=40)
 @given(st.sampled_from(TRUNCATIONS), st.floats(0.0, math.pi), st.floats(-20.0, 20.0))
 def test_azimuth_is_a_diagonal_frame_in_any_truncation(cutoffs, theta, phi):
     # H(theta, phi) = exp(-i phi N-) H(theta, 0) exp(i phi N-), compared in
@@ -262,7 +259,7 @@ def test_azimuth_is_a_diagonal_frame_in_any_truncation(cutoffs, theta, phi):
     assert deviation < 1e-12
 
 
-@COVARIANCE_SETTINGS
+@settings(max_examples=40)
 @given(st.sampled_from(TRUNCATIONS), st.data(), st.floats(0.0, math.pi))
 def test_meridian_is_a_mode_rotation_in_complete_sectors(cutoffs, data, theta):
     # H(theta, 0) = exp(-i theta K) H(0, 0) exp(i theta K) on sector k when
@@ -276,7 +273,7 @@ def test_meridian_is_a_mode_rotation_in_complete_sectors(cutoffs, data, theta):
     assert deviation < 1e-12
 
 
-@COVARIANCE_SETTINGS
+@settings(max_examples=40)
 @given(st.floats(0.3, math.pi))
 def test_meridian_rotation_fails_in_a_truncated_sector(theta):
     # sector 3 at (4, 2) lacks |1, 0, 3>, which the rotation reaches: the

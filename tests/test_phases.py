@@ -275,7 +275,7 @@ _angle = st.floats(0.0, math.pi)
 _azimuth = st.floats(-math.pi, math.pi)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     knots=st.lists(st.tuples(_angle, _azimuth), min_size=3, max_size=4),
     rates=st.lists(st.floats(0.5, 3.5), min_size=5, max_size=5),

@@ -250,10 +250,6 @@ def test_make_schedule_is_the_per_sample_formula_bit_for_bit(spec, samples_per_l
 # ---------------------------------------------------------------------------
 # solid-angle properties over random closed piecewise loops
 
-PROPERTY_SETTINGS = settings(
-    max_examples=60, deadline=None, derandomize=True, database=None
-)
-
 
 @st.composite
 def closed_paths(draw):
@@ -282,33 +278,33 @@ def _dense_trapezoid(spec, intervals_per_leg=2**19):
     return total
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=60)
 @given(closed_paths())
 def test_solid_angle_reversal_negates(spec):
     assert solid_angle(reversed_path(spec)) == pytest.approx(-solid_angle(spec), abs=1e-12)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=60)
 @given(closed_paths())
 def test_solid_angle_self_concatenation_doubles(spec):
     double = concatenated_path(spec, spec)
     assert solid_angle(double) == pytest.approx(2.0 * solid_angle(spec), abs=1e-12)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=60)
 @given(closed_paths(), st.floats(0.01, 100.0))
 def test_solid_angle_ignores_timing(spec, new_total):
     assert solid_angle(rescaled_path(spec, new_total)) == solid_angle(spec)
 
 
-@PROPERTY_SETTINGS
+@settings(max_examples=60)
 @given(closed_paths())
 def test_solid_angle_ignores_a_whole_turn_of_azimuth(spec):
     turned = PathSpec(tuple((th, ph + TWO_PI) for th, ph in spec.knots), spec.durations)
     assert solid_angle(turned) == pytest.approx(solid_angle(spec), abs=1e-12)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=25)
+@settings(max_examples=25)
 @given(closed_paths())
 def test_solid_angle_matches_dense_trapezoid(spec):
     assert solid_angle(spec) == pytest.approx(_dense_trapezoid(spec), abs=1e-9)

@@ -1,6 +1,7 @@
 """Unit tests for the interferometry pipeline and its closed-form references."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -317,16 +318,14 @@ def test_ideal_zero_angle_loop_shifts_nothing():
 def test_interaction_time_rounding():
     space = make_space(1, 1)
     params = default_params()
-    loop = lasso_path(math.pi, 1.2)
-    cfg = RamseyConfig(
-        space=space, params=params, loop=loop, tau_ms=0.1, mode="ideal"
-    )
+    loop = lasso_path(math.pi, 0.1)
+    cfg = RamseyConfig(space=space, params=params, loop=loop, mode="ideal")
     result = run_experiment(cfg)
     assert result.metadata["tau_used_ms"] == pytest.approx(0.12, abs=1e-12)
     assert result.metadata["rabi_flips"] == 2
 
     tiny = RamseyConfig(
-        space=space, params=params, loop=loop, tau_ms=0.02, mode="ideal"
+        space=space, params=params, loop=lasso_path(math.pi, 0.02), mode="ideal"
     )
     result = run_experiment(tiny)
     # never rounds below one full flip
@@ -339,13 +338,22 @@ def test_interaction_time_rounding():
         space=space,
         params=params,
         loop=loop,
-        tau_ms=0.1,
         round_to_flips=False,
         mode="ideal",
     )
     result = run_experiment(free)
     assert result.metadata["tau_used_ms"] == pytest.approx(0.1, abs=1e-12)
     assert result.metadata["rabi_flips"] is None
+
+
+@pytest.mark.parametrize("round_to_flips", [True, False])
+def test_a_replaced_loop_sets_the_interaction_time(round_to_flips):
+    # the interaction time is the loop's duration: replacing the 6 ms loop
+    # of the default config by a 60 ms one runs 60 ms (1 000 flips)
+    base = replace(_default_vacuum_config(), round_to_flips=round_to_flips)
+    md = run_experiment(replace(base, loop=lasso_path(math.pi, 60.0))).metadata
+    assert md["tau_used_ms"] == pytest.approx(60.0, abs=1e-12)
+    assert md["rabi_flips"] == (1000 if round_to_flips else None)
 
 
 def test_ideal_coherent_run_matches_mixture_closed_form():
@@ -395,8 +403,6 @@ def test_config_validation():
     space = make_space(1, 1)
     params = default_params()
     loop = lasso_path(math.pi, 1.2)
-    with pytest.raises(ValueError):
-        RamseyConfig(space=space, params=params, loop=loop, tau_ms=-1.0)
     with pytest.raises(ValueError):
         RamseyConfig(space=space, params=params, loop=loop, mode="fancy")
     with pytest.raises(ValueError):
@@ -492,14 +498,12 @@ def test_loop_propagation_metadata_reports_each_arm():
     loop = md["loop_propagation"]["loop"]
     assert (loop["exact_legs"], loop["stepped_legs"], loop["steps"]) == (3, 0, 0)
 
-    # evolve_loop itself still steps meridians through sectors cut by a
-    # cutoff: at (8, 2), 1.5 ms / 6e-3 ms = 250 steps each
+    # evolve_loop refuses the state as prepared: (8, 2) cuts sectors 3-9
     prep = prepare(coherent.space, coherent.cavity)
-    tau = md["tau_used_ms"]
-    stepped = evolve_loop(prep, rescaled_path(coherent.loop, tau), coherent.params, dt=6e-3)
-    assert (
-        stepped.stats["exact_legs"], stepped.stats["stepped_legs"], stepped.stats["steps"]
-    ) == (1, 2, 500)
+    with pytest.raises(TruncationError, match=re.escape(
+        "excitation sector 3 is cut by the cutoffs (8, 2); the box (9, 9)"
+    )):
+        evolve_loop(prep, rescaled_path(coherent.loop, md["tau_used_ms"]), coherent.params)
 
 
 def test_ideal_run_reports_no_loop_propagation():
@@ -675,9 +679,10 @@ def test_run_batch_matches_run_experiment_per_input():
         assert abs(result.fitted_shift - alone.fitted_shift) <= 1e-12
         assert abs(result.caliber_fit.phase - alone.caliber_fit.phase) <= 1e-12
         md, md_alone = result.metadata, alone.metadata
-        # vacuum runs in (1, 1), every other amplitude fills sector 5
-        assert md["propagation_box"] == md_alone["propagation_box"]
-        assert md["propagation_box"] == ((1, 1) if cavity.alpha == 0 else (5, 5))
+        # the batch runs in the box of its highest sector, 5; alone, the
+        # vacuum runs in (1, 1)
+        assert md["propagation_box"] == (5, 5)
+        assert md_alone["propagation_box"] == ((1, 1) if cavity.alpha == 0 else (5, 5))
         for key in ("flags", "alpha", "tau_used_ms", "cyclicity_loop"):
             assert md[key] == pytest.approx(md_alone[key], abs=1e-12)
         for arm in ("loop", "caliber"):
@@ -706,9 +711,9 @@ def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rows = effective_shift_vs_alpha(SWEEP_ALPHAS, math.pi, mode="full", base=base)
-    # two boxes, (1, 1) for the vacuum and (5, 5) for the rest; each runs
-    # three lasso legs, the meridian frame K and the one-leg caliber arm
-    assert len(calls) == 2 * 5
+    # one box, (5, 5), for the whole batch: three lasso legs, the meridian
+    # frame K and the one-leg caliber arm
+    assert len(calls) == 5
     for row, result in zip(rows, alone):
         assert abs(row.shift_sim - result.fitted_shift) <= 1e-12
         dark = close_and_detect_curve_value(result, result.caliber_fit.phase + math.pi)
