@@ -103,21 +103,21 @@ def default_params() -> ModelParams:
     return ModelParams()
 
 
-def coupling_weights(theta: float, phi: float) -> tuple[complex, complex]:
+def coupling_weights(
+    theta: float | np.ndarray, phi: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Drive weights (u+, u-) for sphere point (theta, phi).
 
     Single-valued convention: u+ = cos(theta/2), u- = sin(theta/2) e^{i phi}.
-    |u+|^2 + |u-|^2 = 1 for any input.
+    |u+|^2 + |u-|^2 = 1 for any input.  The angles broadcast: arrays of
+    angles give arrays of weights.
     """
-    half = 0.5 * theta
-    return (
-        complex(math.cos(half)),
-        complex(math.sin(half)) * complex(math.cos(phi), math.sin(phi)),
-    )
+    half = np.multiply(0.5, theta)
+    return np.cos(half) + 0j, np.sin(half) * (np.cos(phi) + 1j * np.sin(phi))
 
 
 class HamiltonianFactory:
-    """Precomputed pieces of H so per-step assembly is one weighted sum.
+    """Precomputed pieces of H so assembly is one gather of drive weights.
 
     The Hamiltonian at any sphere point is
 
@@ -128,13 +128,13 @@ class HamiltonianFactory:
     C+ takes |1,n,m> to sqrt(n) |2,n-1,m> and C- takes |1,n,m> to
     sqrt(m) |2,n,m-1>.  Every entry follows from the integer labels of
     its row and column (hilbert.basis_labels), so the pieces are built
-    straight from them, and D holds the exact integer n + m.  dense()
-    forms H as one product of the weights
-    (1, lam u+, conj(lam u+), lam u-, conj(lam u-)) with the stacked
-    pieces (D, C+, C+^H, C-, C-^H).  The pieces have disjoint supports, so
-    each entry of H is a single rounded product and H is exactly
-    Hermitian.  Dense arrays are kept because every propagation step
-    diagonalizes H anyway.
+    straight from them, and D holds the exact integer n + m.  The pieces
+    (D, C+, C-, C+^H, C-^H) have disjoint supports, so each entry of H is
+    one piece's real value times that piece's weight, one of
+    (1, lam u+, lam u-, conj(lam u+), conj(lam u-)).  dense() gathers the
+    weight of each entry and takes that single rounded product, so H is
+    exactly Hermitian.  Dense arrays are kept because every propagation
+    step diagonalizes H anyway.
 
     When sector lists flat indices (one or more whole excitation sectors,
     see excitation_sector_indices), the pieces are built on that block
@@ -161,28 +161,29 @@ class HamiltonianFactory:
             [level == 1, level == 0],
             [params.shift_upper, params.shift_lower_per_photon * (n + m)],
         )
-        d = np.where(np.eye(idx.shape[-1], dtype=bool), diag[col], 0j)
         # a level-1 column raised to a level-2 row, one photon fewer
         raised = (level[row] == 1) & (level[col] == 0)
-        c_plus = np.where(
-            raised & (n[row] == n[col] - 1) & (m[row] == m[col]), np.sqrt(n[col]), 0j
-        )
-        c_minus = np.where(
-            raised & (n[row] == n[col]) & (m[row] == m[col] - 1), np.sqrt(m[col]), 0j
-        )
-        self._shape = d.shape
-        pieces = (d, c_plus, c_plus.conj().swapaxes(-1, -2),
-                  c_minus, c_minus.conj().swapaxes(-1, -2))
-        self._pieces = np.stack(pieces).reshape(len(pieces), -1)
+        plus = raised & (n[row] == n[col] - 1) & (m[row] == m[col])
+        minus = raised & (n[row] == n[col]) & (m[row] == m[col] - 1)
+        c_plus = np.where(plus, np.sqrt(n[col]), 0.0)
+        c_minus = np.where(minus, np.sqrt(m[col]), 0.0)
+        # C+, C-, C+^H, C-^H: disjoint, off the diagonal and nonzero on their
+        # supports, so sums give each entry's one value and piece (0 is D),
+        # which indexes the weights of dense()
+        pieces = [c_plus, c_minus, c_plus.swapaxes(-1, -2), c_minus.swapaxes(-1, -2)]
+        self._value = np.where(np.eye(idx.shape[-1], dtype=bool), diag[col], sum(pieces))
+        self._piece = sum(k * (c != 0) for k, c in enumerate(pieces, 1))
 
-    def dense(self, theta: float, phi: float) -> np.ndarray:
-        """Dense H at sphere point (theta, phi): one matrix, or a stack of blocks."""
-        u_plus, u_minus = coupling_weights(theta, phi)
-        s_plus, s_minus = self.params.lam * u_plus, self.params.lam * u_minus
-        weights = np.array(
-            [1.0, s_plus, s_plus.conjugate(), s_minus, s_minus.conjugate()]
-        )
-        return (weights @ self._pieces).reshape(self._shape)
+    def dense(self, theta: float | np.ndarray, phi: float | np.ndarray) -> np.ndarray:
+        """Dense H at sphere point (theta, phi): one matrix, or a stack of blocks.
+
+        Arrays of angles give the Hamiltonians of every point at once, on
+        leading axes of the angles' shape; each equals the single point's
+        H bit for bit.
+        """
+        s = self.params.lam * np.stack(coupling_weights(theta, phi), axis=-1)
+        weights = np.concatenate([np.ones_like(s[..., :1]), s, s.conj()], axis=-1)
+        return np.take(weights, self._piece, axis=-1) * self._value
 
     @property
     def minus_photons(self) -> np.ndarray:

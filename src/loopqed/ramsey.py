@@ -246,21 +246,24 @@ def fit_fringe(xi: np.ndarray, p2: np.ndarray):
     """Fit offset + amplitude cos(xi - phase) by linear least squares.
 
     The cosine is expanded over the basis {1, cos xi, sin xi}, making the
-    fit a linear problem; amplitude is reported nonnegative and residual is
-    the largest absolute deviation of the fit from the data.  p2 may be a
-    (B, len(xi)) array of fringes, fitted together as one least-squares
-    problem with B right-hand sides; a list of B fits is then returned.
+    fit a linear problem, solved through its 3x3 normal equations;
+    amplitude is reported nonnegative and residual is the largest absolute
+    deviation of the fit from the data.  p2 may be a (B, len(xi)) array of
+    fringes, fitted together with one inverse of the 3x3 Gram matrix; a
+    list of B fits is then returned.
     """
     xi = np.asarray(xi, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     if xi.ndim != 1 or xi.size < 3 or p2.ndim not in (1, 2) or p2.shape[-1] != xi.size:
         raise ValueError("fringe fit needs matching xi/p2 arrays of length >= 3")
-    design = np.column_stack([np.ones_like(xi), np.cos(xi), np.sin(xi)])
-    coef, *_ = np.linalg.lstsq(design, p2.T, rcond=None)
-    residual = np.max(np.abs(design @ coef - p2.T), axis=0)
+    design = np.stack([np.ones_like(xi), np.cos(xi), np.sin(xi)])
+    # the 3x3 normal equations: no BLAS or LAPACK call grows with the batch
+    gram_inv = np.linalg.inv(np.einsum("in,jn->ij", design, design))
+    coef = np.einsum("ij,...j->...i", gram_inv, np.einsum("...n,jn->...j", p2, design))
+    residual = np.max(np.abs(np.einsum("...i,in->...n", coef, design) - p2), axis=-1)
     fits = []
     for (offset, c_cos, c_sin), res in zip(
-        coef.T.reshape(-1, 3).tolist(), np.ravel(residual).tolist()
+        coef.reshape(-1, 3).tolist(), np.ravel(residual).tolist()
     ):
         amplitude = math.hypot(c_cos, c_sin)
         phase = math.atan2(c_sin, c_cos) if amplitude > 0 else 0.0
@@ -311,8 +314,8 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     occupies, and each arm is one evolve_loop call, one eigendecomposition
     per leg for the whole batch; every result then reports that box as its
     propagation_box.  In ideal mode the batch stays in config.space.
-    Detection runs once per arm, and one least-squares solve fits every
-    fringe of both arms.
+    Detection runs once per arm, and one fit_fringe call, one inverse of
+    its 3x3 Gram matrix, fits every fringe of both arms.
     """
     if not cavities:
         return []

@@ -1,6 +1,7 @@
 """Unit tests for the command-line front end: parsing, outputs, exit codes."""
 
 import math
+import os
 import subprocess
 import sys
 
@@ -477,6 +478,50 @@ def test_run_path_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="reads thread CPU times from /proc"
+)
+def test_blas_worker_threads_stay_idle(tmp_path):
+    # a BLAS call large enough to be split wakes the BLAS worker threads,
+    # which then spin and burn CPU time the run does not use.  After
+    # numpy's start-up spin has ended, a coherent fringe and the 251-point
+    # ideal sweep must not give any thread but the main one a CPU tick,
+    # neither during the run nor in the spin it would leave behind
+    alphas = ",".join(f"{k * 0.01:.2f}" for k in range(251))
+    runs = [
+        ("fringe", write_cfg(
+            tmp_path, name="coherent.cfg", nmax_plus=8, cavity="coherent:1.0"
+        )),
+        ("alpha-sweep", write_cfg(
+            tmp_path, name="sweep.cfg", mode="ideal", nmax_plus=16, alphas=alphas
+        )),
+    ]
+    script = "\n".join([
+        "import os, threading, time",
+        "from loopqed.cli import main",
+        "def ticks():",
+        "    busy = 0",
+        "    for tid in os.listdir('/proc/self/task'):",
+        "        if int(tid) != threading.get_native_id():",
+        "            with open(f'/proc/self/task/{tid}/stat') as fh:",
+        "                fields = fh.read().rsplit(')', 1)[1].split()",
+        "            busy += int(fields[11]) + int(fields[12])  # utime, stime",
+        "    return busy",
+        "time.sleep(0.5)",
+        *(f"before = ticks()\n"
+          f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+          f"time.sleep(0.5)\n"
+          f"print('ticks', ticks() - before)"
+          for cmd, cfg in runs),
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    gained = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("ticks")]
+    assert gained == ["0", "0"]
 
 
 def test_console_script_version():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from loopqed.dynamics import (
+    BLOCK_BYTES,
     IntegrationError,
     brute_force_evolve,
     evolve,
@@ -344,6 +345,53 @@ def test_evolve_loop_steps_tilted_legs_like_evolve():
     np.testing.assert_allclose(
         run.final_state.amplitudes, traj.amplitudes[-1], rtol=0, atol=1e-11
     )
+
+
+def test_stepped_legs_build_bounded_blocks(monkeypatch):
+    # a tilted loop in the (9, 9) box steps a (10, 19, 19) stack: evolve_loop
+    # strides over whole legs, yet each dense() call builds a block whose
+    # four working arrays fit in BLOCK_BYTES, and the blocks give the state
+    # that stepping one sector and one point at a time gives
+    space = make_space(9, 9)
+    params = default_params()
+    rng = np.random.default_rng(3)
+    sectors = [excitation_sector_indices(space, k) for k in range(10)]
+    amps = np.zeros(space.dim, dtype=complex)
+    for idx in sectors:
+        amps[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+    st = StateVector(amps / np.linalg.norm(amps), space)
+    loop = piecewise_path([(0.2, 0.0), (1.0, 0.6), (0.6, 2.0), (0.2, 0.0)], [0.04] * 3)
+    steps = 102  # a leg
+    blocks = []
+    dense = HamiltonianFactory.dense
+
+    def recording_dense(self, theta, phi):
+        h = dense(self, theta, phi)
+        if h.ndim == 4:
+            blocks.append(h)
+        return h
+
+    monkeypatch.setattr(HamiltonianFactory, "dense", recording_dense)
+    run = evolve_loop(st, loop, params, dt=0.04 / steps)
+    monkeypatch.undo()
+    per_block = BLOCK_BYTES // (4 * 16 * 10 * 19 * 19)
+    assert 1 < per_block < steps and steps % per_block
+    assert [h.shape[0] for h in blocks] == 3 * (
+        [per_block] * (steps // per_block) + [steps % per_block]
+    )
+    assert 4 * max(h.nbytes for h in blocks) <= BLOCK_BYTES
+    expected = np.zeros(space.dim, dtype=complex)
+    fracs = (np.arange(steps) + 0.5) / steps
+    for idx in sectors:
+        factory = HamiltonianFactory(space, params, idx)
+        psi = st.amplitudes[idx]
+        for (th_a, ph_a), (th_b, ph_b), dur in zip(loop.knots, loop.knots[1:], loop.durations):
+            for f in fracs:
+                h = factory.dense(th_a + f * (th_b - th_a), ph_a + f * (ph_b - ph_a))
+                w, v = np.linalg.eigh(h)
+                psi = v @ (np.exp(-1j * w * dur / steps) * (v.conj().T @ psi))
+        expected[idx] = psi
+    np.testing.assert_allclose(run.final_state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_frozen_loop_is_one_exponential():

@@ -156,7 +156,9 @@ def test_factory_matches_builder():
 
 def test_sector_factory_is_the_full_block_bit_for_bit():
     # the transport steps with the sector-restricted factory; its matrices
-    # must be exactly the block the full factory would give
+    # must be exactly the block the full factory would give.  The stepper
+    # builds a block of points in one call: each point's matrix must be
+    # exactly the one a call for that point alone gives
     space = make_space(4, 2)
     params = default_params()
     full = HamiltonianFactory(space, params)
@@ -181,6 +183,11 @@ def test_sector_factory_is_the_full_block_bit_for_bit():
             padded = stacked.dense(theta, phi)[k]
             assert np.array_equal(padded[:size, :size], block)
             assert not np.any(padded[size:]) and not np.any(padded[:, size:])
+        for factory in (full, restricted, stacked):
+            points = factory.dense(thetas, phis)
+            assert points.shape == (thetas.size,) + factory.dense(0.0, 0.0).shape
+            for j, (theta, phi) in enumerate(zip(thetas, phis)):
+                assert np.array_equal(points[j], factory.dense(theta, phi))
 
 
 def test_single_excitation_spectrum_at_pole():
