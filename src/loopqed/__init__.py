@@ -51,6 +51,7 @@ from .dynamics import (
     Trajectory,
     LoopRun,
     IntegrationError,
+    StepCountError,
     evolve,
     evolve_loop,
     brute_force_evolve,
@@ -108,6 +109,7 @@ __all__ = [
     "Trajectory",
     "LoopRun",
     "IntegrationError",
+    "StepCountError",
     "evolve",
     "evolve_loop",
     "brute_force_evolve",

@@ -11,7 +11,9 @@ config's out_dir).  Each subcommand also takes an override of its own list
 key: alpha-sweep --alphas, adiabaticity --times, dressed-phases --doublets.
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad config fields,
-inadequate truncation), 2 numerical failure (integration, degeneracy).
+couplings whose derived rates overflow, a dt_ms that makes more steps than
+an int64 counts, inadequate truncation), 2 numerical failure (integration,
+degeneracy).
 
 Config file format: one `key = value` per line, `#` starts a comment,
 blank lines ignored.  Unknown keys are rejected.  All computations are
@@ -48,7 +50,8 @@ echoed in every output header.
 
 All outputs are CSV with '#'-prefixed header lines echoing the complete
 resolved configuration and the package version, '.' decimal separator,
-fixed column order, and 12 significant digits.  fringe.csv also echoes
+fixed column order, and 12 significant digits, each row written with one
+format call.  fringe.csv also echoes
 propagation_box, the cutoffs its arms actually ran in.  Identical configs
 produce byte-identical files.
 
@@ -66,12 +69,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import __version__
 from .hilbert import TruncationError, make_space
 from .model import ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
-from .dynamics import IntegrationError
+from .dynamics import IntegrationError, StepCountError
 from .phases import DegeneracyError, _branch_reading, analytic_dressed_phase
 from .ramsey import (
     CavityInput,
@@ -192,6 +196,20 @@ class RunConfig:
             raise ConfigError(
                 f"field 'delta_ratio': must be positive, got {self.delta_ratio}"
             )
+        try:
+            params = self.model_params()
+            rates = (
+                params.lam, params.shift_upper, params.shift_lower_per_photon,
+                params.flip_period,
+            )
+        except (OverflowError, ValueError):  # a square overflows, or lam or delta is 0
+            rates = (math.inf,)
+        if not all(map(math.isfinite, rates)):
+            raise ConfigError(
+                "field 'g_khz'/'omega_khz'/'delta_ratio': lambda, the light shifts "
+                f"and the flip period must be finite, got g_khz = {self.g_khz}, "
+                f"omega_khz = {self.omega_khz}, delta_ratio = {self.delta_ratio}"
+            )
         if self.nmax_plus < 1:
             raise ConfigError(f"field 'nmax_plus': must be >= 1, got {self.nmax_plus}")
         if self.tail_tol <= 0:
@@ -304,8 +322,8 @@ class RunConfig:
             ("dt_ms", _fmt(self.dt_ms) if self.dt_ms is not None else "auto"),
             ("round_flips", "true" if self.round_flips else "false"),
             ("out_dir", self.out_dir),
-            ("alphas", ",".join(_fmt(a) for a in self.alphas)),
-            ("time_ladder_ms", ",".join(_fmt(t) for t in self.time_ladder_ms)),
+            ("alphas", _row_format(len(self.alphas)) % self.alphas),
+            ("time_ladder_ms", _row_format(len(self.time_ladder_ms)) % self.time_ladder_ms),
             ("doublets", ";".join(f"{n},{m}" for n, m in self.doublets)),
             ("branch", self.branch),
             ("g_rad_per_ms", _fmt(self.g)),
@@ -430,9 +448,16 @@ def load_config(path: str | None) -> RunConfig:
 
 def _fmt(x) -> str:
     """12-significant-digit scientific notation for floats."""
-    if x is None:
-        return "nan"
-    return f"{float(x):.11e}"
+    return "%.11e" % _nan_if_none(x)
+
+
+def _nan_if_none(x) -> float:
+    return math.nan if x is None else float(x)
+
+
+def _row_format(count: int) -> str:
+    """The format of a CSV row of count floats, each as _fmt writes it."""
+    return ",".join(["%.11e"] * count)
 
 
 def _header_lines(config: RunConfig, subcommand: str, extra: list[tuple[str, str]]) -> list[str]:
@@ -451,16 +476,18 @@ def _write_csv(
     filename: str,
     header: list[str],
     columns: list[str],
-    rows: list[list[str]],
+    row_format: str,
+    rows,
 ) -> str:
+    """Write header lines, the column line and one row_format % row line per row."""
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
+    line = row_format + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header:
-            fh.write(line + "\n")
+        for text in header:
+            fh.write(text + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line % row for row in rows)
     return path
 
 
@@ -487,16 +514,14 @@ def cmd_fringe(config: RunConfig, out_dir: str | None = None) -> list[str]:
         ("cyclicity_caliber", _fmt(md["cyclicity_caliber"])),
         ("flags", ";".join(md["flags"]) or "none"),
     ]
-    rows = [
-        [_fmt(xi), _fmt(p_loop), _fmt(p_cal)]
-        for xi, p_loop, p_cal in zip(result.xi_grid, result.p2_loop, result.p2_caliber)
-    ]
+    columns = (result.xi_grid, result.p2_loop, result.p2_caliber)
     path = _write_csv(
         out_dir or config.out_dir,
         "fringe.csv",
         _header_lines(config, "fringe", extra),
         ["xi_rad", "p2_loop", "p2_caliber"],
-        rows,
+        _row_format(3),
+        zip(*(c.tolist() for c in columns)),
     )
     print(
         f"fringe: shift = {result.fitted_shift:.6f} rad, "
@@ -525,17 +550,10 @@ def cmd_alpha_sweep(
         raise ConfigError(
             f"alpha-sweep: truncation inadequate for alpha = {exc.alpha}: {exc}"
         ) from exc
-    rows = [
-        [
-            _fmt(r.alpha),
-            _fmt(r.shift_sim),
-            _fmt(r.shift_formula),
-            _fmt(r.p2_dark_sim),
-            _fmt(r.p2_dark_formula),
-            _fmt(r.fit_residual),
-        ]
-        for r in results
-    ]
+    fields = (
+        "alpha", "shift_sim", "shift_formula", "p2_dark_sim", "p2_dark_formula",
+        "fit_residual",
+    )
     extra = [("gamma_solid_angle", _fmt(gamma))]
     path = _write_csv(
         out_dir or config.out_dir,
@@ -549,13 +567,14 @@ def cmd_alpha_sweep(
             "p2_dark_formula",
             "fit_residual",
         ],
-        rows,
+        _row_format(len(fields)),
+        map(attrgetter(*fields), results),
     )
-    for r in results:
-        print(
-            f"alpha-sweep: alpha = {r.alpha:g}, shift = {r.shift_sim:.6f} rad "
-            f"(formula {r.shift_formula:.6f})"
-        )
+    print("\n".join(
+        f"alpha-sweep: alpha = {r.alpha:g}, shift = {r.shift_sim:.6f} rad "
+        f"(formula {r.shift_formula:.6f})"
+        for r in results
+    ))
     print(f"alpha-sweep: -> {path}")
     return [path]
 
@@ -573,7 +592,7 @@ def cmd_adiabaticity(
         for i in range(len(results) - 1)
     )
     rows = [
-        [_fmt(r.loop_time_ms), _fmt(r.max_abs_p2_error), _fmt(r.adiabaticity_ratio)]
+        (r.loop_time_ms, r.max_abs_p2_error, _nan_if_none(r.adiabaticity_ratio))
         for r in results
     ]
     extra = [("monotone_decreasing", "yes" if monotone else "no")]
@@ -582,6 +601,7 @@ def cmd_adiabaticity(
         "adiabaticity.csv",
         _header_lines(config, "adiabaticity", extra),
         ["loop_time_ms", "max_abs_p2_error", "adiabaticity_ratio"],
+        _row_format(3),
         rows,
     )
     for r in results:
@@ -629,16 +649,15 @@ def cmd_dressed_phases(
                     make_space(k, k), params, loop, (n, m), branch, config.dt_ms
                 )
                 phase, cyclicity, gap, status = (
-                    _fmt(reading.geometric_phase), _fmt(reading.cyclicity),
-                    _fmt(reading.metadata["min_gap"]), "ok",
+                    reading.geometric_phase, reading.cyclicity,
+                    reading.metadata["min_gap"], "ok",
                 )
             except DegeneracyError as exc:
-                phase, cyclicity, gap, status = "nan", "nan", "nan", "degenerate"
+                phase, cyclicity, gap, status = math.nan, math.nan, math.nan, "degenerate"
                 failed.append(((n, m), branch, str(exc)))
             rows.append(
-                [str(n), str(m), branch, phase,
-                 _fmt(analytic_dressed_phase(n, m, gamma, branch)),
-                 "yes" if resonant else "no", cyclicity, gap, status]
+                (n, m, branch, phase, analytic_dressed_phase(n, m, gamma, branch),
+                 "yes" if resonant else "no", cyclicity, gap, status)
             )
 
     extra = [("gamma_solid_angle", _fmt(gamma))]
@@ -657,12 +676,13 @@ def cmd_dressed_phases(
             "min_gap_rad_per_ms",
             "status",
         ],
+        "%d,%d,%s,%.11e,%.11e,%s,%.11e,%.11e,%s",
         rows,
     )
-    for row in rows:
+    for n, m, branch, phase, analytic, _, _, _, status in rows:
         print(
-            f"dressed-phases: (n,m) = ({row[0]},{row[1]}) {row[2]}: "
-            f"numeric = {row[3]}, analytic = {row[4]}, status = {row[8]}"
+            f"dressed-phases: (n,m) = ({n},{m}) {branch}: "
+            f"numeric = {_fmt(phase)}, analytic = {_fmt(analytic)}, status = {status}"
         )
     print(f"dressed-phases: -> {path}")
     if failed:
@@ -747,6 +767,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (ConfigError, TruncationError) as exc:
         print(f"loopqed: validation error: {exc}", file=sys.stderr)
+        return 1
+    except StepCountError as exc:
+        print(f"loopqed: validation error: field 'dt_ms': {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, DegeneracyError) as exc:
         print(f"loopqed: numerical error: {exc}", file=sys.stderr)

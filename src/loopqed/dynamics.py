@@ -28,10 +28,12 @@ of evolve_loop pin down.  evolve steps a sampled Schedule, taking the
 midpoints from its interpolation; a stepped leg of evolve_loop and the
 dressed-branch transport step straight legs, whose midpoints lie at equal
 fractions of the leg.  The stepper works a block of steps at a time,
-whose arrays take at most BLOCK_BYTES: it builds the block's Hamiltonians
-in one call and its step unitaries in one batched product, so the work
-left per step is that step's eigendecomposition and one product with the
-state.
+whose arrays take at most BLOCK_BYTES: it makes the block's midpoints,
+builds its Hamiltonians in one call and its step unitaries in one batched
+product, so the work left per step is that step's eigendecomposition and
+one product with the state, and memory does not grow with the step count.
+A step size that makes more steps than an int64 counts is refused
+(StepCountError).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "Trajectory",
     "LoopRun",
     "IntegrationError",
+    "StepCountError",
     "DEFAULT_STEPS",
     "evolve",
     "evolve_loop",
@@ -66,6 +69,10 @@ BLOCK_BYTES = 1 << 20
 
 class IntegrationError(RuntimeError):
     """Raised when propagation produces non-finite or norm-broken states."""
+
+
+class StepCountError(ValueError):
+    """Raised when a step size makes more steps than an int64 counts."""
 
 
 @dataclass
@@ -117,7 +124,14 @@ def _resolve_steps(duration: float, total: float, dt: float | None) -> int:
         dt = total / DEFAULT_STEPS if total > 0 else duration
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return max(1, int(math.ceil(duration / dt - 1e-12)))
+    count = duration / dt - 1e-12
+    # floats below 2**63 are at most 2**63 - 1024, so their ceiling fits
+    if not count < 2.0**63:
+        raise StepCountError(
+            f"dt = {dt!r} ms makes {count:.3e} steps of a {duration:.6g} ms leg, "
+            "more than an int64 counts"
+        )
+    return max(1, int(math.ceil(count)))
 
 
 def evolve(
@@ -180,7 +194,7 @@ def evolve(
     h = duration / steps if steps else 0.0
     _, stats = _step(
         _gather(initial, rows), factory.dense,
-        schedule.angles_at((np.arange(steps) + 0.5) * h), h, sample_stride, record,
+        lambda k: schedule.angles_at((k + 0.5) * h), steps, h, sample_stride, record,
     )
     stats["max_norm_drift"] = float(stats["max_norm_drift"][0])
     return Trajectory(np.array(rec_times), np.array(rec_amps), space, stats)
@@ -366,35 +380,35 @@ def _check_state(psi, where: str) -> np.ndarray:
     return drift
 
 
-def _step(psi, dense, mid_angles, h, stride, on_sample):
+def _step(psi, dense, midpoints, steps, h, stride, on_sample):
     """Midpoint-step psi; the package's one stepping loop.
 
     psi is an (S, d, B) stack of sector amplitudes, and dense(theta, phi)
     returns the matching (S, d, d) stack of Hamiltonian blocks, or the
-    (n, S, d, d) stacks of n points given arrays of angles.  mid_angles is
-    the pair of arrays (theta, phi) at the midpoints of equal steps of h
-    ms.  Each step applies the exact exponential V exp(-i w h) V^H of the
-    blocks frozen at its midpoint, from one batched eigendecomposition of
-    its stack.  The steps run in blocks whose arrays take at most
-    BLOCK_BYTES: each block's Hamiltonians are built in one dense() call
-    and its step unitaries in one batched product, so a step costs its
-    eigendecomposition and one product with psi.  After every stride-th
-    step and after the last, the amplitudes are checked and
-    on_sample(t, v, psi) receives the time from the first step's start,
-    the step's (S, d, d) eigenvectors and the state.  Returns the final
-    amplitudes and the step_stats dict of Trajectory, whose max_norm_drift
-    is per state, a (B,) array.
+    (n, S, d, d) stacks of n points given arrays of angles.  The run is
+    `steps` equal steps of h ms, and midpoints(k) gives the arrays (theta,
+    phi) at the midpoints of the steps whose indices (from 0) are the
+    integer array k.  Each step applies the exact exponential
+    V exp(-i w h) V^H of the blocks frozen at its midpoint, from one
+    batched eigendecomposition of its stack.  The steps run in blocks
+    whose arrays take at most BLOCK_BYTES: each block's midpoints come
+    from one midpoints() call, its Hamiltonians from one dense() call and
+    its step unitaries from one batched product, so a step costs its
+    eigendecomposition and one product with psi, and no array grows with
+    the step count.  After every stride-th step and after the last, the
+    amplitudes are checked and on_sample(t, v, psi) receives the time from
+    the first step's start, the step's (S, d, d) eigenvectors and the
+    state.  Returns the final amplitudes and the step_stats dict of
+    Trajectory, whose max_norm_drift is per state, a (B,) array.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the step and time.
     """
-    th_mid, ph_mid = mid_angles
-    steps = len(th_mid)
     step_bytes = 4 * 16 * psi.shape[0] * psi.shape[1] ** 2  # a step's four (S, d, d)
     block = max(1, BLOCK_BYTES // max(step_bytes, 1))
     max_drift = _norm_drift(psi)
     for start in range(0, steps, block):
-        hams = dense(th_mid[start:start + block], ph_mid[start:start + block])
+        hams = dense(*midpoints(np.arange(start, min(start + block, steps))))
         w, v = np.empty(hams.shape[:-1]), np.empty_like(hams)
         for k, ham in enumerate(hams):
             # one eigh call per step, the count benchmark/tests pins
@@ -417,14 +431,19 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
     """Midpoint-step psi along leg `leg` (from 0) of a loop, in `steps` equal steps.
 
     A leg is straight in (theta, phi), so the step midpoints lie at equal
-    fractions of it; stride and on_sample are _step's.  Returns the final
-    amplitudes, and re-raises an IntegrationError with the leg named.
+    fractions of it, made a block at a time; stride and on_sample are
+    _step's.  Returns the final amplitudes, and re-raises an
+    IntegrationError with the leg named.
     """
-    fracs = (np.arange(steps) + 0.5) / steps
-    mid_angles = tuple(a + fracs * (b - a) for a, b in zip(*loop.knots[leg:leg + 2]))
+    ends = tuple(zip(*loop.knots[leg:leg + 2]))
+
+    def midpoints(k):
+        fracs = (k + 0.5) / steps
+        return tuple(a + fracs * (b - a) for a, b in ends)
+
     h = loop.durations[leg] / steps
     try:
-        return _step(psi, dense, mid_angles, h, stride, on_sample)[0]
+        return _step(psi, dense, midpoints, steps, h, stride, on_sample)[0]
     except IntegrationError as exc:
         t_leg = sum(loop.durations[:leg])
         raise IntegrationError(

@@ -68,12 +68,14 @@ class DegeneracyError(RuntimeError):
     """Raised when the tracked eigenvalue loses its safety gap along a loop."""
 
 
-def wrap_phase(x: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
-    w = (x + math.pi) % TWO_PI - math.pi
-    if w == -math.pi:
-        w = math.pi
-    return w
+def wrap_phase(x):
+    """Wrap an angle to the interval (-pi, pi].
+
+    An array of angles gives an array, a scalar a float.
+    """
+    w = np.remainder(np.add(x, math.pi), TWO_PI) - math.pi
+    w = np.where(w == -math.pi, math.pi, w)
+    return float(w) if w.ndim == 0 else w
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,20 @@ leading batch axis of states, and dynamics.evolve_loop propagates a batch
 with the eigendecompositions of one state.  run_batch runs one experiment
 for many cavity inputs on that axis, and run_experiment is its batch of
 one, so a sweep over amplitudes is one pass through the pipeline, not one
-per amplitude.
+per amplitude.  The pass returns arrays (_run_arrays): the (2, B, X)
+fringes of both arms, their fit coefficients and residuals, the shifts
+and the cyclicities.  run_batch builds its per-input results from them,
+while effective_shift_vs_alpha stays in arrays through the fit, the
+closed forms (which broadcast over amplitudes) and the dark-point column,
+and makes objects only for the rows it returns, which the CLI writes to
+the CSV with one format call a row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -252,25 +259,32 @@ def fit_fringe(xi: np.ndarray, p2: np.ndarray):
     fringes, fitted together with one inverse of the 3x3 Gram matrix; a
     list of B fits is then returned.
     """
+    if np.ndim(p2) > 2:
+        raise ValueError("fringe fit takes one fringe or a (B, len(xi)) array of them")
+    columns = (value.ravel().tolist() for value in _fit_arrays(xi, p2))
+    fits = [FringeFit(*values) for values in zip(*columns)]
+    return fits if np.ndim(p2) == 2 else fits[0]
+
+
+def _fit_arrays(xi, p2):
+    """fit_fringe's fits as arrays (offset, amplitude, phase, residual).
+
+    p2 is an array of fringes over its last axis, and each returned array
+    has the shape of its other axes.
+    """
     xi = np.asarray(xi, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    if xi.ndim != 1 or xi.size < 3 or p2.ndim not in (1, 2) or p2.shape[-1] != xi.size:
+    if xi.ndim != 1 or xi.size < 3 or p2.ndim == 0 or p2.shape[-1] != xi.size:
         raise ValueError("fringe fit needs matching xi/p2 arrays of length >= 3")
     design = np.stack([np.ones_like(xi), np.cos(xi), np.sin(xi)])
     # the 3x3 normal equations: no BLAS or LAPACK call grows with the batch
     gram_inv = np.linalg.inv(np.einsum("in,jn->ij", design, design))
     coef = np.einsum("ij,...j->...i", gram_inv, np.einsum("...n,jn->...j", p2, design))
     residual = np.max(np.abs(np.einsum("...i,in->...n", coef, design) - p2), axis=-1)
-    fits = []
-    for (offset, c_cos, c_sin), res in zip(
-        coef.reshape(-1, 3).tolist(), np.ravel(residual).tolist()
-    ):
-        amplitude = math.hypot(c_cos, c_sin)
-        phase = math.atan2(c_sin, c_cos) if amplitude > 0 else 0.0
-        fits.append(
-            FringeFit(offset=offset, amplitude=amplitude, phase=phase, residual=res)
-        )
-    return fits if p2.ndim == 2 else fits[0]
+    offset, c_cos, c_sin = np.moveaxis(coef, -1, 0)
+    amplitude = np.hypot(c_cos, c_sin)
+    phase = np.where(amplitude > 0, np.arctan2(c_sin, c_cos), 0.0)
+    return offset, amplitude, phase, residual
 
 
 def _round_to_flips(tau: float, params: ModelParams) -> tuple[float, int]:
@@ -314,11 +328,77 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     occupies, and each arm is one evolve_loop call, one eigendecomposition
     per leg for the whole batch; every result then reports that box as its
     propagation_box.  In ideal mode the batch stays in config.space.
-    Detection runs once per arm, and one fit_fringe call, one inverse of
-    its 3x3 Gram matrix, fits every fringe of both arms.
+    Detection runs once per arm, and one inverse of the 3x3 Gram matrix
+    fits every fringe of both arms.  The results are views of the arrays
+    of _run_arrays, which a sweep reads directly.
     """
     if not cavities:
         return []
+    batch = _run_arrays(config, cavities)
+    fit_columns = (batch.offset, batch.amplitude, batch.phase, batch.residual)
+    fits = [
+        [FringeFit(*values) for values in zip(*(c[arm].tolist() for c in fit_columns))]
+        for arm in (0, 1)
+    ]
+    full = config.mode == "full"
+    results = []
+    for row, cavity in enumerate(cavities):
+        fit_residual = float(batch.fit_residual[row])
+        cyc_loop, cyc_caliber = batch.cyclicity[:, row].tolist()
+        flags: list[str] = []
+        if full and batch.ratio is not None and batch.ratio > ADIABATICITY_FLAG_RATIO:
+            flags.append("non-adiabatic")
+        if fit_residual > FIT_RESIDUAL_FLAG:
+            flags.append("poor-fit")
+        if full and cyc_loop < CYCLICITY_FLOOR:
+            flags.append("non-cyclic")
+        # the leg and step counts are shared, the norm drift is per state
+        propagation = {
+            name: {**run.stats, "max_norm_drift": float(run.stats["max_norm_drift"][row])}
+            for name, run in batch.runs.items()
+        }
+        metadata = {
+            "gamma": batch.gamma,
+            "tau_used_ms": batch.tau,
+            "rabi_flips": batch.flips,
+            "mode": config.mode,
+            "cavity_kind": cavity.kind,
+            "alpha": cavity.alpha if cavity.kind == "coherent" else None,
+            "photon_number": cavity.photon_number if cavity.kind == "fock" else None,
+            "adiabaticity_ratio": batch.ratio,
+            "cyclicity_loop": cyc_loop,
+            "cyclicity_caliber": cyc_caliber,
+            "flags": flags,
+            "loop_propagation": propagation or None,
+            "propagation_box": batch.box,
+        }
+        results.append(
+            RamseyResult(
+                xi_grid=config.xi_grid,
+                p2_loop=batch.p2[0, row],
+                p2_caliber=batch.p2[1, row],
+                loop_fit=fits[0][row],
+                caliber_fit=fits[1][row],
+                fitted_shift=float(batch.shift[row]),
+                fit_residual=fit_residual,
+                metadata=metadata,
+            )
+        )
+    return results
+
+
+def _run_arrays(config: RamseyConfig, cavities) -> SimpleNamespace:
+    """The work of run_batch for a non-empty batch of B cavity inputs, as arrays.
+
+    Arrays indexed [arm, row] hold arm 0, the loop arm, and arm 1, the
+    caliber arm: p2 is the (2, B, X) detected fringes over the xi grid,
+    offset, amplitude, phase and residual are the (2, B) fits of those
+    fringes, and cyclicity the (2, B) return fidelities.  shift is the (B,)
+    caliber-relative fringe shift and fit_residual the (B,) worse residual
+    of the two arms.  gamma, tau, flips, ratio (the adiabaticity ratio,
+    None at lam = 0), box (the cutoffs the arms ran in) and runs (each
+    arm's LoopRun, empty in ideal mode) are shared by the batch.
+    """
     params = config.params
     gamma = solid_angle(config.loop)
     tau, flips = config.loop.total_time, None
@@ -327,7 +407,6 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     loop = rescaled_path(config.loop, tau)
     ratio = loop.max_rate / params.lam if params.lam > 0 else None
     start = prepare(config.space, cavities)
-    batch = len(cavities)
 
     runs = {}
     if config.mode == "full":
@@ -341,8 +420,6 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
         arms = [run.final_state for run in runs.values()]
     else:
         arms = [ideal_phase_map(start, gamma), start]
-    box = (start.space.nmax_plus, start.space.nmax_minus)
-    # [arm, row]: arm 0 is the loop arm, arm 1 the caliber arm.
     # Phase-insensitive return fidelity: the loop is supposed to imprint
     # phases on the prepared components, so the cyclicity diagnostic
     # compares only the magnitude profiles (1 exactly when no population
@@ -352,53 +429,23 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
         for state in arms
     ])
     p2 = np.array([close_and_detect(state, config.xi_grid) for state in arms])
-
-    fits = fit_fringe(config.xi_grid, p2.reshape(2 * batch, config.xi_grid.size))
-    results = []
-    for row, cavity in enumerate(cavities):
-        loop_fit, caliber_fit = fits[row], fits[batch + row]
-        fit_residual = max(loop_fit.residual, caliber_fit.residual)
-        cyc_loop, cyc_caliber = cyclicity[:, row].tolist()
-        flags: list[str] = []
-        if config.mode == "full" and ratio is not None and ratio > ADIABATICITY_FLAG_RATIO:
-            flags.append("non-adiabatic")
-        if fit_residual > FIT_RESIDUAL_FLAG:
-            flags.append("poor-fit")
-        if config.mode == "full" and cyc_loop < CYCLICITY_FLOOR:
-            flags.append("non-cyclic")
-        # the leg and step counts are shared, the norm drift is per state
-        propagation = {
-            name: {**run.stats, "max_norm_drift": float(run.stats["max_norm_drift"][row])}
-            for name, run in runs.items()
-        }
-        metadata = {
-            "gamma": gamma,
-            "tau_used_ms": tau,
-            "rabi_flips": flips,
-            "mode": config.mode,
-            "cavity_kind": cavity.kind,
-            "alpha": cavity.alpha if cavity.kind == "coherent" else None,
-            "photon_number": cavity.photon_number if cavity.kind == "fock" else None,
-            "adiabaticity_ratio": ratio,
-            "cyclicity_loop": cyc_loop,
-            "cyclicity_caliber": cyc_caliber,
-            "flags": flags,
-            "loop_propagation": propagation or None,
-            "propagation_box": box,
-        }
-        results.append(
-            RamseyResult(
-                xi_grid=config.xi_grid,
-                p2_loop=p2[0, row],
-                p2_caliber=p2[1, row],
-                loop_fit=loop_fit,
-                caliber_fit=caliber_fit,
-                fitted_shift=wrap_phase(loop_fit.phase - caliber_fit.phase),
-                fit_residual=fit_residual,
-                metadata=metadata,
-            )
-        )
-    return results
+    offset, amplitude, phase, residual = _fit_arrays(config.xi_grid, p2)
+    return SimpleNamespace(
+        p2=p2,
+        offset=offset,
+        amplitude=amplitude,
+        phase=phase,
+        residual=residual,
+        cyclicity=cyclicity,
+        shift=wrap_phase(phase[0] - phase[1]),
+        fit_residual=np.max(residual, axis=0),
+        gamma=gamma,
+        tau=tau,
+        flips=flips,
+        ratio=ratio,
+        box=(start.space.nmax_plus, start.space.nmax_minus),
+        runs=runs,
+    )
 
 
 def p2_vacuum_formula(gamma: float) -> float:
@@ -406,34 +453,45 @@ def p2_vacuum_formula(gamma: float) -> float:
     return 0.5 * (1.0 - math.cos(0.25 * gamma))
 
 
-def p2_coherent_formula(alpha: complex, gamma: float) -> float:
+def _vacuum_weight(alpha):
+    """Probability e^{-|alpha|^2} of the vacuum in a coherent state."""
+    return np.exp(-np.abs(alpha) ** 2)
+
+
+def _scalar_or_array(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
+def p2_coherent_formula(alpha, gamma):
     """Dark-point detection probability for coherent input.
 
     P2 = [(1 - e^{-|alpha|^2})(1 - cos(gamma/2))
           + e^{-|alpha|^2} (1 - cos(gamma/4))] / 2.
     Reduces to the vacuum formula at alpha = 0 and approaches
-    (1 - cos(gamma/2))/2 for large |alpha|.
+    (1 - cos(gamma/2))/2 for large |alpha|.  alpha and gamma broadcast:
+    arrays give an array, scalars a float.
     """
-    p_vac = math.exp(-abs(alpha) ** 2)
-    return 0.5 * (
-        (1.0 - p_vac) * (1.0 - math.cos(0.5 * gamma))
-        + p_vac * (1.0 - math.cos(0.25 * gamma))
-    )
+    p_vac = _vacuum_weight(alpha)
+    return _scalar_or_array(0.5 * (
+        (1.0 - p_vac) * (1.0 - np.cos(np.multiply(0.5, gamma)))
+        + p_vac * (1.0 - np.cos(np.multiply(0.25, gamma)))
+    ))
 
 
-def formula_fringe_shift(alpha: complex, gamma: float) -> float:
+def formula_fringe_shift(alpha, gamma):
     """Fringe phase implied by the coherent closed form.
 
     The idealized fringe is the Poisson mixture
     P2(xi) = [p0 (1 + cos(xi - gamma/4)) + (1 - p0)(1 + cos(xi - gamma/2))]/2
     with p0 = e^{-|alpha|^2}; fitting a single cosine to it gives the phase
-    of the complex sum p0 e^{i gamma/4} + (1 - p0) e^{i gamma/2}.
+    of the complex sum p0 e^{i gamma/4} + (1 - p0) e^{i gamma/2}.  alpha and
+    gamma broadcast: arrays give an array, scalars a float.
     """
-    p_vac = math.exp(-abs(alpha) ** 2)
-    z = p_vac * complex(math.cos(0.25 * gamma), math.sin(0.25 * gamma)) + (
-        1.0 - p_vac
-    ) * complex(math.cos(0.5 * gamma), math.sin(0.5 * gamma))
-    return math.atan2(z.imag, z.real)
+    p_vac = _vacuum_weight(alpha)
+    quarter, half = np.multiply(0.25, gamma), np.multiply(0.5, gamma)
+    re = p_vac * np.cos(quarter) + (1.0 - p_vac) * np.cos(half)
+    im = p_vac * np.sin(quarter) + (1.0 - p_vac) * np.sin(half)
+    return _scalar_or_array(np.arctan2(im, re))
 
 
 @dataclass(frozen=True)
@@ -456,18 +514,21 @@ def effective_shift_vs_alpha(
 ) -> list[AlphaSweepRow]:
     """Fringe shift versus coherent amplitude on a common lasso loop.
 
-    The amplitudes run as one batch (run_batch) of coherent cavity inputs,
-    so the sweep prepares, maps or propagates, detects and fits once
-    rather than once per amplitude; the formula columns
-    come from the closed forms.  The dark-point simulation
-    column evaluates the loop curve at the caliber fringe's dark point
-    (xi = caliber phase + pi), where the closed forms apply.
+    The amplitudes run as one batch of coherent cavity inputs (the arrays
+    of run_batch), so the sweep prepares, maps or propagates, detects and
+    fits once rather than once per amplitude, and every column is computed
+    whole: the simulated shift, the dark-point simulation column, which
+    evaluates each loop fit at its caliber fringe's dark point (xi =
+    caliber phase + pi), where the closed forms apply, and both closed
+    forms.  Only the returned rows are made one per amplitude.
 
     base supplies the space, model parameters, loop timing, and grids; when
     omitted, a default wide space (nmax 16 on the driven mode) and a slow
     default-parameter lasso are used.  The base's loop is replaced by a
     lasso of the requested solid angle, and its mode by the requested one.
     """
+    if len(alpha_grid) == 0:
+        return []
     if base is None:
         params = default_params()
         base = RamseyConfig(
@@ -483,28 +544,30 @@ def effective_shift_vs_alpha(
         CavityInput(kind="coherent", alpha=alpha, tail_tol=base.cavity.tail_tol)
         for alpha in alpha_grid
     ]
-    results = run_batch(replace(base, loop=loop, mode=mode), cavities)
-    rows = []
-    for alpha, result in zip(alpha_grid, results):
-        dark_xi = float(result.caliber_fit.phase + math.pi)
-        p2_dark = close_and_detect_curve_value(result, dark_xi)
-        rows.append(
-            AlphaSweepRow(
-                alpha=float(abs(alpha)),
-                shift_sim=result.fitted_shift,
-                shift_formula=formula_fringe_shift(alpha, gamma),
-                p2_dark_sim=p2_dark,
-                p2_dark_formula=p2_coherent_formula(alpha, gamma),
-                fit_residual=result.fit_residual,
-            )
-        )
-    return rows
+    batch = _run_arrays(replace(base, loop=loop, mode=mode), cavities)
+    alphas = np.asarray(alpha_grid)
+    columns = (
+        np.abs(alphas),
+        batch.shift,
+        formula_fringe_shift(alphas, gamma),
+        _fringe_value(
+            batch.offset[0], batch.amplitude[0], batch.phase[0], batch.phase[1] + math.pi
+        ),
+        p2_coherent_formula(alphas, gamma),
+        batch.fit_residual,
+    )
+    return [AlphaSweepRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def close_and_detect_curve_value(result: RamseyResult, xi: float) -> float:
     """Evaluate the fitted loop fringe of a result at one xi."""
     fit = result.loop_fit
-    return fit.offset + fit.amplitude * math.cos(xi - fit.phase)
+    return float(_fringe_value(fit.offset, fit.amplitude, fit.phase, xi))
+
+
+def _fringe_value(offset, amplitude, phase, xi):
+    """Fitted fringe offset + amplitude cos(xi - phase); the arguments broadcast."""
+    return offset + amplitude * np.cos(xi - phase)
 
 
 @dataclass(frozen=True)

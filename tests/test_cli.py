@@ -290,6 +290,31 @@ def test_exit_one_on_non_finite_numbers(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        # g**2 overflows in the light shift
+        (dict(g_khz="1e300"), "g_khz"),
+        # a tilted leg would take about 1e300 steps
+        (dict(loop_knots="0:0;1:0;2:1;0:1;0:0", loop_leg_times="1;1;1;1",
+              dt_ms="1e-300"), "dt_ms"),
+    ],
+)
+def test_exit_one_names_the_field_of_an_overflowing_number(tmp_path, overrides, field):
+    cfg = write_cfg(tmp_path, nmax_plus=1, **overrides)
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "loopqed.cli", "fringe", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert f"loopqed: validation error: field '{field}'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_exit_two_on_degenerate_transport(tmp_path, capsys):
     # a loop crossing in a fraction of a flip period trips the gap
     # precheck; the CSV is still written with a degenerate status row

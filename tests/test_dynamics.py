@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from loopqed.dynamics import (
     BLOCK_BYTES,
     IntegrationError,
+    _step_leg,
     brute_force_evolve,
     evolve,
     evolve_loop,
@@ -392,6 +394,41 @@ def test_stepped_legs_build_bounded_blocks(monkeypatch):
                 psi = v @ (np.exp(-1j * w * dur / steps) * (v.conj().T @ psi))
         expected[idx] = psi
     np.testing.assert_allclose(run.final_state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
+    # a 10**9-step tilted leg would need 8 GB for each array of its step
+    # midpoints; a dense() that stops the run after the first block sees
+    # that block's angles only, and the traced peak stays within the block
+    # arrays' own bound plus room for the block's midpoints and temporaries
+    space = make_space(1, 1)
+    sector = excitation_sector_indices(space, 1)
+    factory = HamiltonianFactory(space, default_params(), [sector])
+    loop = piecewise_path([(0.2, 0.0), (1.0, 0.6), (0.6, 2.0), (0.2, 0.0)], [1.0] * 3)
+    psi = np.zeros((1, len(sector), 1), dtype=complex)
+    psi[0, 0, 0] = 1.0
+    steps = 10**9
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def dense_once(theta, phi):
+        if seen:
+            raise Stop
+        seen.append(theta.shape)
+        return factory.dense(theta, phi)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            _step_leg(psi, dense_once, loop, 1, steps, steps, lambda *_: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_block = BLOCK_BYTES // (4 * 16 * len(sector) ** 2)
+    assert seen == [(per_block,)]
+    assert peak < 2 * BLOCK_BYTES
 
 
 def test_frozen_loop_is_one_exponential():

@@ -60,6 +60,16 @@ def test_wrap_phase_idempotent_on_grid():
         assert abs(turns - round(turns)) < 1e-12
 
 
+def test_wrap_phase_of_an_array_is_each_scalar_bit_for_bit():
+    angles = np.array([-5 * math.pi, -math.pi, -0.0, 0.0, 0.3, math.pi, 7.5, 1e6])
+    wrapped = wrap_phase(angles)
+    assert wrapped.shape == angles.shape
+    for x, w in zip(angles, wrapped):
+        alone = wrap_phase(float(x))
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # analytic dressed-branch phases
 

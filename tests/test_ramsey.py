@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import loopqed.ramsey
 from loopqed.dynamics import evolve_loop
 from loopqed.hilbert import (
     StateVector,
@@ -266,6 +267,23 @@ def test_formula_shift_crossover():
     shifts = [formula_fringe_shift(a, math.pi) for a in grid]
     assert all(b > a for a, b in zip(shifts, shifts[1:]))
     assert formula_fringe_shift(4.0, math.pi) == pytest.approx(math.pi / 2, abs=1e-6)
+
+
+def test_closed_forms_broadcast_bit_for_bit():
+    # one copy of each formula serves the sweep's whole columns and single
+    # points; the grid holds the vacuum, a tiny, a large and a complex
+    # amplitude
+    alphas = np.array([0.0, 1e-170, 1e-8, 0.37, 1.0, 2.5, 30.0, 0.6 - 0.8j, 1e-3j])
+    gammas = np.array([0.0, 0.5, math.pi, 4.0, 3.0 * math.pi])
+    for formula in (formula_fringe_shift, p2_coherent_formula):
+        grid = formula(alphas[:, None], gammas)
+        assert grid.shape == (alphas.size, gammas.size)
+        for i, alpha in enumerate(alphas):
+            point = complex(alpha) if alpha.imag else float(alpha.real)
+            for j, gamma in enumerate(gammas):
+                alone = formula(point, float(gamma))
+                assert type(alone) is float
+                assert np.float64(alone).tobytes() == grid[i, j].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +607,37 @@ def test_alpha_sweep_vacuum_row_and_monotonicity():
         assert abs(row.shift_sim - row.shift_formula) <= 1e-10 + tail
         assert abs(row.p2_dark_sim - row.p2_dark_formula) <= 1e-10 + tail
         assert row.fit_residual <= 1e-10 + tail
+
+
+def test_ideal_sweep_rows_match_each_run_experiment(monkeypatch):
+    # the sweep reads the batch's arrays and makes no fit object per
+    # fringe; each row still equals that amplitude's own experiment
+    base = RamseyConfig(
+        space=make_space(8, 0),
+        params=default_params(),
+        loop=lasso_path(math.pi, 0.6),
+        mode="ideal",
+    )
+    alphas = [0.0, 0.3, 0.9, 1.4, 0.5 + 0.5j]
+
+    def no_fit_objects(*args, **kwargs):
+        raise AssertionError("the sweep made a FringeFit")
+
+    monkeypatch.setattr(loopqed.ramsey, "FringeFit", no_fit_objects)
+    rows = effective_shift_vs_alpha(alphas, math.pi, mode="ideal", base=base)
+    monkeypatch.undo()
+    assert len(rows) == len(alphas)
+    for alpha, row in zip(alphas, rows):
+        assert isinstance(row, AlphaSweepRow)
+        alone = run_experiment(replace(base, cavity=CavityInput(kind="coherent", alpha=alpha)))
+        assert row.alpha == abs(alpha)
+        assert abs(row.shift_sim - alone.fitted_shift) <= 1e-12
+        dark = close_and_detect_curve_value(alone, alone.caliber_fit.phase + math.pi)
+        assert abs(row.p2_dark_sim - dark) <= 1e-12
+        assert abs(row.fit_residual - alone.fit_residual) <= 1e-12
+        assert row.shift_formula == formula_fringe_shift(alpha, math.pi)
+        assert row.p2_dark_formula == p2_coherent_formula(alpha, math.pi)
+    assert effective_shift_vs_alpha([], math.pi, base=base) == []
 
 
 def test_adiabaticity_ladder_decreases_with_slower_loops():
