@@ -20,6 +20,24 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# No BLAS or LAPACK call in loopqed is large enough for OpenBLAS to split
+# it, yet the thread pool OpenBLAS starts when numpy loads spins for about
+# 60 ms of CPU, and on a slow host that spin runs into the first command.
+# So numpy is loaded here with one BLAS thread, and no pool starts.  A
+# thread count set in the environment is kept, a numpy already loaded keeps
+# its pool, and the variable is removed again so child processes do not
+# inherit it.
+_BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(k in _os.environ for k in _BLAS_THREAD_ENV):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .hilbert import (
     SpaceConfig,
     StateVector,

@@ -549,6 +549,29 @@ def test_blas_worker_threads_stay_idle(tmp_path):
     assert gained == ["0", "0"]
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads from /proc"
+)
+def test_import_loads_numpy_without_blas_threads():
+    # importing loopqed before numpy starts no BLAS thread pool, and leaves
+    # the environment as it found it; a thread count already set is kept
+    script = "\n".join([
+        "import os",
+        "import loopqed",
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))",
+    ])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    runs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env={**env, **extra}, timeout=60)
+        for extra in ({}, {"OPENBLAS_NUM_THREADS": "2"})
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout.split() == ["1", "None"]
+    assert runs[1].stdout.split()[1] == "2"
+
+
 def test_console_script_version():
     proc = subprocess.run(
         [sys.executable, "-m", "loopqed.cli", "--version"],
