@@ -9,40 +9,13 @@ Subcommands
 Global flags: --config PATH (key = value file), --out DIR (overrides the
 config's out_dir).  Each subcommand also takes an override of its own list
 key: alpha-sweep --alphas, adiabaticity --times, dressed-phases --doublets.
+An override replaces the key's text before parsing, so it is checked like
+the key and echoed in the header as the list the run used.
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad config fields,
 couplings whose derived rates overflow, a dt_ms that makes more steps than
 an int64 counts, inadequate truncation), 2 numerical failure (integration,
 degeneracy).
-
-Config file format: one `key = value` per line, `#` starts a comment,
-blank lines ignored.  Unknown keys are rejected.  All computations are
-deterministic, so no key seeds anything.  Keys and defaults:
-
-    g_khz = 50.0              atom-cavity coupling g/2pi in kHz
-    omega_khz = 50.0          drive Rabi frequency Omega/2pi in kHz
-    delta_ratio = 3.0         detuning delta as a multiple of Omega
-    nmax_plus = 4             photon cutoff of the driven mode "+" for
-                              fringe, alpha-sweep and adiabaticity
-    tail_tol = 1e-3           coherent-state truncation tail tolerance
-    gamma = 3.141592653589793 lasso solid angle in steradians
-    loop_knots =              optional explicit path "theta:phi;..." (rad)
-    loop_leg_times =          leg durations "t1;t2;..." in ms (with knots)
-    loop_time_ms = 6.0        total loop time in ms
-    cavity = fock:0           initial "+" field: fock:N or coherent:ALPHA
-    xi_points = 33            Ramsey phase grid size (>= 16)
-    mode = full               "full" dynamics or "ideal" phase map
-    dt_ms =                   integrator step in ms for the transport and
-                              for tilted loop legs; lasso legs are exact
-                              and ignore it (empty: duration/20000)
-    round_flips = true        round interaction time to whole Rabi flips
-    out_dir = runs            output directory
-    alphas = 0,0.5            alpha-sweep amplitudes
-    time_ladder_ms = 0.6,1.2,2.4   adiabaticity loop times
-    doublets = 0,0            dressed-phase doublets "n,m;n,m;..."; each
-                              runs in the box (k, k) that holds its
-                              excitation sector k = n + 1 + m whole
-    branch = both             dressed-phase branch: upper, lower, or both
 
 Frequencies are entered in kHz and converted to angular units internally:
 a frequency of f kHz corresponds to 2*pi*f rad/ms.  The conversion is
@@ -60,6 +33,12 @@ excitation sector k holds at most k photons per mode, so a run takes its
 box from the sectors it occupies: the Ramsey subcommands prepare their
 state in (nmax_plus, 0) and full-dynamics arms propagate in the complete
 box (K, K) of the highest sector K any prepared state occupies.
+
+Config file format: one `key = value` per line, `#` starts a comment,
+blank lines ignored.  Unknown keys are rejected.  All computations are
+deterministic, so no key seeds anything.  Keys and defaults, one line per
+row of KEYS:
+
 """
 
 from __future__ import annotations
@@ -68,7 +47,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+import textwrap
+from collections import namedtuple
 from operator import attrgetter
 
 from . import __version__
@@ -88,6 +68,7 @@ from .ramsey import (
 
 __all__ = [
     "ConfigError",
+    "KEYS",
     "RunConfig",
     "load_config",
     "cmd_fringe",
@@ -98,33 +79,15 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# the largest Ramsey phase grid; an alpha sweep holds a (amplitudes, xi) array
+XI_POINTS_MAX = 10_000
 
 
 class ConfigError(ValueError):
     """A configuration or usage problem; maps to exit code 1."""
 
 
-_DEFAULTS: dict[str, str] = {
-    "g_khz": "50.0",
-    "omega_khz": "50.0",
-    "delta_ratio": "3.0",
-    "nmax_plus": "4",
-    "tail_tol": "1e-3",
-    "gamma": repr(math.pi),
-    "loop_knots": "",
-    "loop_leg_times": "",
-    "loop_time_ms": "6.0",
-    "cavity": "fock:0",
-    "xi_points": "33",
-    "mode": "full",
-    "dt_ms": "",
-    "round_flips": "true",
-    "out_dir": "runs",
-    "alphas": "0,0.5",
-    "time_ladder_ms": "0.6,1.2,2.4",
-    "doublets": "0,0",
-    "branch": "both",
-}
+# ---- parsers, checks and echo formats of the keys ----------------------------
 
 
 def _to_float(key: str, raw: str) -> float:
@@ -160,41 +123,167 @@ def _float_list(key: str, raw: str, sep: str = ",") -> tuple[float, ...]:
     return tuple(_to_float(key, s) for s in items)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed, validated run configuration; built by _build_config from _DEFAULTS."""
+def _pairs(key: str, raw: str, form: str, convert) -> tuple[tuple, ...]:
+    """Entries of the given form ("theta:phi" or "n,m"), ';'-separated, as pairs."""
+    sep = ":" if ":" in form else ","
+    pairs = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = chunk.split(sep)
+        if len(parts) != 2:
+            raise ConfigError(f"field {key!r}: expected {form} entries, got {chunk!r}")
+        pairs.append((convert(key, parts[0]), convert(key, parts[1])))
+    return tuple(pairs)
 
-    g_khz: float
-    omega_khz: float
-    delta_ratio: float
-    nmax_plus: int
-    tail_tol: float
-    gamma: float
-    loop_knots: tuple[tuple[float, float], ...]
-    loop_leg_times: tuple[float, ...]
-    loop_time_ms: float
-    cavity_kind: str
-    cavity_photons: int
-    cavity_alpha: float
-    xi_points: int
-    mode: str
-    dt_ms: float | None
-    round_flips: bool
-    out_dir: str
-    alphas: tuple[float, ...]
-    time_ladder_ms: tuple[float, ...]
-    doublets: tuple[tuple[int, int], ...]
-    branch: str
 
-    def __post_init__(self):
+def _parse_cavity(key: str, raw: str) -> tuple[str, int, float]:
+    """fock:N or coherent:ALPHA as (kind, photon number, amplitude)."""
+    kind, *rest = (part.strip() for part in raw.strip().split(":"))
+    kind = kind.lower()
+    if len(rest) > 1 or kind not in ("fock", "coherent"):
+        raise ConfigError(f"field {key!r}: expected fock:N or coherent:ALPHA, got {raw!r}")
+    amount = rest[0] if rest else ""
+    if kind == "fock":
+        return "fock", _to_int(key, amount) if amount else 0, 0.0
+    if not amount:
+        raise ConfigError(f"field {key!r}: coherent input needs an amplitude, e.g. coherent:1.5")
+    return "coherent", 0, _to_float(key, amount)
+
+
+def _optional(parse, empty):
+    """parse, except that blank text means empty."""
+    return lambda key, raw: parse(key, raw) if raw.strip() else empty
+
+
+def _positive(value) -> str | None:
+    return None if value > 0 else f"must be positive, got {value}"
+
+
+def _one_of(*words: str):
+    names = ", ".join(map(repr, words[:-1])) + f" or {words[-1]!r}"
+    return lambda value: None if value in words else f"must be {names}, got {value!r}"
+
+
+def _fmt(x) -> str:
+    """12-significant-digit scientific notation for floats."""
+    return "%.11e" % _nan_if_none(x)
+
+
+def _nan_if_none(x) -> float:
+    return math.nan if x is None else float(x)
+
+
+def _row_format(count: int) -> str:
+    """The format of a CSV row of count floats, each as _fmt writes it."""
+    return ",".join(["%.11e"] * count)
+
+
+# ---- the keys ---------------------------------------------------------------
+
+# One row per config key, in header order: name, default text, parse(key,
+# text) -> value (raising ConfigError naming the key), check(value) -> what
+# is wrong with it or None (None: no check of its own), echo(value) -> header
+# text, and the docstring's line about the key.
+Key = namedtuple("Key", "name default parse check echo doc")
+
+KEYS: tuple[Key, ...] = (
+    Key("g_khz", "50.0", _to_float, None, _fmt, "atom-cavity coupling g/2pi in kHz"),
+    Key("omega_khz", "50.0", _to_float, None, _fmt, "drive Rabi frequency Omega/2pi in kHz"),
+    Key("delta_ratio", "3.0", _to_float, _positive, _fmt, "detuning delta as a multiple of Omega"),
+    Key("nmax_plus", "4", _to_int, lambda n: None if n >= 1 else f"must be >= 1, got {n}", str,
+        'photon cutoff of the driven mode "+" for fringe, alpha-sweep and adiabaticity'),
+    Key("tail_tol", "1e-3", _to_float, _positive, _fmt,
+        "coherent-state truncation tail tolerance"),
+    Key("gamma", repr(math.pi), _to_float,
+        lambda g: None if 0.0 <= g < 2.0 * TWO_PI else f"must lie in [0, 4*pi), got {g}",
+        _fmt, "lasso solid angle in steradians"),
+    Key("loop_knots", "", _optional(lambda key, raw: _pairs(key, raw, "theta:phi", _to_float), ()),
+        lambda knots: "a path needs at least two knots" if len(knots) == 1 else None,
+        lambda knots: ";".join(f"{_fmt(t)}:{_fmt(p)}" for t, p in knots) or "none",
+        'optional explicit path "theta:phi;..." (rad)'),
+    Key("loop_leg_times", "", _optional(lambda key, raw: _float_list(key, raw, ";"), ()),
+        lambda ts: None if all(t > 0 for t in ts) else "all leg durations must be positive",
+        lambda ts: ";".join(map(_fmt, ts)) or "none",
+        'leg durations "t1;t2;..." in ms (with knots)'),
+    Key("loop_time_ms", "6.0", _to_float, _positive, _fmt, "total loop time in ms"),
+    Key("cavity", "fock:0", _parse_cavity,
+        lambda c: None if c[1] >= 0 else f"fock photon number must be >= 0, got {c[1]}",
+        lambda c: f"fock:{c[1]}" if c[0] == "fock" else f"coherent:{_fmt(c[2])}",
+        'initial "+" field: fock:N or coherent:ALPHA'),
+    Key("xi_points", "33", _to_int,
+        lambda n: None if 16 <= n <= XI_POINTS_MAX
+        else f"fringe fit needs 16 to {XI_POINTS_MAX} samples, got {n}",
+        str, f"Ramsey phase grid size (16 to {XI_POINTS_MAX})"),
+    Key("mode", "full", lambda key, raw: raw.strip().lower(), _one_of("full", "ideal"), str,
+        '"full" dynamics or "ideal" phase map'),
+    Key("dt_ms", "", _optional(_to_float, None), lambda dt: None if dt is None else _positive(dt),
+        lambda dt: "auto" if dt is None else _fmt(dt),
+        "integrator step in ms for the transport and for tilted loop legs; lasso legs "
+        "are exact and ignore it (empty: duration/20000)"),
+    Key("round_flips", "true", _to_bool, None, lambda b: "true" if b else "false",
+        "round interaction time to whole Rabi flips"),
+    Key("out_dir", "runs", lambda key, raw: raw.strip() or "runs", None, str, "output directory"),
+    Key("alphas", "0,0.5", _float_list,
+        lambda alphas: None if min(alphas) >= 0 else "amplitudes must be >= 0",
+        lambda alphas: _row_format(len(alphas)) % alphas, "alpha-sweep amplitudes"),
+    Key("time_ladder_ms", "0.6,1.2,2.4", _float_list,
+        lambda times: None if min(times) > 0 else "need positive loop times",
+        lambda times: _row_format(len(times)) % times, "adiabaticity loop times"),
+    Key("doublets", "0,0", lambda key, raw: _pairs(key, raw, "n,m", _to_int),
+        lambda pairs: "need at least one n,m entry" if not pairs else next(
+            (f"labels must be >= 0, got ({n},{m})" for n, m in pairs if n < 0 or m < 0), None),
+        lambda pairs: ";".join(f"{n},{m}" for n, m in pairs),
+        'dressed-phase doublets "n,m;n,m;..."; each runs in the box (k, k) that holds '
+        "its excitation sector k = n + 1 + m whole"),
+    Key("branch", "both", lambda key, raw: raw.strip().lower(), _one_of("upper", "lower", "both"),
+        str, "dressed-phase branch: upper, lower, or both"),
+)
+
+
+def _key_list() -> str:
+    """The docstring's key list: `name = default`, then the doc line wrapped."""
+    lines = []
+    for key in KEYS:
+        first, *more = textwrap.wrap(key.doc, 49)
+        lines.append(f"{f'    {key.name} = {key.default}':<29} {first}")
+        lines += [" " * 30 + line for line in more]
+    return "\n".join(lines) + "\n"
+
+
+if __doc__:  # python -OO strips it
+    __doc__ += _key_list()
+
+
+class RunConfig(namedtuple("RunConfig", [key.name for key in KEYS])):
+    """Parsed, validated run configuration: one field per row of KEYS, in order.
+
+    cavity holds (kind, photon number, amplitude); build one with
+    RunConfig.from_raw, which runs every check.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_raw(cls, values: dict[str, str]) -> RunConfig:
+        """Parse and check each key's text by its row, then the checks across keys."""
+        parsed = []
+        for key in KEYS:
+            value = key.parse(key.name, values[key.name])
+            problem = key.check and key.check(value)
+            if problem:
+                raise ConfigError(f"field {key.name!r}: {problem}")
+            parsed.append(value)
+        config = cls._make(parsed)
+        config._check_across_keys()
+        return config
+
+    def _check_across_keys(self) -> None:
         if self.g_khz <= 0 or self.omega_khz <= 0:
             raise ConfigError(
                 "field 'g_khz'/'omega_khz': couplings must be positive "
                 "(the protocol needs a finite Rabi-flip period)"
-            )
-        if self.delta_ratio <= 0:
-            raise ConfigError(
-                f"field 'delta_ratio': must be positive, got {self.delta_ratio}"
             )
         try:
             params = self.model_params()
@@ -202,7 +291,7 @@ class RunConfig:
                 params.lam, params.shift_upper, params.shift_lower_per_photon,
                 params.flip_period,
             )
-        except (OverflowError, ValueError):  # a square overflows, or lam or delta is 0
+        except (OverflowError, ValueError):  # a square overflows, or lam is 0
             rates = (math.inf,)
         if not all(map(math.isfinite, rates)):
             raise ConfigError(
@@ -210,44 +299,29 @@ class RunConfig:
                 f"and the flip period must be finite, got g_khz = {self.g_khz}, "
                 f"omega_khz = {self.omega_khz}, delta_ratio = {self.delta_ratio}"
             )
-        if self.nmax_plus < 1:
-            raise ConfigError(f"field 'nmax_plus': must be >= 1, got {self.nmax_plus}")
-        if self.tail_tol <= 0:
-            raise ConfigError(f"field 'tail_tol': must be positive, got {self.tail_tol}")
-        if not (0.0 <= self.gamma < 2.0 * TWO_PI):
-            raise ConfigError(
-                f"field 'gamma': must lie in [0, 4*pi), got {self.gamma}"
-            )
-        if self.loop_time_ms <= 0:
-            raise ConfigError(
-                f"field 'loop_time_ms': must be positive, got {self.loop_time_ms}"
-            )
-        if self.xi_points < 16:
-            raise ConfigError(
-                f"field 'xi_points': fringe fit needs >= 16 samples, got {self.xi_points}"
-            )
-        if self.mode not in ("full", "ideal"):
-            raise ConfigError(f"field 'mode': must be 'full' or 'ideal', got {self.mode!r}")
-        if self.dt_ms is not None and self.dt_ms <= 0:
-            raise ConfigError(f"field 'dt_ms': must be positive, got {self.dt_ms}")
-        if self.branch not in ("upper", "lower", "both"):
-            raise ConfigError(
-                f"field 'branch': must be upper, lower, or both, got {self.branch!r}"
-            )
         if self.cavity_kind == "fock" and self.cavity_photons > self.nmax_plus:
             raise ConfigError(
                 f"field 'cavity': fock photon number {self.cavity_photons} "
                 f"exceeds nmax_plus {self.nmax_plus}"
             )
-        for n, m in self.doublets:
-            if n < 0 or m < 0:
-                raise ConfigError(f"field 'doublets': labels must be >= 0, got ({n},{m})")
-        if not self.time_ladder_ms or any(t <= 0 for t in self.time_ladder_ms):
-            raise ConfigError("field 'time_ladder_ms': need positive loop times")
-        if any(a < 0 for a in self.alphas):
-            raise ConfigError("field 'alphas': amplitudes must be >= 0")
+        knots, legs = self.loop_knots, self.loop_leg_times
+        if legs and not knots:
+            raise ConfigError(
+                "field 'loop_leg_times': set without loop_knots, so it configures nothing"
+            )
+        if knots and len(legs) != len(knots) - 1:
+            raise ConfigError(
+                f"field 'loop_leg_times': {len(knots)} knots need {len(knots) - 1} "
+                f"leg durations, got {len(legs)}"
+            )
+        if knots:
+            self.loop()
 
     # ---- derived quantities -------------------------------------------------
+
+    cavity_kind = property(lambda self: self.cavity[0], doc="'fock' or 'coherent'")
+    cavity_photons = property(lambda self: self.cavity[1], doc="Fock photon number")
+    cavity_alpha = property(lambda self: self.cavity[2], doc="coherent amplitude")
 
     @property
     def g(self) -> float:
@@ -268,119 +342,34 @@ class RunConfig:
         return ModelParams(g=self.g, omega_drive=self.omega, delta=self.delta)
 
     def loop(self) -> PathSpec:
-        if self.loop_knots:
+        if not self.loop_knots:
+            return lasso_path(self.gamma, self.loop_time_ms)
+        try:
             return piecewise_path(self.loop_knots, self.loop_leg_times)
-        return lasso_path(self.gamma, self.loop_time_ms)
-
-    def cavity(self) -> CavityInput:
-        if self.cavity_kind == "fock":
-            return CavityInput(
-                kind="fock", photon_number=self.cavity_photons, tail_tol=self.tail_tol
-            )
-        return CavityInput(
-            kind="coherent", alpha=self.cavity_alpha, tail_tol=self.tail_tol
-        )
+        except ValueError as exc:  # leg times and their count are checked first
+            raise ConfigError(f"field 'loop_knots': {exc}") from None
 
     def ramsey_config(self) -> RamseyConfig:
         return RamseyConfig(
             space=make_space(self.nmax_plus, 0),
             params=self.model_params(),
             loop=self.loop(),
-            cavity=self.cavity(),
+            cavity=CavityInput(*self.cavity, tail_tol=self.tail_tol),
             round_to_flips=self.round_flips,
             xi_grid=default_xi_grid(self.xi_points),
             mode=self.mode,
             dt=self.dt_ms,
         )
 
-    def echo_items(self) -> list[tuple[str, str]]:
-        """Resolved config as (key, formatted value) pairs in fixed order."""
-        cavity = (
-            f"fock:{self.cavity_photons}"
-            if self.cavity_kind == "fock"
-            else f"coherent:{_fmt(self.cavity_alpha)}"
-        )
-        items: list[tuple[str, str]] = [
-            ("g_khz", _fmt(self.g_khz)),
-            ("omega_khz", _fmt(self.omega_khz)),
-            ("delta_ratio", _fmt(self.delta_ratio)),
-            ("nmax_plus", str(self.nmax_plus)),
-            ("tail_tol", _fmt(self.tail_tol)),
-            ("gamma", _fmt(self.gamma)),
-            (
-                "loop_knots",
-                ";".join(f"{_fmt(t)}:{_fmt(p)}" for t, p in self.loop_knots) or "none",
-            ),
-            (
-                "loop_leg_times",
-                ";".join(_fmt(t) for t in self.loop_leg_times) or "none",
-            ),
-            ("loop_time_ms", _fmt(self.loop_time_ms)),
-            ("cavity", cavity),
-            ("xi_points", str(self.xi_points)),
-            ("mode", self.mode),
-            ("dt_ms", _fmt(self.dt_ms) if self.dt_ms is not None else "auto"),
-            ("round_flips", "true" if self.round_flips else "false"),
-            ("out_dir", self.out_dir),
-            ("alphas", _row_format(len(self.alphas)) % self.alphas),
-            ("time_ladder_ms", _row_format(len(self.time_ladder_ms)) % self.time_ladder_ms),
-            ("doublets", ";".join(f"{n},{m}" for n, m in self.doublets)),
-            ("branch", self.branch),
-            ("g_rad_per_ms", _fmt(self.g)),
-            ("omega_rad_per_ms", _fmt(self.omega)),
-            ("delta_rad_per_ms", _fmt(self.delta)),
-            ("lambda_rad_per_ms", _fmt(self.model_params().lam)),
-            ("flip_period_ms", _fmt(self.model_params().flip_period)),
-        ]
-        return items
 
+def parse_config_text(
+    text: str, source: str = "<config>", overrides: dict[str, str] | None = None
+) -> RunConfig:
+    """Parse `key = value` lines into a validated RunConfig.
 
-def _parse_cavity(raw: str) -> tuple[str, int, float]:
-    parts = raw.strip().split(":")
-    kind = parts[0].strip().lower()
-    if kind == "fock":
-        n = _to_int("cavity", parts[1]) if len(parts) > 1 and parts[1].strip() else 0
-        return "fock", n, 0.0
-    if kind == "coherent":
-        if len(parts) < 2 or not parts[1].strip():
-            raise ConfigError("field 'cavity': coherent input needs an amplitude, e.g. coherent:1.5")
-        return "coherent", 0, _to_float("cavity", parts[1])
-    raise ConfigError(f"field 'cavity': expected fock:N or coherent:ALPHA, got {raw!r}")
-
-
-def _parse_knots(raw: str) -> tuple[tuple[float, float], ...]:
-    knots = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"field 'loop_knots': expected theta:phi entries, got {chunk!r}"
-            )
-        knots.append((_to_float("loop_knots", parts[0]), _to_float("loop_knots", parts[1])))
-    return tuple(knots)
-
-
-def _parse_doublets(raw: str) -> tuple[tuple[int, int], ...]:
-    doublets = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"field 'doublets': expected n,m entries, got {chunk!r}")
-        doublets.append((_to_int("doublets", parts[0]), _to_int("doublets", parts[1])))
-    if not doublets:
-        raise ConfigError("field 'doublets': need at least one n,m entry")
-    return tuple(doublets)
-
-
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse `key = value` lines into a validated RunConfig."""
-    values = dict(_DEFAULTS)
+    overrides replace keys' text after the file's, as the list flags do.
+    """
+    values = {key.name: key.default for key in KEYS}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -392,83 +381,42 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         if key not in values:
             raise ConfigError(f"{source}:{lineno}: unknown field {key!r}")
         values[key] = raw_value.strip()
-    return _build_config(values)
+    values.update(overrides or {})
+    return RunConfig.from_raw(values)
 
 
-def _build_config(values: dict[str, str]) -> RunConfig:
-    cavity_kind, cavity_photons, cavity_alpha = _parse_cavity(values["cavity"])
-    knots = _parse_knots(values["loop_knots"]) if values["loop_knots"].strip() else ()
-    leg_times = (
-        _float_list("loop_leg_times", values["loop_leg_times"], sep=";")
-        if values["loop_leg_times"].strip()
-        else ()
-    )
-    if knots and not leg_times:
-        raise ConfigError("field 'loop_leg_times': required when loop_knots is set")
-    dt_raw = values["dt_ms"].strip()
-    return RunConfig(
-        g_khz=_to_float("g_khz", values["g_khz"]),
-        omega_khz=_to_float("omega_khz", values["omega_khz"]),
-        delta_ratio=_to_float("delta_ratio", values["delta_ratio"]),
-        nmax_plus=_to_int("nmax_plus", values["nmax_plus"]),
-        tail_tol=_to_float("tail_tol", values["tail_tol"]),
-        gamma=_to_float("gamma", values["gamma"]),
-        loop_knots=knots,
-        loop_leg_times=leg_times,
-        loop_time_ms=_to_float("loop_time_ms", values["loop_time_ms"]),
-        cavity_kind=cavity_kind,
-        cavity_photons=cavity_photons,
-        cavity_alpha=cavity_alpha,
-        xi_points=_to_int("xi_points", values["xi_points"]),
-        mode=values["mode"].strip().lower(),
-        dt_ms=_to_float("dt_ms", dt_raw) if dt_raw else None,
-        round_flips=_to_bool("round_flips", values["round_flips"]),
-        out_dir=values["out_dir"].strip() or "runs",
-        alphas=_float_list("alphas", values["alphas"]),
-        time_ladder_ms=_float_list("time_ladder_ms", values["time_ladder_ms"]),
-        doublets=_parse_doublets(values["doublets"]),
-        branch=values["branch"].strip().lower(),
-    )
-
-
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Load a config file, or the built-in defaults when path is None."""
-    if path is None:
-        return _build_config(dict(_DEFAULTS))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    return parse_config_text(text, source=path)
+    text = ""
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    return parse_config_text(text, source=path or "<config>", overrides=overrides)
 
 
 # ---- output helpers ---------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    """12-significant-digit scientific notation for floats."""
-    return "%.11e" % _nan_if_none(x)
-
-
-def _nan_if_none(x) -> float:
-    return math.nan if x is None else float(x)
-
-
-def _row_format(count: int) -> str:
-    """The format of a CSV row of count floats, each as _fmt writes it."""
-    return ",".join(["%.11e"] * count)
-
-
 def _header_lines(config: RunConfig, subcommand: str, extra: list[tuple[str, str]]) -> list[str]:
-    lines = [f"# loopqed {__version__}"]
-    lines.append(f"# subcommand = {subcommand}")
-    for key, value in config.echo_items():
-        lines.append(f"# {key} = {value}")
-    lines.append("# units: frequencies entered in kHz; angular frequency = 2*pi*f_khz rad/ms")
-    for key, value in extra:
-        lines.append(f"# {key} = {value}")
-    return lines
+    params = config.model_params()
+    derived = [
+        ("g_rad_per_ms", config.g),
+        ("omega_rad_per_ms", config.omega),
+        ("delta_rad_per_ms", config.delta),
+        ("lambda_rad_per_ms", params.lam),
+        ("flip_period_ms", params.flip_period),
+    ]
+    return [
+        f"# loopqed {__version__}",
+        f"# subcommand = {subcommand}",
+        *(f"# {key.name} = {key.echo(value)}" for key, value in zip(KEYS, config)),
+        *(f"# {name} = {_fmt(value)}" for name, value in derived),
+        "# units: frequencies entered in kHz; angular frequency = 2*pi*f_khz rad/ms",
+        *(f"# {key} = {value}" for key, value in extra),
+    ]
 
 
 def _write_csv(
@@ -532,23 +480,18 @@ def cmd_fringe(config: RunConfig, out_dir: str | None = None) -> list[str]:
     return [path]
 
 
-def cmd_alpha_sweep(
-    config: RunConfig,
-    alphas: tuple[float, ...] | None = None,
-    out_dir: str | None = None,
-) -> list[str]:
+def cmd_alpha_sweep(config: RunConfig, out_dir: str | None = None) -> list[str]:
     """Sweep coherent amplitudes; write alpha_sweep.csv."""
-    alpha_list = alphas if alphas is not None else config.alphas
     base = config.ramsey_config()
     gamma = solid_angle(base.loop)
 
     # the batch checks every amplitude's truncation before it runs, so a
     # failure leaves no CSV behind
     try:
-        results = effective_shift_vs_alpha(alpha_list, gamma, config.mode, base)
+        results = effective_shift_vs_alpha(config.alphas, gamma, config.mode, base)
     except TruncationError as exc:
         raise ConfigError(
-            f"alpha-sweep: truncation inadequate for alpha = {exc.alpha}: {exc}"
+            f"field 'alphas': alpha-sweep: truncation inadequate for alpha = {exc.alpha}: {exc}"
         ) from exc
     fields = (
         "alpha", "shift_sim", "shift_formula", "p2_dark_sim", "p2_dark_formula",
@@ -579,14 +522,9 @@ def cmd_alpha_sweep(
     return [path]
 
 
-def cmd_adiabaticity(
-    config: RunConfig,
-    time_ladder_ms: tuple[float, ...] | None = None,
-    out_dir: str | None = None,
-) -> list[str]:
+def cmd_adiabaticity(config: RunConfig, out_dir: str | None = None) -> list[str]:
     """Fringe error versus loop time; write adiabaticity.csv."""
-    ladder = time_ladder_ms if time_ladder_ms is not None else config.time_ladder_ms
-    results = adiabaticity_study(config.ramsey_config(), list(ladder))
+    results = adiabaticity_study(config.ramsey_config(), list(config.time_ladder_ms))
     monotone = all(
         results[i + 1].max_abs_p2_error < results[i].max_abs_p2_error
         for i in range(len(results) - 1)
@@ -613,11 +551,7 @@ def cmd_adiabaticity(
     return [path]
 
 
-def cmd_dressed_phases(
-    config: RunConfig,
-    doublets: tuple[tuple[int, int], ...] | None = None,
-    out_dir: str | None = None,
-) -> list[str]:
+def cmd_dressed_phases(config: RunConfig, out_dir: str | None = None) -> list[str]:
     """Adiabatic transport phases per doublet; write dressed_phases.csv.
 
     Each doublet (n, m) is transported in the box (k, k), k = n + 1 + m,
@@ -629,7 +563,6 @@ def cmd_dressed_phases(
     holds for the configured couplings; off resonance the transported
     phases straddle the law and the pairing is only approximate.
     """
-    wanted = doublets if doublets is not None else config.doublets
     params = config.model_params()
     loop = config.loop()
     gamma = solid_angle(loop)
@@ -637,7 +570,7 @@ def cmd_dressed_phases(
     branches = ("upper", "lower") if config.branch == "both" else (config.branch,)
     rows = []
     failed = []
-    for n, m in wanted:
+    for n, m in config.doublets:
         k = n + 1 + m
         resonant = (
             abs(params.omega_drive**2 - params.g**2 * k)
@@ -707,6 +640,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# subcommand -> (function, help, list flag); a list flag's dest is the name of
+# the key whose text it replaces
+_COMMANDS = {
+    "fringe": (cmd_fringe, "one Ramsey fringe scan", None),
+    "alpha-sweep": (cmd_alpha_sweep, "fringe shift vs coherent amplitude",
+                    ("--alphas", "alphas", "comma-separated amplitudes")),
+    "adiabaticity": (cmd_adiabaticity, "fringe error vs loop time",
+                     ("--times", "time_ladder_ms", "comma-separated loop times in ms")),
+    "dressed-phases": (cmd_dressed_phases, "adiabatic transport phases",
+                       ("--doublets", "doublets", "semicolon-separated n,m pairs")),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="loopqed",
@@ -717,31 +663,15 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"loopqed {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
+    for name, (_, help_text, flag) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
-
-    p_fringe = sub.add_parser("fringe", help="one Ramsey fringe scan")
-    common(p_fringe)
-
-    p_alpha = sub.add_parser("alpha-sweep", help="fringe shift vs coherent amplitude")
-    common(p_alpha)
-    p_alpha.add_argument(
-        "--alphas", default=None, help="comma-separated amplitudes (overrides config)"
-    )
-
-    p_adia = sub.add_parser("adiabaticity", help="fringe error vs loop time")
-    common(p_adia)
-    p_adia.add_argument(
-        "--times", default=None, help="comma-separated loop times in ms (overrides config)"
-    )
-
-    p_dressed = sub.add_parser("dressed-phases", help="adiabatic transport phases")
-    common(p_dressed)
-    p_dressed.add_argument(
-        "--doublets", default=None, help="semicolon-separated n,m pairs (overrides config)"
-    )
+        if flag:
+            option, key, what = flag
+            p.add_argument(
+                option, dest=key, metavar=option[2:].upper(), help=f"{what} (overrides config)"
+            )
     return parser
 
 
@@ -749,35 +679,21 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
         parser = _build_parser()
-        args = parser.parse_args(argv)
-        config = load_config(args.config)
-        if args.subcommand == "fringe":
-            cmd_fringe(config, out_dir=args.out)
-        elif args.subcommand == "alpha-sweep":
-            alphas = _float_list("--alphas", args.alphas) if args.alphas else None
-            cmd_alpha_sweep(config, alphas=alphas, out_dir=args.out)
-        elif args.subcommand == "adiabaticity":
-            ladder = _float_list("--times", args.times) if args.times else None
-            cmd_adiabaticity(config, time_ladder_ms=ladder, out_dir=args.out)
-        elif args.subcommand == "dressed-phases":
-            wanted = _parse_doublets(args.doublets) if args.doublets else None
-            cmd_dressed_phases(config, doublets=wanted, out_dir=args.out)
-        else:  # pragma: no cover - argparse enforces the subcommand set
-            raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        args = vars(parser.parse_args(argv))
+        overrides = {
+            key.name: args[key.name] for key in KEYS if args.get(key.name) is not None
+        }
+        config = load_config(args["config"], overrides)
+        _COMMANDS[args["subcommand"]][0](config, out_dir=args["out"])
         return 0
-    except (ConfigError, TruncationError) as exc:
-        print(f"loopqed: validation error: {exc}", file=sys.stderr)
-        return 1
-    except StepCountError as exc:
-        print(f"loopqed: validation error: field 'dt_ms': {exc}", file=sys.stderr)
-        return 1
     except (IntegrationError, DegeneracyError) as exc:
         print(f"loopqed: numerical error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"loopqed: validation error: {exc}", file=sys.stderr)
+        # a ConfigError names its field; a coherent tail or a step count is named here
+        named = {TruncationError: "field 'cavity': ", StepCountError: "field 'dt_ms': "}
+        print(f"loopqed: validation error: {named.get(type(exc), '')}{exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -282,9 +282,13 @@ def coherent_tail_mass(alpha, nmax: int):
     """Poisson probability mass beyond nmax for amplitude alpha.
 
     alpha may be an array of amplitudes, giving an array of tails.  A
-    non-finite amplitude gives NaN.
+    non-finite amplitude gives NaN.  A finite amplitude whose |alpha|^2
+    overflows gives 1: it keeps no mass at or below nmax.
     """
-    lam = np.abs(np.asarray(alpha)) ** 2
+    values = np.asarray(alpha)
+    with np.errstate(over="ignore"):
+        lam = np.minimum(np.abs(values) ** 2, np.finfo(float).max)
+    lam = np.where(np.isfinite(values), lam, np.nan)
     kept = np.zeros_like(lam)
     term = np.exp(-lam)
     for k in range(nmax + 1):

@@ -224,6 +224,15 @@ def test_non_finite_alpha_is_rejected(alpha):
         coherent_mode_coefficients([0.5, alpha], 8)
 
 
+@pytest.mark.parametrize("alpha", [1e155, -1e300, complex(0.0, 1e300)])
+def test_amplitude_whose_square_overflows_is_refused_by_its_tail(alpha):
+    # |alpha|^2 is inf, yet the amplitude is finite: it keeps no mass at or
+    # below the cutoff, so the tail check refuses it
+    assert coherent_tail_mass(alpha, 8) == 1.0
+    with pytest.raises(TruncationError, match="tail mass 1.000e"):
+        coherent_mode_coefficients([0.5, alpha], 8)
+
+
 def test_nan_norm_is_rejected():
     space = make_space(1, 0)
     with pytest.raises(ValueError, match="norm nan"):
