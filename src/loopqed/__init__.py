@@ -10,7 +10,7 @@ and dressed photon doublets transport equal and opposite phases.
 Subpackage map:
     hilbert        truncated two-mode + three-level state space
     model          effective Hamiltonian and coupling weights
-    poincare_path  polarization loops, schedules, solid angles
+    poincare_path  polarization loops as straight legs, solid angles
     dynamics       time-dependent Schrodinger propagation: exact
                    covariant loop legs, midpoint stepper
     phases         dressed-branch transport phases, ideal phase map
@@ -54,15 +54,12 @@ from .model import (
 )
 from .poincare_path import (
     PathSpec,
-    Schedule,
     ClosureError,
     lasso_path,
     piecewise_path,
     reversed_path,
     concatenated_path,
     rescaled_path,
-    make_schedule,
-    frozen_schedule,
     solid_angle,
 )
 from .dynamics import (
@@ -114,15 +111,12 @@ __all__ = [
     "default_params",
     "coupling_weights",
     "PathSpec",
-    "Schedule",
     "ClosureError",
     "lasso_path",
     "piecewise_path",
     "reversed_path",
     "concatenated_path",
     "rescaled_path",
-    "make_schedule",
-    "frozen_schedule",
     "solid_angle",
     "Trajectory",
     "LoopRun",

@@ -81,6 +81,11 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 # the largest Ramsey phase grid; an alpha sweep holds a (amplitudes, xi) array
 XI_POINTS_MAX = 10_000
+# the largest photon cutoff K of a propagation box (K, K): nmax_plus, whose
+# coherent fields run in the box (nmax_plus + 1, nmax_plus + 1), and the
+# k = n + 1 + m of a doublet's box (k, k).  A full-mode run at the cap holds
+# (66, 131, 131) complex sector stacks of 18 MB each
+CUTOFF_MAX = 64
 
 
 class ConfigError(ValueError):
@@ -166,6 +171,17 @@ def _one_of(*words: str):
     return lambda value: None if value in words else f"must be {names}, got {value!r}"
 
 
+def _check_doublets(pairs) -> str | None:
+    if not pairs:
+        return "need at least one n,m entry"
+    for n, m in pairs:
+        if n < 0 or m < 0:
+            return f"labels must be >= 0, got ({n},{m})"
+        if n + 1 + m > CUTOFF_MAX:
+            return f"n + 1 + m must be at most {CUTOFF_MAX}, got ({n},{m})"
+    return None
+
+
 def _fmt(x) -> str:
     """12-significant-digit scientific notation for floats."""
     return "%.11e" % _nan_if_none(x)
@@ -192,8 +208,10 @@ KEYS: tuple[Key, ...] = (
     Key("g_khz", "50.0", _to_float, None, _fmt, "atom-cavity coupling g/2pi in kHz"),
     Key("omega_khz", "50.0", _to_float, None, _fmt, "drive Rabi frequency Omega/2pi in kHz"),
     Key("delta_ratio", "3.0", _to_float, _positive, _fmt, "detuning delta as a multiple of Omega"),
-    Key("nmax_plus", "4", _to_int, lambda n: None if n >= 1 else f"must be >= 1, got {n}", str,
-        'photon cutoff of the driven mode "+" for fringe, alpha-sweep and adiabaticity'),
+    Key("nmax_plus", "4", _to_int,
+        lambda n: None if 1 <= n <= CUTOFF_MAX else f"must be 1 to {CUTOFF_MAX}, got {n}", str,
+        'photon cutoff of the driven mode "+" for fringe, alpha-sweep and adiabaticity '
+        f"(1 to {CUTOFF_MAX})"),
     Key("tail_tol", "1e-3", _to_float, _positive, _fmt,
         "coherent-state truncation tail tolerance"),
     Key("gamma", repr(math.pi), _to_float,
@@ -232,11 +250,10 @@ KEYS: tuple[Key, ...] = (
         lambda times: None if min(times) > 0 else "need positive loop times",
         lambda times: _row_format(len(times)) % times, "adiabaticity loop times"),
     Key("doublets", "0,0", lambda key, raw: _pairs(key, raw, "n,m", _to_int),
-        lambda pairs: "need at least one n,m entry" if not pairs else next(
-            (f"labels must be >= 0, got ({n},{m})" for n, m in pairs if n < 0 or m < 0), None),
+        _check_doublets,
         lambda pairs: ";".join(f"{n},{m}" for n, m in pairs),
         'dressed-phase doublets "n,m;n,m;..."; each runs in the box (k, k) that holds '
-        "its excitation sector k = n + 1 + m whole"),
+        f"its excitation sector k = n + 1 + m whole (k up to {CUTOFF_MAX})"),
     Key("branch", "both", lambda key, raw: raw.strip().lower(), _one_of("upper", "lower", "both"),
         str, "dressed-phase branch: upper, lower, or both"),
 )

@@ -24,16 +24,16 @@ The midpoint stepper freezes the Hamiltonian at each step's midpoint
 angles and applies its exact unitary exponential, so every step is exactly
 unitary and phase extraction downstream is never polluted by integrator
 norm error.  The time-ordering error falls as dt**2, which the exact legs
-of evolve_loop pin down.  evolve steps a sampled Schedule, taking the
-midpoints from its interpolation; a stepped leg of evolve_loop and the
-dressed-branch transport step straight legs, whose midpoints lie at equal
-fractions of the leg.  The stepper works a block of steps at a time,
-whose arrays take at most BLOCK_BYTES: it makes the block's midpoints,
-builds its Hamiltonians in one call and its step unitaries in one batched
-product, so the work left per step is that step's eigendecomposition and
-one product with the state, and memory does not grow with the step count.
-A step size that makes more steps than an int64 counts is refused
-(StepCountError).
+of evolve_loop pin down.  It steps one straight leg at a time, in
+ceil(leg duration / dt) equal steps whose midpoints lie at equal fractions
+of the leg, so no step straddles a knot; evolve, the stepped legs of
+evolve_loop and the dressed-branch transport all step this way.  The
+stepper works a block of steps at a time, whose arrays take at most
+BLOCK_BYTES: it makes the block's midpoints, builds its Hamiltonians in
+one call and its step unitaries in one batched product, so the work left
+per step is that step's eigendecomposition and one product with the state,
+and memory does not grow with the step count.  A step size that makes more
+steps than an int64 counts is refused (StepCountError).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete
 from .model import HamiltonianFactory, ModelParams
-from .poincare_path import PathSpec, Schedule
+from .poincare_path import PathSpec
 
 __all__ = [
     "Trajectory",
@@ -79,9 +79,9 @@ class StepCountError(ValueError):
 class Trajectory:
     """Sampled history of one propagation run.
 
-    times are schedule times (ms) from 0; amplitudes[k] is the state at
-    times[k].  step_stats records the step size used, the number of steps
-    and the worst sampled norm drift.
+    times are loop times (ms) from 0; amplitudes[k] is the state at
+    times[k].  step_stats records the number of steps and the worst
+    sampled norm drift.
     """
 
     times: np.ndarray
@@ -117,11 +117,10 @@ class LoopRun:
 
 
 def _resolve_steps(duration: float, total: float, dt: float | None) -> int:
-    if duration == 0.0:
-        return 0
+    """Steps of a leg of the given duration: ceil(duration / dt), at least 1."""
     if dt is None:
         # default resolves the whole run of length total at DEFAULT_STEPS steps
-        dt = total / DEFAULT_STEPS if total > 0 else duration
+        dt = total / DEFAULT_STEPS
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     count = duration / dt - 1e-12
@@ -136,32 +135,31 @@ def _resolve_steps(duration: float, total: float, dt: float | None) -> int:
 
 def evolve(
     initial: StateVector,
-    schedule: Schedule,
+    loop: PathSpec,
     params: ModelParams,
     dt: float | None = None,
     sample_stride: int | None = None,
 ) -> Trajectory:
-    """Propagate a state along a schedule with the midpoint stepper.
+    """Propagate a state around a loop with the midpoint stepper, recording it.
 
-    Only the excitation sectors in which the initial state has amplitude
-    are stepped; the recorded amplitudes of every other sector are exactly
+    Every leg is stepped, in ceil(leg duration / dt) equal steps.  Only the
+    excitation sectors in which the initial state has amplitude are
+    stepped; the recorded amplitudes of every other sector are exactly
     zero.
 
     Parameters
     ----------
     initial : StateVector
         State at t = 0.
-    schedule : Schedule
-        Polarization angles versus time; evaluated by linear interpolation
-        at each step's midpoint.
+    loop : PathSpec
     params : ModelParams
     dt : float, optional
-        Target step in ms.  Default: schedule duration / 20000.  The actual
-        step divides the schedule evenly and is never larger than the
-        target.
+        Target step in ms.  Default: loop duration / 20000.  Each leg's
+        step divides the leg evenly and is never larger than the target.
     sample_stride : int, optional
-        Record every sample_stride-th step (the initial and final states are
-        always recorded).  Default keeps roughly 512 samples.
+        Record every sample_stride-th step of each leg (the initial state
+        and the state at each leg's end are always recorded).  Default
+        keeps roughly 512 samples.
 
     Returns
     -------
@@ -171,32 +169,33 @@ def evolve(
     ------
     IntegrationError
         If amplitudes become non-finite or the norm drifts beyond 1e-8;
-        the message reports the offending step and time.
+        the message reports the offending leg, step and time.
     """
-    duration = schedule.duration
-    steps = _resolve_steps(duration, duration, dt)
+    leg_steps = [_resolve_steps(dur, loop.total_time, dt) for dur in loop.durations]
     if sample_stride is None:
-        sample_stride = max(1, steps // 512)
+        sample_stride = max(1, sum(leg_steps) // 512)
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
     space = initial.space
     _, rows = _sector_rows(initial)
     factory = HamiltonianFactory(space, params, rows)
-
+    psi = _gather(initial, rows)
+    max_drift = float(_norm_drift(psi)[0])
     rec_times = [0.0]
     rec_amps = [initial.amplitudes.astype(complex)]
+    t_leg = 0.0
 
     def record(t_now, v, psi):
-        rec_times.append(t_now)
+        nonlocal max_drift
+        max_drift = max(max_drift, float(_norm_drift(psi)[0]))
+        rec_times.append(t_leg + t_now)
         rec_amps.append(_scatter(psi, rows, space)[0])
 
-    h = duration / steps if steps else 0.0
-    _, stats = _step(
-        _gather(initial, rows), factory.dense,
-        lambda k: schedule.angles_at((k + 0.5) * h), steps, h, sample_stride, record,
-    )
-    stats["max_norm_drift"] = float(stats["max_norm_drift"][0])
+    for leg, steps in enumerate(leg_steps):
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, sample_stride, record)
+        t_leg += loop.durations[leg]
+    stats = {"steps": sum(leg_steps), "max_norm_drift": max_drift}
     return Trajectory(np.array(rec_times), np.array(rec_amps), space, stats)
 
 
@@ -380,35 +379,35 @@ def _check_state(psi, where: str) -> np.ndarray:
     return drift
 
 
-def _step(psi, dense, midpoints, steps, h, stride, on_sample):
-    """Midpoint-step psi; the package's one stepping loop.
+def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
+    """Midpoint-step psi along leg `leg` (from 0) of a loop, in `steps` equal
+    steps; the package's one stepping loop.
 
     psi is an (S, d, B) stack of sector amplitudes, and dense(theta, phi)
     returns the matching (S, d, d) stack of Hamiltonian blocks, or the
-    (n, S, d, d) stacks of n points given arrays of angles.  The run is
-    `steps` equal steps of h ms, and midpoints(k) gives the arrays (theta,
-    phi) at the midpoints of the steps whose indices (from 0) are the
-    integer array k.  Each step applies the exact exponential
-    V exp(-i w h) V^H of the blocks frozen at its midpoint, from one
-    batched eigendecomposition of its stack.  The steps run in blocks
-    whose arrays take at most BLOCK_BYTES: each block's midpoints come
-    from one midpoints() call, its Hamiltonians from one dense() call and
-    its step unitaries from one batched product, so a step costs its
-    eigendecomposition and one product with psi, and no array grows with
-    the step count.  After every stride-th step and after the last, the
-    amplitudes are checked and on_sample(t, v, psi) receives the time from
-    the first step's start, the step's (S, d, d) eigenvectors and the
-    state.  Returns the final amplitudes and the step_stats dict of
-    Trajectory, whose max_norm_drift is per state, a (B,) array.
+    (n, S, d, d) stacks of n points given arrays of angles.  A leg is
+    straight in (theta, phi), so the step midpoints lie at equal fractions
+    of it.  Each step applies the exact exponential V exp(-i w h) V^H of
+    the blocks frozen at its midpoint, from one batched eigendecomposition
+    of its stack.  The steps run in blocks whose arrays take at most
+    BLOCK_BYTES: each block's midpoints are made together, its Hamiltonians
+    come from one dense() call and its step unitaries from one batched
+    product, so a step costs its eigendecomposition and one product with
+    psi, and no array grows with the step count.  After every stride-th
+    step and after the last, the amplitudes are checked and on_sample(t, v,
+    psi) receives the time from the leg's start, the step's (S, d, d)
+    eigenvectors and the state.  Returns the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
-    NORM_DRIFT_LIMIT, naming the step and time.
+    NORM_DRIFT_LIMIT, naming the leg, the step and the time.
     """
+    (th_a, ph_a), (th_b, ph_b) = loop.knots[leg:leg + 2]
+    h = loop.durations[leg] / steps
     step_bytes = 4 * 16 * psi.shape[0] * psi.shape[1] ** 2  # a step's four (S, d, d)
     block = max(1, BLOCK_BYTES // max(step_bytes, 1))
-    max_drift = _norm_drift(psi)
     for start in range(0, steps, block):
-        hams = dense(*midpoints(np.arange(start, min(start + block, steps))))
+        fracs = (np.arange(start, min(start + block, steps)) + 0.5) / steps
+        hams = dense(th_a + fracs * (th_b - th_a), ph_a + fracs * (ph_b - ph_a))
         w, v = np.empty(hams.shape[:-1]), np.empty_like(hams)
         for k, ham in enumerate(hams):
             # one eigh call per step, the count benchmark/tests pins
@@ -421,60 +420,39 @@ def _step(psi, dense, midpoints, steps, h, stride, on_sample):
             psi = unit @ psi
             if end % stride == 0 or end == steps:
                 t_now = end * h
-                where = f"at step {end} (t = {t_now:.6g} ms)"
-                max_drift = np.maximum(max_drift, _check_state(psi, where))
+                try:
+                    _check_state(psi, f"at step {end} (t = {t_now:.6g} ms)")
+                except IntegrationError as exc:
+                    t_leg = sum(loop.durations[:leg])
+                    raise IntegrationError(
+                        f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
+                    ) from exc
                 on_sample(t_now, v[end - start - 1], psi)
-    return psi, {"dt": h, "steps": steps, "max_norm_drift": max_drift}
-
-
-def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
-    """Midpoint-step psi along leg `leg` (from 0) of a loop, in `steps` equal steps.
-
-    A leg is straight in (theta, phi), so the step midpoints lie at equal
-    fractions of it, made a block at a time; stride and on_sample are
-    _step's.  Returns the final amplitudes, and re-raises an
-    IntegrationError with the leg named.
-    """
-    ends = tuple(zip(*loop.knots[leg:leg + 2]))
-
-    def midpoints(k):
-        fracs = (k + 0.5) / steps
-        return tuple(a + fracs * (b - a) for a, b in ends)
-
-    h = loop.durations[leg] / steps
-    try:
-        return _step(psi, dense, midpoints, steps, h, stride, on_sample)[0]
-    except IntegrationError as exc:
-        t_leg = sum(loop.durations[:leg])
-        raise IntegrationError(
-            f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
-        ) from exc
+    return psi
 
 
 def brute_force_evolve(
     initial: StateVector,
-    schedule: Schedule,
+    loop: PathSpec,
     params: ModelParams,
     dt: float | None = None,
 ) -> StateVector:
     """Independent reference propagator: scipy expm per midpoint-frozen step.
 
-    Shares no stepping code with evolve (no eigendecomposition), so
+    Steps each leg as evolve does, in ceil(leg duration / dt) equal steps,
+    but shares no stepping code with it (no eigendecomposition), so
     agreement between the two is a genuine cross-check.  Intended for small
     spaces only.
     """
     from scipy.linalg import expm
 
-    duration = schedule.duration
-    steps = _resolve_steps(duration, duration, dt)
     factory = HamiltonianFactory(initial.space, params)
     psi = initial.amplitudes.astype(complex).copy()
-    if steps == 0:
-        return StateVector(psi, initial.space, normalized=True)
-    h = duration / steps
-    for k in range(steps):
-        t_mid = (k + 0.5) * h
-        th, ph = schedule.angles_at(t_mid)
-        u = expm(-1j * h * factory.dense(float(th), float(ph)))
-        psi = u @ psi
+    legs = zip(loop.knots, loop.knots[1:], loop.durations)
+    for (th_a, ph_a), (th_b, ph_b), dur in legs:
+        steps = _resolve_steps(dur, loop.total_time, dt)
+        for k in range(steps):
+            f = (k + 0.5) / steps
+            th, ph = th_a + f * (th_b - th_a), ph_a + f * (ph_b - ph_a)
+            psi = expm(-1j * (dur / steps) * factory.dense(th, ph)) @ psi
     return StateVector(psi, initial.space, normalized=False)

@@ -1,4 +1,4 @@
-"""Closed polarization loops on the Poincare sphere and their time schedules.
+"""Closed polarization loops on the Poincare sphere.
 
 A loop is a PathSpec: ordered sphere knots (theta, phi) joined by straight
 legs in angle space, each leg with a positive duration.  The legs are the
@@ -7,16 +7,14 @@ rate are exact sums and maxima over them, with no sampling.  The workhorse
 shape is the "lasso": descend a meridian from the pole to a circle of
 constant theta0, sweep the azimuth through a full turn, and climb back to
 the pole.  It encloses 2 pi (1 - cos theta0), and its time splits 1:2:1
-over the three legs (LASSO_LEG_FRACTIONS).
-
-Schedules sample a PathSpec uniformly in time per leg and interpolate
-linearly; dynamics.evolve steps along them.
+over the three legs (LASSO_LEG_FRACTIONS).  dynamics propagates along the
+legs directly: a straight leg at constant speed needs no time samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +22,6 @@ from .model import coupling_weights
 
 __all__ = [
     "PathSpec",
-    "Schedule",
     "ClosureError",
     "lasso_path",
     "piecewise_path",
@@ -33,7 +30,6 @@ __all__ = [
     "rescaled_path",
     "solid_angle",
     "make_schedule",
-    "frozen_schedule",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -176,88 +172,17 @@ def rescaled_path(spec: PathSpec, new_total_time: float) -> PathSpec:
     return PathSpec(spec.knots, tuple(d * scale for d in spec.durations))
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Time-sampled loop: arrays (times, thetas, phis) with linear interpolation.
-
-    times start at 0 and increase; metadata carries the maximum parameter
-    sweep rate and, when an effective coupling was supplied, the
-    adiabaticity ratio max rate / coupling.
-    """
-
-    times: np.ndarray
-    thetas: np.ndarray
-    phis: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        th = np.asarray(self.thetas, dtype=float)
-        ph = np.asarray(self.phis, dtype=float)
-        if not (t.shape == th.shape == ph.shape) or t.ndim != 1 or t.size < 1:
-            raise ValueError("times, thetas, phis must be equal-length 1-D arrays")
-        if t[0] != 0.0:
-            raise ValueError(f"schedule must start at t = 0, got {t[0]}")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise ValueError("schedule times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "thetas", th)
-        object.__setattr__(self, "phis", ph)
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1])
-
-    def angles_at(self, t):
-        """Linearly interpolated (theta, phi) at scalar or array times."""
-        theta = np.interp(t, self.times, self.thetas)
-        phi = np.interp(t, self.times, self.phis)
-        return theta, phi
-
-
 def make_schedule(
     spec: PathSpec,
     samples_per_leg: int = 256,
     effective_coupling: float | None = None,
-) -> Schedule:
-    """Sample a PathSpec uniformly in time along each leg.
+) -> PathSpec:
+    """The loop itself, which dynamics.evolve steps leg by leg.
 
-    Parameters
-    ----------
-    spec : PathSpec
-    samples_per_leg : int
-        At least 2; number of intervals per leg is samples_per_leg - 1.
-    effective_coupling : float, optional
-        When given (rad/ms), metadata includes adiabaticity_ratio =
-        spec.max_rate / effective_coupling; values well below 1 justify
-        the adiabatic approximation.
+    Kept for callers written when loops were sampled in time; neither
+    samples_per_leg nor effective_coupling changes anything.
     """
-    if samples_per_leg < 2:
-        raise ValueError(f"samples_per_leg must be >= 2, got {samples_per_leg}")
-    fracs = np.linspace(0.0, 1.0, samples_per_leg)[1:]
-    times = [np.array([0.0])]
-    thetas = [np.array([spec.knots[0][0]], dtype=float)]
-    phis = [np.array([spec.knots[0][1]], dtype=float)]
-    t0 = 0.0
-    for leg, dur in enumerate(spec.durations):
-        (th_a, ph_a), (th_b, ph_b) = spec.knots[leg], spec.knots[leg + 1]
-        times.append(t0 + fracs * dur)
-        thetas.append(th_a + fracs * (th_b - th_a))
-        phis.append(ph_a + fracs * (ph_b - ph_a))
-        t0 += dur
-    meta = {"max_rate": spec.max_rate}
-    if effective_coupling is not None and effective_coupling > 0:
-        meta["adiabaticity_ratio"] = spec.max_rate / effective_coupling
-    return Schedule(*(np.concatenate(part) for part in (times, thetas, phis)), meta)
-
-
-def frozen_schedule(theta: float, phi: float, duration: float) -> Schedule:
-    """Constant-polarization schedule of the given duration (duration >= 0)."""
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    size = 1 if duration == 0.0 else 2
-    times = np.array([0.0, duration][:size])
-    return Schedule(times, np.full(size, theta), np.full(size, phi), {"max_rate": 0.0})
+    return spec
 
 
 def solid_angle(spec: PathSpec) -> float:

@@ -469,9 +469,7 @@ def test_run_path_never_imports_scipy(tmp_path):
     # scipy serves only brute_force_evolve and excitation_operator; importing
     # the CLI and running fringe (vacuum, coherent through the re-embedding
     # into its complete box, and a tilted loop whose legs are stepped), ideal
-    # alpha-sweep and dressed-phases must not load it.  Nor does any of them
-    # build a Schedule: stepped legs and the transport take their midpoints
-    # from the loop's legs
+    # alpha-sweep and dressed-phases must not load it
     coherent = {**FAST_FULL, "nmax_plus": 3, "cavity": "coherent:0.5"}
     tilted = {
         **FAST_FULL,
@@ -491,9 +489,6 @@ def test_run_path_never_imports_scipy(tmp_path):
     script = "\n".join([
         "import sys",
         "from loopqed.cli import main",
-        "from loopqed.poincare_path import Schedule",
-        "def refuse(self): raise AssertionError('a Schedule was built')",
-        "Schedule.__post_init__ = refuse",
         *(f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
           for cmd, cfg in runs),
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",

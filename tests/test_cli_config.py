@@ -117,6 +117,8 @@ def test_list_flag_is_checked_like_its_key(tmp_path, subcommand, flag, key, valu
         # sizes that would not fit in memory
         ("fringe", dict(xi_points=10**12), "xi_points", "got 1000000000000"),
         ("fringe", dict(cavity="fock:-1"), "cavity", "must be >= 0"),
+        ("fringe", dict(nmax_plus=10**9, mode="ideal"), "nmax_plus", "got 1000000000"),
+        ("dressed-phases", dict(doublets="100000,0"), "doublets", "got (100000,0)"),
     ],
 )
 def test_exit_one_names_the_field(tmp_path, monkeypatch, subcommand, overrides, field, words):
@@ -162,7 +164,7 @@ VALUES = {
     "g_khz": (["50.0", "60"], ["0", "-5", "1e300", "nan", "abc"]),
     "omega_khz": (["50.0", "40"], ["0", "inf", ""]),
     "delta_ratio": (["3.0", "0.5"], ["0", "-1", "x"]),
-    "nmax_plus": (["1", "2"], ["0", "-1", "2.5"]),
+    "nmax_plus": (["1", "2"], ["0", "-1", "2.5", "1000000000"]),
     "tail_tol": (["1e-3", "0.5"], ["0", "-1e-3", "nan"]),
     "gamma": (["0", repr(math.pi), "12.56"], ["12.57", "-0.1"]),
     "loop_knots": (["", "0:0;1.0:0.5;1.0:2.5;0:3.0"],
@@ -178,7 +180,7 @@ VALUES = {
     "out_dir": (["runs", ""], []),
     "alphas": (["0", "0,0.1"], ["-0.1", "1e300", "", "0,nan"]),
     "time_ladder_ms": (["0.3", "0.3,0.6"], ["0", "-1", ""]),
-    "doublets": (["0,0", "1,0;0,1"], ["0,-1", "", "1", "a,b"]),
+    "doublets": (["0,0", "1,0;0,1"], ["0,-1", "100000,0", "", "1", "a,b"]),
     "branch": (["upper", "lower", "both"], ["sideways"]),
 }
 FLAGS = {"alpha-sweep": ("--alphas", "alphas"), "adiabaticity": ("--times", "time_ladder_ms"),

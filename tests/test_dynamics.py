@@ -33,9 +33,7 @@ from loopqed.model import (
 from loopqed.phases import adiabatic_eigenstate_transport
 from loopqed.poincare_path import (
     PathSpec,
-    frozen_schedule,
     lasso_path,
-    make_schedule,
     piecewise_path,
     rescaled_path,
 )
@@ -53,8 +51,8 @@ def test_vacuum_rabi_oracle():
     params = default_params()
     lam = params.lam
     t_end = 0.025
-    sched = frozen_schedule(0.0, 0.0, t_end)
-    traj = evolve(fock_state(space, 2, 0, 0), sched, params, dt=t_end / 4000)
+    loop = PathSpec(((0.0, 0.0), (0.0, 0.0)), (t_end,))
+    traj = evolve(fock_state(space, 2, 0, 0), loop, params, dt=t_end / 4000)
     amp = traj.amplitudes[-1][state_index(space, 2, 0, 0)]
     expected = np.exp(-1j * lam * t_end) * math.cos(lam * t_end)
     assert amp == pytest.approx(expected, abs=1e-9)
@@ -67,8 +65,8 @@ def test_vacuum_rabi_oracle():
 def test_full_flip_returns_population():
     space = make_space(1, 1)
     params = default_params()
-    sched = frozen_schedule(0.0, 0.0, params.flip_period)
-    traj = evolve(fock_state(space, 2, 0, 0), sched, params)
+    loop = PathSpec(((0.0, 0.0), (0.0, 0.0)), (params.flip_period,))
+    traj = evolve(fock_state(space, 2, 0, 0), loop, params)
     p2 = abs(traj.amplitudes[-1][state_index(space, 2, 0, 0)]) ** 2
     assert p2 == pytest.approx(1.0, abs=1e-10)
 
@@ -76,8 +74,8 @@ def test_full_flip_returns_population():
 def test_norm_conserved_over_loop():
     space = make_space(2, 2)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 1.2), samples_per_leg=128)
-    traj = evolve(fock_state(space, 2, 0, 0), sched, params)
+    loop = lasso_path(math.pi, 1.2)
+    traj = evolve(fock_state(space, 2, 0, 0), loop, params)
     norms = np.linalg.norm(traj.amplitudes, axis=1)
     assert float(np.max(np.abs(norms - 1.0))) < 1e-8
     assert traj.step_stats["max_norm_drift"] < 1e-8
@@ -86,27 +84,19 @@ def test_norm_conserved_over_loop():
 def test_trajectory_sampling_and_shape():
     space = make_space(1, 0)
     params = default_params()
-    sched = frozen_schedule(0.0, 0.0, 0.1)
-    traj = evolve(fock_state(space, 1, 0, 0), sched, params, dt=1e-4, sample_stride=100)
+    loop = PathSpec(((0.0, 0.0), (0.0, 0.0)), (0.1,))
+    traj = evolve(fock_state(space, 1, 0, 0), loop, params, dt=1e-4, sample_stride=100)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.1)
     assert traj.amplitudes.shape == (traj.times.size, space.dim)
     np.testing.assert_allclose(np.linalg.norm(traj.amplitudes, axis=1), 1.0, atol=1e-10)
 
 
-def test_zero_duration_is_identity():
-    space = make_space(1, 0)
-    params = default_params()
-    st = fock_state(space, 2, 1, 0)
-    traj = evolve(st, frozen_schedule(0.4, 0.1, 0.0), params)
-    np.testing.assert_allclose(traj.amplitudes[-1], st.amplitudes)
-
-
 def test_dt_validation():
     space = make_space(1, 0)
     params = default_params()
     with pytest.raises(ValueError):
-        evolve(fock_state(space, 1, 0, 0), frozen_schedule(0, 0, 1.0), params, dt=-1.0)
+        evolve(fock_state(space, 1, 0, 0), lasso_path(1.0, 1.0), params, dt=-1.0)
 
 
 def _three_sector_state(space):
@@ -125,15 +115,19 @@ def _three_sector_state(space):
 )
 def test_brute_force_agreement(make_state):
     # midpoint eigendecomposition stepper vs scipy expm reference on a
-    # moving schedule; dimensions kept <= 16
+    # moving loop; dimensions kept <= 16
     space = make_space(1, 1)  # dim 8
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
+    loop = lasso_path(math.pi, 0.3)  # legs of 0.075, 0.15 and 0.075 ms
     st = make_state(space)
-    dt = 0.3 / 3000
-    fast = evolve(st, sched, params, dt=dt).amplitudes[-1]
-    slow = brute_force_evolve(st, sched, params, dt=dt).amplitudes
-    assert float(np.linalg.norm(fast - slow)) < 1e-9
+    # at the second dt the legs are 700.2, 1400.4 and 700.2 steps long; each
+    # leg rounds up on its own, two steps more than ceil(0.3 ms / dt) = 2801,
+    # so no step straddles a knot
+    for dt, steps in ((0.3 / 3000, 750 + 1500 + 750), (1.0711e-4, 701 + 1401 + 701)):
+        traj = evolve(st, loop, params, dt=dt)
+        assert traj.step_stats["steps"] == steps
+        slow = brute_force_evolve(st, loop, params, dt=dt).amplitudes
+        assert float(np.linalg.norm(traj.amplitudes[-1] - slow)) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -161,8 +155,8 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
-    traj = evolve(st, sched, params, dt=0.3 / 600, sample_stride=7)
+    loop = lasso_path(math.pi, 0.3)
+    traj = evolve(st, loop, params, dt=0.3 / 600, sample_stride=7)
     width = max(len(b) for b in blocks)
     assert len(shapes) == traj.step_stats["steps"] == 600
     assert set(shapes) == {(len(blocks), width, width)}
@@ -171,7 +165,7 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
 
 
 def test_frozen_schedule_advances_sample_to_sample():
-    # every midpoint of a constant schedule is the same point, so stepping
+    # every midpoint of a frozen drive is the same point, so stepping
     # composes the exact propagator, with the stepper's step count and
     # sample times
     space = make_space(1, 1)
@@ -179,7 +173,7 @@ def test_frozen_schedule_advances_sample_to_sample():
     theta, phi, T = 0.7, 0.3, 0.12
     st = _three_sector_state(space)
     traj = evolve(
-        st, frozen_schedule(theta, phi, T), params, dt=T / 1000, sample_stride=7
+        st, PathSpec(((theta, phi), (theta, phi)), (T,)), params, dt=T / 1000, sample_stride=7
     )
     assert traj.step_stats["steps"] == 1000
     ends = np.r_[0, np.arange(7, 1000, 7), 1000]
@@ -192,15 +186,15 @@ def test_frozen_schedule_advances_sample_to_sample():
 
 
 @pytest.mark.parametrize(
-    "sched",
-    [frozen_schedule(0.7, 0.3, 0.12), make_schedule(lasso_path(math.pi, 0.12))],
+    "loop",
+    [PathSpec(((0.7, 0.3), (0.7, 0.3)), (0.12,)), lasso_path(math.pi, 0.12)],
     ids=["frozen", "lasso"],
 )
-def test_norm_guard_trips_at_the_first_sample(sched):
+def test_norm_guard_trips_at_the_first_sample(loop):
     space = make_space(1, 1)
     st = StateVector(1.1 * fock_state(space, 2, 0, 0).amplitudes, space, normalized=False)
     with pytest.raises(IntegrationError, match="at step 7 "):
-        evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
+        evolve(st, loop, default_params(), dt=0.12 / 100, sample_stride=7)
 
 
 def test_all_zero_state_trips_the_norm_guard():
@@ -208,15 +202,15 @@ def test_all_zero_state_trips_the_norm_guard():
     # must still reject the state as it does any other broken norm
     space = make_space(1, 1)
     st = StateVector(np.zeros(space.dim), space, normalized=False)
-    sched = make_schedule(lasso_path(math.pi, 0.12))
+    loop = lasso_path(math.pi, 0.12)
     with pytest.raises(IntegrationError, match="at step 7 "):
-        evolve(st, sched, default_params(), dt=0.12 / 100, sample_stride=7)
+        evolve(st, loop, default_params(), dt=0.12 / 100, sample_stride=7)
 
 
-def _halving_discrepancy(initial, schedule, params, dt):
+def _halving_discrepancy(initial, loop, params, dt):
     """Final-state difference norm between evolve runs at dt and dt/2."""
-    coarse = evolve(initial, schedule, params, dt=dt).amplitudes[-1]
-    fine = evolve(initial, schedule, params, dt=dt / 2.0).amplitudes[-1]
+    coarse = evolve(initial, loop, params, dt=dt).amplitudes[-1]
+    fine = evolve(initial, loop, params, dt=dt / 2.0).amplitudes[-1]
     return float(np.linalg.norm(coarse - fine))
 
 
@@ -225,16 +219,16 @@ def test_halving_dt_is_exact_when_frozen():
     # any dt, so halving dt changes nothing
     space = make_space(1, 1)
     params = default_params()
-    sched = frozen_schedule(0.7, 0.3, 0.12)
-    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.03)
+    loop = PathSpec(((0.7, 0.3), (0.7, 0.3)), (0.12,))
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), loop, params, dt=0.03)
     assert d < 1e-12
 
 
 def test_halving_dt_agrees_on_fine_grid():
     space = make_space(1, 1)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 0.3), samples_per_leg=64)
-    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.3 / 80000)
+    loop = lasso_path(math.pi, 0.3)
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), loop, params, dt=0.3 / 80000)
     assert d < 1e-8
 
 
@@ -242,10 +236,10 @@ def test_convergence_is_second_order():
     # halving dt divides the self-discrepancy by ~4
     space = make_space(1, 1)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 1.2), samples_per_leg=64)
+    loop = lasso_path(math.pi, 1.2)
     st = fock_state(space, 2, 0, 0)
-    d1 = _halving_discrepancy(st, sched, params, dt=1.2 / 10000)
-    d2 = _halving_discrepancy(st, sched, params, dt=1.2 / 20000)
+    d1 = _halving_discrepancy(st, loop, params, dt=1.2 / 10000)
+    d2 = _halving_discrepancy(st, loop, params, dt=1.2 / 20000)
     assert d1 / d2 == pytest.approx(4.0, rel=0.1)
 
 
@@ -253,8 +247,8 @@ def test_halving_dt_exposes_fast_coarse_run():
     # a fast loop stepped coarsely must fail self-convergence, not hide it
     space = make_space(1, 1)
     params = default_params()
-    sched = make_schedule(lasso_path(math.pi, 0.12), samples_per_leg=64)
-    d = _halving_discrepancy(fock_state(space, 2, 0, 0), sched, params, dt=0.12 / 50)
+    loop = lasso_path(math.pi, 0.12)
+    d = _halving_discrepancy(fock_state(space, 2, 0, 0), loop, params, dt=0.12 / 50)
     assert d > 1e-8
 
 
@@ -282,10 +276,9 @@ def test_stepper_converges_to_the_exact_loop_at_second_order(knots):
     st = _three_sector_state(space)
     run = evolve_loop(st, loop, params)
     assert (run.stats["exact_legs"], run.stats["steps"]) == (3, 0)
-    sched = make_schedule(loop)
     errors = [
         float(np.linalg.norm(
-            evolve(st, sched, params, dt=dt).amplitudes[-1] - run.final_state.amplitudes
+            evolve(st, loop, params, dt=dt).amplitudes[-1] - run.final_state.amplitudes
         ))
         for dt in (1.2e-3, 0.6e-3)
     ]
@@ -335,18 +328,16 @@ def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors):
 
 
 def test_evolve_loop_steps_tilted_legs_like_evolve():
-    # a loop of tilted legs is stepped leg by leg; with each leg a whole
-    # number of steps long the steps and midpoints are those of evolve
+    # evolve_loop steps a loop of tilted legs with evolve's leg stepper, so
+    # the two take the same steps at the same midpoints, bit for bit
     space = make_space(2, 2)
     params = default_params()
     loop = piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.5, 2.0), (0.0, 0.0)], [0.1] * 3)
     st = _three_sector_state(space)
     run = evolve_loop(st, loop, params, dt=0.3 / 600)
     assert (run.stats["stepped_legs"], run.stats["steps"]) == (3, 600)
-    traj = evolve(st, make_schedule(loop), params, dt=0.3 / 600)
-    np.testing.assert_allclose(
-        run.final_state.amplitudes, traj.amplitudes[-1], rtol=0, atol=1e-11
-    )
+    traj = evolve(st, loop, params, dt=0.3 / 600)
+    np.testing.assert_array_equal(run.final_state.amplitudes, traj.amplitudes[-1])
 
 
 def test_stepped_legs_build_bounded_blocks(monkeypatch):
@@ -538,11 +529,11 @@ def test_rescaling_invariance_is_machine_exact():
     st = fock_state(space, 2, 0, 0)
     steps_dt = 0.48 / 6000
     traj_base = evolve(
-        st, make_schedule(loop, samples_per_leg=64), base, dt=steps_dt
+        st, loop, base, dt=steps_dt
     )
     loop_fast = rescaled_path(loop, 0.48 / c)
     traj_scaled = evolve(
-        st, make_schedule(loop_fast, samples_per_leg=64), scaled, dt=steps_dt / c
+        st, loop_fast, scaled, dt=steps_dt / c
     )
     np.testing.assert_allclose(
         traj_scaled.amplitudes[-1], traj_base.amplitudes[-1], atol=1e-10

@@ -26,7 +26,6 @@ from loopqed.phases import (
 )
 from loopqed.poincare_path import (
     lasso_path,
-    make_schedule,
     piecewise_path,
     rescaled_path,
 )
@@ -271,9 +270,13 @@ def test_gap_rule_is_exact_at_the_threshold(shape):
 def _scanned_gap(space, params, loop, k, eigenvalue) -> float:
     """Smallest gap of the tracked level over a sampled scan of the loop."""
     factory = HamiltonianFactory(space, params, excitation_sector_indices(space, k))
-    sched = make_schedule(loop, samples_per_leg=33)
+    points = [
+        (th_a + f * (th_b - th_a), ph_a + f * (ph_b - ph_a))
+        for (th_a, ph_a), (th_b, ph_b) in zip(loop.knots, loop.knots[1:])
+        for f in np.linspace(0.0, 1.0, 33)
+    ]
     gap = math.inf
-    for theta, phi in zip(sched.thetas, sched.phis):
+    for theta, phi in points:
         w = np.linalg.eigvalsh(factory.dense(float(theta), float(phi)))
         tracked = w[np.argmin(np.abs(w - eigenvalue))]
         others = w[np.abs(w - tracked) > 1e-12]

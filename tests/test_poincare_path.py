@@ -1,4 +1,4 @@
-"""Unit tests for polarization loops, schedules, and solid angles."""
+"""Unit tests for polarization loops and solid angles."""
 
 import math
 
@@ -9,11 +9,8 @@ from hypothesis import given, settings, strategies as st
 from loopqed.poincare_path import (
     ClosureError,
     PathSpec,
-    Schedule,
     concatenated_path,
-    frozen_schedule,
     lasso_path,
-    make_schedule,
     piecewise_path,
     rescaled_path,
     reversed_path,
@@ -141,39 +138,12 @@ def test_rescaled_path():
         rescaled_path(loop, 0.0)
 
 
-def test_make_schedule_samples():
-    loop = lasso_path(math.pi, 8.0)
-    sched = make_schedule(loop, samples_per_leg=16)
-    assert sched.times[0] == 0.0
-    assert sched.duration == pytest.approx(8.0)
-    assert np.all(np.diff(sched.times) > 0)
-    theta, phi = sched.angles_at(0.0)
-    assert (theta, phi) == (0.0, 0.0)
-    theta_end, phi_end = sched.angles_at(8.0)
-    assert theta_end == pytest.approx(0.0)
-    assert phi_end == pytest.approx(TWO_PI)
-    # middle of the azimuth sweep
-    theta_mid, phi_mid = sched.angles_at(4.0)
-    assert theta_mid == pytest.approx(math.pi / 3)
-    assert phi_mid == pytest.approx(math.pi)
-
-
-def test_schedule_max_rate_and_adiabaticity():
-    loop = lasso_path(math.pi, 8.0)
-    sched = make_schedule(loop, samples_per_leg=64, effective_coupling=100.0)
-    # the azimuth sweep dominates: dphi/dt = 2*pi / 4.0
-    assert sched.metadata["max_rate"] == pytest.approx(TWO_PI / 4.0)
-    assert sched.metadata["adiabaticity_ratio"] == pytest.approx(TWO_PI / 400.0)
-    # rate scales inversely with loop time
-    slow = make_schedule(rescaled_path(loop, 80.0), samples_per_leg=64)
-    assert slow.metadata["max_rate"] == pytest.approx(TWO_PI / 40.0)
-
-
 def test_path_max_rate_is_exact_per_leg():
     # descent pi/3 over 2 ms, sweep 2 pi over 4 ms, return pi/3 over 2 ms
     loop = lasso_path(math.pi, 8.0)
     assert loop.max_rate == TWO_PI / 4.0
-    assert make_schedule(loop).metadata == {"max_rate": loop.max_rate}
+    # the rate scales inversely with the loop time
+    assert rescaled_path(loop, 80.0).max_rate == pytest.approx(TWO_PI / 40.0)
     # a leg moving in theta and phi at once: hypot(0.6, 0.8) = 1 over 0.5 ms
     tilted = piecewise_path([(0.0, 0.0), (0.6, 0.8), (0.0, 0.0)], [0.5, 2.0])
     assert tilted.max_rate == pytest.approx(2.0)
@@ -190,61 +160,6 @@ def test_solid_angle_is_exact_on_tilted_legs():
             1.0 - (math.sin(th_b) - math.sin(th_a)) / (th_b - th_a)
         )
     assert solid_angle(spec) == pytest.approx(expected, abs=1e-14)
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(np.array([0.0, 1.0, 1.0]), np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        Schedule(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        Schedule(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2))
-
-
-def test_frozen_schedule():
-    sched = frozen_schedule(0.3, 1.2, 5.0)
-    assert sched.metadata == {"max_rate": 0.0}
-    theta, phi = sched.angles_at(2.5)
-    assert (theta, phi) == (0.3, 1.2)
-    # zero-duration freeze is allowed (used for instantaneous references)
-    point = frozen_schedule(0.1, 0.2, 0.0)
-    assert point.duration == 0.0
-    with pytest.raises(ValueError):
-        frozen_schedule(0.1, 0.2, -1.0)
-
-
-def _per_sample_schedule(spec, samples_per_leg):
-    # the per-sample formula make_schedule evaluates leg by leg as arrays
-    times, thetas, phis = [0.0], [spec.knots[0][0]], [spec.knots[0][1]]
-    t0 = 0.0
-    for leg, dur in enumerate(spec.durations):
-        (th_a, ph_a), (th_b, ph_b) = spec.knots[leg], spec.knots[leg + 1]
-        for f in np.linspace(0.0, 1.0, samples_per_leg)[1:]:
-            times.append(t0 + f * dur)
-            thetas.append(th_a + f * (th_b - th_a))
-            phis.append(ph_a + f * (ph_b - ph_a))
-        t0 += dur
-    return np.array(times), np.array(thetas), np.array(phis)
-
-
-@pytest.mark.parametrize("samples_per_leg", [2, 64, 2049])
-@pytest.mark.parametrize(
-    "spec",
-    [
-        lasso_path(1.3, 0.7),
-        reversed_path(lasso_path(1.3, 0.7)),
-        piecewise_path(
-            [(0.0, 0.0), (0.9, 0.4), (1.4, 2.5), (0.6, 5.0), (0.0, TWO_PI)],
-            [0.2, 0.35, 0.15, 0.1],
-        ),
-    ],
-    ids=["lasso", "reversed-lasso", "piecewise"],
-)
-def test_make_schedule_is_the_per_sample_formula_bit_for_bit(spec, samples_per_leg):
-    sched = make_schedule(spec, samples_per_leg=samples_per_leg)
-    expected = _per_sample_schedule(spec, samples_per_leg)
-    for got, want in zip((sched.times, sched.thetas, sched.phis), expected):
-        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
