@@ -6,11 +6,12 @@ Subcommands
     adiabaticity    full-dynamics vs ideal-phase fringe error versus loop time
     dressed-phases  adiabatic transport phases for chosen photon doublets
 
-Global flags: --config PATH (key = value file), --out DIR (overrides the
-config's out_dir).  Each subcommand also takes an override of its own list
-key: alpha-sweep --alphas, adiabaticity --times, dressed-phases --doublets.
-An override replaces the key's text before parsing, so it is checked like
-the key and echoed in the header as the list the run used.
+Usage: loopqed SUBCOMMAND [--config PATH] [--out DIR] [FLAG TEXT], read by
+the _COMMANDS table, which --help prints.  --config names a key = value
+file, --out overrides out_dir, and FLAG overrides the subcommand's list key:
+alpha-sweep --alphas, adiabaticity --times, dressed-phases --doublets.  Each
+option is --opt VALUE or --opt=VALUE, spelled in full.  FLAG's text replaces
+the key's before parsing, so it is checked, and echoed, like the key's.
 
 Exit codes: 0 success, 1 validation failure (bad flags, bad config fields,
 couplings whose derived rates overflow, a dt_ms that makes more steps than
@@ -43,7 +44,6 @@ row of KEYS:
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -519,14 +519,8 @@ def cmd_alpha_sweep(config: RunConfig, out_dir: str | None = None) -> list[str]:
         out_dir or config.out_dir,
         "alpha_sweep.csv",
         _header_lines(config, "alpha-sweep", extra),
-        [
-            "alpha",
-            "shift_sim_rad",
-            "shift_formula_rad",
-            "p2_dark_sim",
-            "p2_dark_formula",
-            "fit_residual",
-        ],
+        ["alpha", "shift_sim_rad", "shift_formula_rad", "p2_dark_sim", "p2_dark_formula",
+         "fit_residual"],
         _row_format(len(fields)),
         map(attrgetter(*fields), results),
     )
@@ -615,17 +609,8 @@ def cmd_dressed_phases(config: RunConfig, out_dir: str | None = None) -> list[st
         out_dir or config.out_dir,
         "dressed_phases.csv",
         _header_lines(config, "dressed-phases", extra),
-        [
-            "n",
-            "m",
-            "branch",
-            "numeric_phase_rad",
-            "analytic_phase_rad",
-            "resonant",
-            "cyclicity",
-            "min_gap_rad_per_ms",
-            "status",
-        ],
+        ["n", "m", "branch", "numeric_phase_rad", "analytic_phase_rad", "resonant",
+         "cyclicity", "min_gap_rad_per_ms", "status"],
         "%d,%d,%s,%.11e,%.11e,%s,%.11e,%.11e,%s",
         rows,
     )
@@ -650,15 +635,8 @@ def cmd_dressed_phases(config: RunConfig, out_dir: str | None = None) -> list[st
 # ---- entry point ------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser that reports usage problems as ConfigError (exit 1)."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-# subcommand -> (function, help, list flag); a list flag's dest is the name of
-# the key whose text it replaces
+# subcommand -> (function, help, list flag); a list flag names the key whose
+# text it replaces
 _COMMANDS = {
     "fringe": (cmd_fringe, "one Ramsey fringe scan", None),
     "alpha-sweep": (cmd_alpha_sweep, "fringe shift vs coherent amplitude",
@@ -670,38 +648,58 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="loopqed",
-        description=(
-            "Simulate Ramsey interferometry of geometric phases produced by "
-            "adiabatic polarization loops in a two-mode cavity."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"loopqed {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _usage() -> str:
+    """The --help text: every subcommand of _COMMANDS, its help line and its flag."""
+    lines = ["usage: loopqed SUBCOMMAND [--config PATH] [--out DIR] [FLAG TEXT] | --version",
+             "subcommands:"]
     for name, (_, help_text, flag) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="path to key = value config file")
-        p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
+        lines.append(f"  {name:<20}{help_text}")
         if flag:
-            option, key, what = flag
-            p.add_argument(
-                option, dest=key, metavar=option[2:].upper(), help=f"{what} (overrides config)"
-            )
-    return parser
+            lines.append(f"    {flag[0] + ' TEXT':<18}{flag[2]} (overrides {flag[1]})")
+    return "\n".join([*lines, "options of every subcommand, as --opt VALUE or --opt=VALUE:",
+                      "  --config PATH       key = value config file (defaults when omitted)",
+                      "  --out DIR           output directory (overrides out_dir)"])
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """The subcommand and its options' text, the list flag's under its key's name.
+
+    VALUE is taken whatever it starts with, and a repeated option's last
+    wins.  A usage problem raises ConfigError naming the token at fault.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        raise ConfigError(f"expected a subcommand, one of {', '.join(_COMMANDS)}; got {argv[:1]}")
+    name, *rest = argv
+    flag = _COMMANDS[name][2]
+    dests = {"--config": "--config", "--out": "--out", **({flag[0]: flag[1]} if flag else {})}
+    options = {}
+    tokens = iter(rest)
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in dests:
+            raise ConfigError(f"{name}: unrecognized argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigError(f"{name}: option {option!r} expects a value")
+        options[dests[option]] = value
+    return name, options
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--version"]:
+        print(f"loopqed {__version__}")
+        return 0
+    if "-h" in argv or "--help" in argv:
+        print(_usage())
+        return 0
     try:
-        parser = _build_parser()
-        args = vars(parser.parse_args(argv))
-        overrides = {
-            key.name: args[key.name] for key in KEYS if args.get(key.name) is not None
-        }
-        config = load_config(args["config"], overrides)
-        _COMMANDS[args["subcommand"]][0](config, out_dir=args["out"])
+        name, options = _read_argv(argv)
+        out = options.pop("--out", None)
+        config = load_config(options.pop("--config", None), options)
+        _COMMANDS[name][0](config, out_dir=out)
         return 0
     except (IntegrationError, DegeneracyError) as exc:
         print(f"loopqed: numerical error: {exc}", file=sys.stderr)

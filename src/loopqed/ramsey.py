@@ -211,12 +211,17 @@ def prepare(space: SpaceConfig, cavity) -> StateVector:
             space.nmax_plus,
             [cavities[row].tail_tol for row in coherent],
         )
-    amps = np.zeros((len(cavities), space.dim), dtype=complex)
+    return _on_both_levels(space, coeffs[0] if isinstance(cavity, CavityInput) else coeffs)
+
+
+def _on_both_levels(space: SpaceConfig, coeffs: np.ndarray) -> StateVector:
+    """prepare's state for mode "+" coefficients c[..., 0..nmax_plus], one per row."""
+    amps = np.zeros(coeffs.shape[:-1] + (space.dim,), dtype=complex)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for level in (1, 2):
         index = [state_index(space, level, k, 0) for k in range(space.nmax_plus + 1)]
-        amps[:, index] = coeffs * inv_sqrt2
-    return StateVector(amps[0] if isinstance(cavity, CavityInput) else amps, space)
+        amps[..., index] = coeffs * inv_sqrt2
+    return StateVector(amps, space)
 
 
 def close_and_detect(state: StateVector, xi):
@@ -334,7 +339,7 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     """
     if not cavities:
         return []
-    batch = _run_arrays(config, cavities)
+    batch = _run_arrays(config, prepare(config.space, cavities))
     fit_columns = (batch.offset, batch.amplitude, batch.phase, batch.residual)
     fits = [
         [FringeFit(*values) for values in zip(*(c[arm].tolist() for c in fit_columns))]
@@ -387,8 +392,8 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     return results
 
 
-def _run_arrays(config: RamseyConfig, cavities) -> SimpleNamespace:
-    """The work of run_batch for a non-empty batch of B cavity inputs, as arrays.
+def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
+    """The work of run_batch on a prepared (B, dim) batch start, as arrays.
 
     Arrays indexed [arm, row] hold arm 0, the loop arm, and arm 1, the
     caliber arm: p2 is the (2, B, X) detected fringes over the xi grid,
@@ -406,7 +411,6 @@ def _run_arrays(config: RamseyConfig, cavities) -> SimpleNamespace:
         tau, flips = _round_to_flips(tau, params)
     loop = rescaled_path(config.loop, tau)
     ratio = loop.max_rate / params.lam if params.lam > 0 else None
-    start = prepare(config.space, cavities)
 
     runs = {}
     if config.mode == "full":
@@ -514,9 +518,9 @@ def effective_shift_vs_alpha(
 ) -> list[AlphaSweepRow]:
     """Fringe shift versus coherent amplitude on a common lasso loop.
 
-    The amplitudes run as one batch of coherent cavity inputs (the arrays
-    of run_batch), so the sweep prepares, maps or propagates, detects and
-    fits once rather than once per amplitude, and every column is computed
+    The amplitudes' coefficient rows run as one batch (the arrays of
+    run_batch), with no object per amplitude, so the sweep prepares, maps
+    or propagates, detects and fits once, and every column is computed
     whole: the simulated shift, the dark-point simulation column, which
     evaluates each loop fit at its caliber fringe's dark point (xi =
     caliber phase + pi), where the closed forms apply, and both closed
@@ -540,11 +544,8 @@ def effective_shift_vs_alpha(
     loop = base.loop
     if abs(solid_angle(loop) - gamma) > 1e-12:
         loop = lasso_path(gamma, base.loop.total_time)
-    cavities = [
-        CavityInput(kind="coherent", alpha=alpha, tail_tol=base.cavity.tail_tol)
-        for alpha in alpha_grid
-    ]
-    batch = _run_arrays(replace(base, loop=loop, mode=mode), cavities)
+    coeffs = coherent_mode_coefficients(alpha_grid, base.space.nmax_plus, base.cavity.tail_tol)
+    batch = _run_arrays(replace(base, loop=loop, mode=mode), _on_both_levels(base.space, coeffs))
     alphas = np.asarray(alpha_grid)
     columns = (
         np.abs(alphas),

@@ -197,10 +197,25 @@ def test_exit_one_on_missing_config(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def test_exit_one_on_argparse_problems(capsys):
+def test_exit_one_on_usage_errors(tmp_path, capsys):
     assert main(["not-a-subcommand"]) == 1
     assert main([]) == 1
     capsys.readouterr()
+    # an unknown option (an abbreviation too), an option with no value, a
+    # stray positional and another subcommand's list flag each exit 1 naming
+    # the token at fault
+    cfg = write_cfg(tmp_path, **FAST_IDEAL)
+    for argv, token in [
+        (["fringe", "--config", cfg, "--bogus", "1"], "--bogus"),
+        (["fringe", "--conf", cfg], "--conf"),
+        (["fringe", "--config", cfg, "--out"], "--out"),
+        (["alpha-sweep", "--config", cfg, "--alphas"], "--alphas"),
+        (["fringe", "--config", cfg, "stray"], "stray"),
+        (["fringe", "--config", cfg, "--alphas", "1"], "--alphas"),
+    ]:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "validation error" in err and token in err, (argv, err)
 
 
 def test_exit_one_on_removed_options(tmp_path, capsys):
@@ -492,12 +507,14 @@ def test_run_path_never_imports_scipy(tmp_path):
         *(f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
           for cmd, cfg in runs),
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+        # the argv reader needs none of argparse and its translation lookups
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
     ])
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 @pytest.mark.skipif(
@@ -567,12 +584,20 @@ def test_import_loads_numpy_without_blas_threads():
     assert runs[1].stdout.split()[1] == "2"
 
 
-def test_console_script_version():
+def test_console_script_version(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "loopqed.cli", "--version"],
         capture_output=True,
         text=True,
     )
-    # argparse --version exits 0 and prints the version string
+    # --version exits 0 and prints the version string
     assert proc.returncode == 0
     assert "loopqed 0.1.0" in proc.stdout
+    # --help, at the top or after a subcommand, exits 0 naming every
+    # subcommand and flag of the command table
+    for argv in (["--help"], ["alpha-sweep", "-h"]):
+        assert main(argv) == 0
+        usage = capsys.readouterr().out
+        assert "--config" in usage and "--out" in usage, argv
+        for name, (_, _, flag) in loopqed.cli._COMMANDS.items():
+            assert name in usage and (flag is None or flag[0] in usage), (argv, name)

@@ -50,13 +50,16 @@ def header(path):
          "# time_ladder_ms = 1.20000000000e-01", "adiabaticity.csv"),
         ("dressed-phases", "--doublets=1,1", dict(dt_ms=6e-3),
          "# doublets = 1,1", "dressed_phases.csv"),
+        # the space form gives the flag its value as the next argument
+        ("alpha-sweep", "--alphas 0.1,0.2", FAST_IDEAL,
+         "# alphas = 1.00000000000e-01,2.00000000000e-01", "alpha_sweep.csv"),
     ],
 )
 def test_list_flag_is_echoed_as_the_list_the_run_used(
     tmp_path, subcommand, flag, config, echo, csv_name
 ):
     cfg = write_cfg(tmp_path, **config)
-    code, _, err = run([subcommand, "--config", cfg, "--out", str(tmp_path), flag])
+    code, _, err = run([subcommand, "--config", cfg, "--out", str(tmp_path), *flag.split()])
     assert code == 0, err
     assert echo in header(tmp_path / csv_name)
 
