@@ -12,7 +12,7 @@ Subpackage map:
     model          effective Hamiltonian and coupling weights
     poincare_path  polarization loops as straight legs, solid angles
     dynamics       time-dependent Schrodinger propagation: exact
-                   covariant loop legs, midpoint stepper
+                   covariant loop legs, midpoint and Magnus steppers
     phases         dressed-branch transport phases, ideal phase map
     ramsey         interferometry protocol, fringe fits, closed forms
     cli            command-line front end ("loopqed" executable)

@@ -18,20 +18,24 @@ theta) is covariant under the diagonal frame exp(-i phi N-), and a
 meridian leg (constant phi) under the mode rotation exp(-i theta K_phi)
 (HamiltonianFactory.mode_rotation).  Such a leg costs one
 eigendecomposition of its generator.  A tilted leg is stepped with the
-midpoint stepper below, and the step size sets only those legs' accuracy.
+stepper's midpoint rule below, and the step size sets only those legs'
+accuracy.
 
-The midpoint stepper freezes the Hamiltonian at each step's midpoint
-angles and applies its exact unitary exponential, so every step is exactly
-unitary and phase extraction downstream is never polluted by integrator
-norm error.  The time-ordering error falls as dt**2, which the exact legs
-of evolve_loop pin down.  It steps one straight leg at a time, in
-ceil(leg duration / dt) equal steps whose midpoints lie at equal fractions
-of the leg, so no step straddles a knot; evolve, the stepped legs of
-evolve_loop and the dressed-branch transport all step this way.  The
-stepper works a block of steps at a time, whose arrays take at most
-BLOCK_BYTES: it makes the block's midpoints, builds its Hamiltonians in
-one call and its step unitaries in one batched product, so the work left
-per step is that step's eigendecomposition and one product with the state,
+The stepper applies, step by step, the exact unitary exponential of a
+Hermitian generator frozen over the step, so every step is exactly unitary
+and phase extraction downstream is never polluted by integrator norm
+error.  It has two generator builders.  The midpoint rule takes the
+Hamiltonian at the step's midpoint angles; its time-ordering error falls
+as dt**2, which the exact legs of evolve_loop pin down, and evolve and the
+stepped legs of evolve_loop use it.  The fourth-order Magnus step takes H
+at the step's two Gauss points and their commutator; its error falls as
+dt**4, and the dressed-branch transport uses it.  The stepper steps one
+straight leg at a time, in ceil(leg duration / dt) equal steps whose points
+lie at fixed fractions of the leg, so no step straddles a knot.  It works a
+block of steps at a time, whose arrays take at most BLOCK_BYTES: it makes
+the block's points, builds its Hamiltonians in one call per point of a
+step and its step unitaries in one batched product, so the work left per
+step is that step's eigendecomposition and one product with the state,
 and memory does not grow with the step count.  A step size that makes more
 steps than an int64 counts is refused (StepCountError).
 """
@@ -60,11 +64,16 @@ __all__ = [
 
 DEFAULT_STEPS = 20000
 NORM_DRIFT_LIMIT = 1e-8
-# bytes of the (n, S, d, d) arrays the midpoint stepper holds for a block of
-# n steps: the Hamiltonians (then the step unitaries in their place), their
-# eigenvectors and the two factors of the unitaries' product.  A long
+# bytes of the (n, S, d, d) arrays the stepper holds for a block of n steps:
+# the generators (then the step unitaries in their place), their
+# eigenvectors, the two factors of the unitaries' product and, for the
+# Magnus builder, H at both Gauss points and their commutator.  A long
 # stepped leg in a large box never holds the arrays of all its steps.
 BLOCK_BYTES = 1 << 20
+# the fourth-order Magnus step's two Gauss points lie GAUSS_OFFSET of a step
+# either side of its midpoint, and its commutator carries MAGNUS_WEIGHT
+GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+MAGNUS_WEIGHT = math.sqrt(3.0) / 12.0
 
 
 class IntegrationError(RuntimeError):
@@ -116,11 +125,13 @@ class LoopRun:
     stats: dict
 
 
-def _resolve_steps(duration: float, total: float, dt: float | None) -> int:
+def _resolve_steps(
+    duration: float, total: float, dt: float | None, default_steps: int = DEFAULT_STEPS
+) -> int:
     """Steps of a leg of the given duration: ceil(duration / dt), at least 1."""
     if dt is None:
-        # default resolves the whole run of length total at DEFAULT_STEPS steps
-        dt = total / DEFAULT_STEPS
+        # default resolves the whole run of length total at default_steps steps
+        dt = total / default_steps
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     count = duration / dt - 1e-12
@@ -379,40 +390,63 @@ def _check_state(psi, where: str) -> np.ndarray:
     return drift
 
 
-def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
-    """Midpoint-step psi along leg `leg` (from 0) of a loop, in `steps` equal
-    steps; the package's one stepping loop.
+def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
+    """Step psi along leg `leg` (from 0) of a loop, in `steps` equal steps;
+    the package's one stepping loop.
 
     psi is an (S, d, B) stack of sector amplitudes, and dense(theta, phi)
     returns the matching (S, d, d) stack of Hamiltonian blocks, or the
     (n, S, d, d) stacks of n points given arrays of angles.  A leg is
-    straight in (theta, phi), so the step midpoints lie at equal fractions
-    of it.  Each step applies the exact exponential V exp(-i w h) V^H of
-    the blocks frozen at its midpoint, from one batched eigendecomposition
-    of its stack.  The steps run in blocks whose arrays take at most
-    BLOCK_BYTES: each block's midpoints are made together, its Hamiltonians
-    come from one dense() call and its step unitaries from one batched
-    product, so a step costs its eigendecomposition and one product with
-    psi, and no array grows with the step count.  After every stride-th
-    step and after the last, the amplitudes are checked and on_sample(t, v,
-    psi) receives the time from the leg's start, the step's (S, d, d)
-    eigenvectors and the state.  Returns the final amplitudes.
+    straight in (theta, phi), so points of a step lie at fixed fractions of
+    it.  Each step applies the exact exponential V exp(-i w h) V^H of a
+    Hermitian step generator, from one batched eigendecomposition of its
+    stack.  The generator comes from one of two builders, which order picks:
+
+    * order 2, the midpoint rule: the blocks at the step's midpoint;
+    * order 4, the fourth-order Magnus step (Blanes, Casas, Oteo and Ros,
+      Phys. Rep. 470, 151 (2009)): M = (H1 + H2)/2 - i (sqrt(3)/12) h
+      [H2, H1] from the blocks H1, H2 at the step's two Gauss points,
+      fractions (k + 1/2 -+ sqrt(3)/6) / steps of the leg.
+
+    The steps run in blocks whose arrays take at most BLOCK_BYTES: each
+    block's points are made together, its Hamiltonians come from one
+    dense() call per point of a step and its step unitaries from one
+    batched product, so a step costs its eigendecomposition and one product
+    with psi, and no array grows with the step count.  After every
+    stride-th step and after the last, the amplitudes are checked and
+    on_sample(t, v, psi) receives the time from the leg's start, the
+    eigenvectors of the step's (S, d, d) generator and the state.  Returns
+    the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the leg, the step and the time.
     """
     (th_a, ph_a), (th_b, ph_b) = loop.knots[leg:leg + 2]
     h = loop.durations[leg] / steps
-    step_bytes = 4 * 16 * psi.shape[0] * psi.shape[1] ** 2  # a step's four (S, d, d)
+
+    def hamiltonians(fracs):
+        return dense(th_a + fracs * (th_b - th_a), ph_a + fracs * (ph_b - ph_a))
+
+    # a step's four (S, d, d) arrays, and the Magnus builder's H1, H2 and
+    # their commutator
+    arrays = 4 if order == 2 else 7
+    step_bytes = arrays * 16 * psi.shape[0] * psi.shape[1] ** 2
     block = max(1, BLOCK_BYTES // max(step_bytes, 1))
     for start in range(0, steps, block):
-        fracs = (np.arange(start, min(start + block, steps)) + 0.5) / steps
-        hams = dense(th_a + fracs * (th_b - th_a), ph_a + fracs * (ph_b - ph_a))
+        mids = np.arange(start, min(start + block, steps)) + 0.5
+        if order == 2:
+            hams = hamiltonians(mids / steps)
+        else:
+            hams = _magnus4(
+                hamiltonians((mids - GAUSS_OFFSET) / steps),
+                hamiltonians((mids + GAUSS_OFFSET) / steps),
+                h,
+            )
         w, v = np.empty(hams.shape[:-1]), np.empty_like(hams)
         for k, ham in enumerate(hams):
             # one eigh call per step, the count benchmark/tests pins
             w[k], v[k] = np.linalg.eigh(ham)
-        # the step unitaries overwrite the block's Hamiltonians
+        # the step unitaries overwrite the block's generators
         units = np.matmul(
             v * np.exp(w * (-1j * h))[..., None, :], v.conj().swapaxes(-1, -2), out=hams
         )
@@ -429,6 +463,22 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample):
                     ) from exc
                 on_sample(t_now, v[end - start - 1], psi)
     return psi
+
+
+def _magnus4(h1, h2, h):
+    """Fourth-order Magnus generators of steps of length h, built in h1.
+
+    M = (H1 + H2)/2 - i (sqrt(3)/12) h [H2, H1] per stack, from the blocks
+    H1 and H2 at each step's earlier and later Gauss point; M is Hermitian,
+    and exp(-i M h) matches the step's time-ordered propagator to O(h**5).
+    """
+    comm = h2 @ h1
+    comm -= h1 @ h2
+    comm *= -1j * MAGNUS_WEIGHT * h
+    h1 += h2
+    h1 *= 0.5
+    h1 += comm
+    return h1
 
 
 def brute_force_evolve(

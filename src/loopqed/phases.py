@@ -7,10 +7,10 @@ Conventions used throughout (and relied on by the tests):
 * The dynamical phase removed is -E0 T, which is what a twin run with the
   drive polarization frozen at its starting point gives an eigenstate.
   Geometric phase is the wrapped difference.  Transport runs step the
-  loop leg by leg with dynamics' midpoint stepper, ceil(leg / dt) steps a
-  leg, inside the doublet's excitation sector, which must be complete;
-  there the spectrum is the same at every point of the sphere, so the
-  tracked level's gap is exact and constant along any loop.
+  loop leg by leg with dynamics' fourth-order Magnus step, ceil(leg / dt)
+  steps a leg, inside the doublet's excitation sector, which must be
+  complete; there the spectrum is the same at every point of the sphere,
+  so the tracked level's gap is exact and constant along any loop.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -58,6 +58,8 @@ DEFAULT_CYCLICITY_FLOOR = 0.99
 GAP_FACTOR = 10.0
 # adiabatic fidelity is sampled about this many times per transport run
 FIDELITY_SAMPLES = 256
+# default fourth-order Magnus steps of a transport run (dt = duration / this)
+TRANSPORT_STEPS = 8000
 
 
 class NonCyclicWarning(UserWarning):
@@ -151,10 +153,14 @@ def adiabatic_eigenstate_transport(
     The run starts in the eigenstate of H at the loop's first knot that
     belongs to the (n, m) doublet (the one spanned by |2,n,m> and
     |1,n+1,m>) on the requested branch, propagates it leg by leg with
-    dynamics' midpoint-frozen exact steps restricted to its excitation
+    dynamics' fourth-order Magnus steps restricted to its excitation
     sector (ceil(leg duration / dt) steps a leg; dt defaults to the loop
-    duration / 20000), and decomposes the Pancharatnam phase into dynamical
-    and geometric parts.
+    duration / TRANSPORT_STEPS), and decomposes the Pancharatnam phase into
+    dynamical and geometric parts.  Each step is the exact exponential of
+    the Hermitian Magnus generator M built from H at the step's two Gauss
+    points, and min_adiabatic_fidelity, the state's worst largest overlap
+    with an eigenvector of the step's generator, is read against M's
+    eigenvectors.
 
     The doublet's sector k = n + 1 + m must be complete (k <= min(nmax_plus,
     nmax_minus)).  There H at every point of the sphere is unitarily
@@ -193,7 +199,9 @@ def adiabatic_eigenstate_transport(
             f"{GAP_FACTOR:.0f}x the peak sweep rate {loop.max_rate:.4g} rad/ms"
         )
 
-    leg_steps = [_resolve_steps(dur, loop.total_time, dt) for dur in loop.durations]
+    leg_steps = [
+        _resolve_steps(dur, loop.total_time, dt, TRANSPORT_STEPS) for dur in loop.durations
+    ]
     stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
     min_fidelity = 1.0
 
@@ -208,7 +216,7 @@ def adiabatic_eigenstate_transport(
 
     psi = v0[None, :, None]
     for leg, steps in enumerate(leg_steps):
-        psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, track)
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, track, order=4)
 
     ov = complex(np.vdot(v0, psi[0, :, 0]))
     cyclicity = abs(ov)

@@ -387,11 +387,9 @@ def test_stepped_legs_build_bounded_blocks(monkeypatch):
     np.testing.assert_allclose(run.final_state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
-def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
-    # a 10**9-step tilted leg would need 8 GB for each array of its step
-    # midpoints; a dense() that stops the run after the first block sees
-    # that block's angles only, and the traced peak stays within the block
-    # arrays' own bound plus room for the block's midpoints and temporaries
+def _first_block_of_a_billion_step_leg(order):
+    """Angle shapes of the dense() calls before the second block of a
+    10**9-step tilted leg, and the traced memory peak up to there."""
     space = make_space(1, 1)
     sector = excitation_sector_indices(space, 1)
     factory = HamiltonianFactory(space, default_params(), [sector])
@@ -399,13 +397,14 @@ def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
     psi = np.zeros((1, len(sector), 1), dtype=complex)
     psi[0, 0, 0] = 1.0
     steps = 10**9
+    points = 1 if order == 2 else 2  # dense() calls a block makes
     seen = []
 
     class Stop(Exception):
         pass
 
-    def dense_once(theta, phi):
-        if seen:
+    def dense_first_block(theta, phi):
+        if len(seen) == points:
             raise Stop
         seen.append(theta.shape)
         return factory.dense(theta, phi)
@@ -413,13 +412,50 @@ def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
-            _step_leg(psi, dense_once, loop, 1, steps, steps, lambda *_: None)
+            _step_leg(psi, dense_first_block, loop, 1, steps, steps, lambda *_: None, order)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    per_block = BLOCK_BYTES // (4 * 16 * len(sector) ** 2)
+    return seen, peak, len(sector)
+
+
+def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
+    # a 10**9-step tilted leg would need 8 GB for each array of its step
+    # midpoints; a dense() that stops the run after the first block sees
+    # that block's angles only, and the traced peak stays within the block
+    # arrays' own bound plus room for the block's midpoints and temporaries
+    seen, peak, d = _first_block_of_a_billion_step_leg(order=2)
+    per_block = BLOCK_BYTES // (4 * 16 * d**2)
     assert seen == [(per_block,)]
     assert peak < 2 * BLOCK_BYTES
+
+
+def test_a_billion_step_magnus_leg_makes_its_gauss_points_a_block_at_a_time():
+    # the fourth-order builder also holds H at both Gauss points and their
+    # commutator, seven (S, d, d) arrays a step, so its blocks are shorter
+    # and their two dense() calls stay within the same bound
+    seen, peak, d = _first_block_of_a_billion_step_leg(order=4)
+    per_block = BLOCK_BYTES // (7 * 16 * d**2)
+    assert seen == [(per_block,)] * 2
+    assert peak < 2 * BLOCK_BYTES
+
+
+def test_magnus_step_is_exact_on_a_frozen_leg():
+    # with H constant both Gauss points see the same blocks, the commutator
+    # vanishes and M = H, so the fourth-order route is exp(-i H T) psi
+    from scipy.linalg import expm
+
+    space = make_space(2, 2)
+    sector = excitation_sector_indices(space, 2)
+    factory = HamiltonianFactory(space, default_params(), [sector])
+    theta, phi, T = 0.7, 0.3, 0.12
+    loop = PathSpec(((theta, phi), (theta, phi)), (T,))
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
+    amps /= np.linalg.norm(amps)
+    psi = _step_leg(amps[None, :, None], factory.dense, loop, 0, 37, 37, lambda *_: None, 4)
+    exact = expm(-1j * T * factory.dense(theta, phi)[0]) @ amps
+    np.testing.assert_allclose(psi[0, :, 0], exact, rtol=0, atol=1e-12)
 
 
 def test_frozen_loop_is_one_exponential():

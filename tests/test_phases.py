@@ -28,6 +28,7 @@ from loopqed.poincare_path import (
     lasso_path,
     piecewise_path,
     rescaled_path,
+    reversed_path,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -341,6 +342,37 @@ def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
             make_space(2, 1), default_params(), loop, (0, 0), "upper", dt=dt
         )
         assert calls == {"eigh": eigh_calls, "eigvalsh": 0}
+
+
+def _phase_at(doublet, branch, steps):
+    # a row of the dressed-doublets workload's seed-0 run: default
+    # couplings, the 6 ms lasso of solid angle pi (reversed for the lower
+    # branch, as dressed_phase_pair runs it), the doublet in its complete box
+    k = doublet[0] + 1 + doublet[1]
+    loop = lasso_path(math.pi, 6.0)
+    path = loop if branch == "upper" else reversed_path(loop)
+    dt = None if steps is None else loop.total_time / steps
+    return adiabatic_eigenstate_transport(
+        make_space(k, k), default_params(), path, doublet, branch, dt=dt
+    ).geometric_phase
+
+
+def test_transport_error_falls_at_fourth_order():
+    # halving the Magnus step divides the error against a 16x finer run by
+    # about 2**4 = 16; the midpoint rule would give 4
+    reference = _phase_at((1, 0), "upper", 32000)
+    errors = [abs(_phase_at((1, 0), "upper", steps) - reference) for steps in (2000, 4000)]
+    assert errors[0] / errors[1] >= 12.0
+
+
+def test_default_transport_step_is_within_1e_7_of_a_fine_run():
+    # the default of duration / 8000 fourth-order steps leaves each row of
+    # the workload below 1e-7 rad of a run at twice the steps, whose own
+    # error is about 16x smaller
+    for doublet in ((0, 0), (1, 0)):
+        for branch in ("upper", "lower"):
+            default = _phase_at(doublet, branch, None)
+            assert abs(default - _phase_at(doublet, branch, 16000)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
