@@ -41,7 +41,6 @@ if "numpy" not in _sys.modules and not any(k in _os.environ for k in _BLAS_THREA
 from .hilbert import (
     SpaceConfig,
     StateVector,
-    OperatorMatrix,
     TruncationError,
     make_space,
     fock_state,
@@ -102,7 +101,6 @@ __all__ = [
     "__version__",
     "SpaceConfig",
     "StateVector",
-    "OperatorMatrix",
     "TruncationError",
     "make_space",
     "fock_state",

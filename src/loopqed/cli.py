@@ -662,12 +662,16 @@ def _usage() -> str:
                       "  --out DIR           output directory (overrides out_dir)"])
 
 
-def _read_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, str]] | None:
     """The subcommand and its options' text, the list flag's under its key's name.
 
     VALUE is taken whatever it starts with, and a repeated option's last
-    wins.  A usage problem raises ConfigError naming the token at fault.
+    wins.  -h or --help in place of the subcommand or of an option asks for
+    the usage, and gives None.  A usage problem raises ConfigError naming
+    the token at fault.
     """
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
     if not argv or argv[0] not in _COMMANDS:
         raise ConfigError(f"expected a subcommand, one of {', '.join(_COMMANDS)}; got {argv[:1]}")
     name, *rest = argv
@@ -676,6 +680,8 @@ def _read_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
     options = {}
     tokens = iter(rest)
     for token in tokens:
+        if token in ("-h", "--help"):
+            return None
         option, eq, value = token.partition("=")
         if option not in dests:
             raise ConfigError(f"{name}: unrecognized argument {token!r}")
@@ -693,11 +699,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["--version"]:
         print(f"loopqed {__version__}")
         return 0
-    if "-h" in argv or "--help" in argv:
-        print(_usage())
-        return 0
     try:
-        name, options = _read_argv(argv)
+        request = _read_argv(argv)
+        if request is None:
+            print(_usage())
+            return 0
+        name, options = request
         out = options.pop("--out", None)
         config = load_config(options.pop("--config", None), options)
         _COMMANDS[name][0](config, out_dir=out)

@@ -64,6 +64,8 @@ __all__ = [
 
 DEFAULT_STEPS = 20000
 NORM_DRIFT_LIMIT = 1e-8
+# evolve checks the norm every max(1, steps // NORM_CHECKS) steps of a leg
+NORM_CHECKS = 512
 # bytes of the (n, S, d, d) arrays the stepper holds for a block of n steps:
 # the generators (then the step unitaries in their place), their
 # eigenvectors, the two factors of the unitaries' product and, for the
@@ -86,30 +88,17 @@ class StepCountError(ValueError):
 
 @dataclass
 class Trajectory:
-    """Sampled history of one propagation run.
+    """States of one evolve run at t = 0 and at the end of each leg.
 
-    times are loop times (ms) from 0; amplitudes[k] is the state at
-    times[k].  step_stats records the number of steps and the worst
-    sampled norm drift.
+    times are loop times (ms), [0, cumsum(durations)]; amplitudes[k] is the
+    state at times[k].  step_stats records the number of steps and the
+    worst norm drift of the checked states.
     """
 
     times: np.ndarray
     amplitudes: np.ndarray
     space: SpaceConfig
     step_stats: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.times.ndim != 1 or self.amplitudes.shape != (
-            self.times.size,
-            self.space.dim,
-        ):
-            raise ValueError("trajectory arrays have inconsistent shapes")
-        if self.times.size > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("trajectory times must be strictly increasing")
-
-    @property
-    def final_state(self) -> StateVector:
-        return StateVector(self.amplitudes[-1].copy(), self.space, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -149,14 +138,14 @@ def evolve(
     loop: PathSpec,
     params: ModelParams,
     dt: float | None = None,
-    sample_stride: int | None = None,
 ) -> Trajectory:
-    """Propagate a state around a loop with the midpoint stepper, recording it.
+    """Propagate a state around a loop with the midpoint stepper.
 
     Every leg is stepped, in ceil(leg duration / dt) equal steps.  Only the
     excitation sectors in which the initial state has amplitude are
-    stepped; the recorded amplitudes of every other sector are exactly
-    zero.
+    stepped; the amplitudes of every other sector stay exactly zero.  The
+    norm is checked every max(1, steps // NORM_CHECKS) steps of each leg,
+    steps counting the whole loop, and at each leg's end.
 
     Parameters
     ----------
@@ -167,14 +156,11 @@ def evolve(
     dt : float, optional
         Target step in ms.  Default: loop duration / 20000.  Each leg's
         step divides the leg evenly and is never larger than the target.
-    sample_stride : int, optional
-        Record every sample_stride-th step of each leg (the initial state
-        and the state at each leg's end are always recorded).  Default
-        keeps roughly 512 samples.
 
     Returns
     -------
     Trajectory
+        The state at t = 0 and at the end of each leg.
 
     Raises
     ------
@@ -183,31 +169,22 @@ def evolve(
         the message reports the offending leg, step and time.
     """
     leg_steps = [_resolve_steps(dur, loop.total_time, dt) for dur in loop.durations]
-    if sample_stride is None:
-        sample_stride = max(1, sum(leg_steps) // 512)
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-
+    stride = max(1, sum(leg_steps) // NORM_CHECKS)
     space = initial.space
     _, rows = _sector_rows(initial)
     factory = HamiltonianFactory(space, params, rows)
     psi = _gather(initial, rows)
-    max_drift = float(_norm_drift(psi)[0])
-    rec_times = [0.0]
-    rec_amps = [initial.amplitudes.astype(complex)]
-    t_leg = 0.0
+    drifts = [_norm_drift(psi)[0]]
+    amps = [initial.amplitudes.astype(complex)]
 
-    def record(t_now, v, psi):
-        nonlocal max_drift
-        max_drift = max(max_drift, float(_norm_drift(psi)[0]))
-        rec_times.append(t_leg + t_now)
-        rec_amps.append(_scatter(psi, rows, space)[0])
+    def record_drift(v, checked):
+        drifts.append(_norm_drift(checked)[0])
 
     for leg, steps in enumerate(leg_steps):
-        psi = _step_leg(psi, factory.dense, loop, leg, steps, sample_stride, record)
-        t_leg += loop.durations[leg]
-    stats = {"steps": sum(leg_steps), "max_norm_drift": max_drift}
-    return Trajectory(np.array(rec_times), np.array(rec_amps), space, stats)
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, record_drift)
+        amps.append(_scatter(psi, rows, space)[0])
+    stats = {"steps": sum(leg_steps), "max_norm_drift": float(max(drifts))}
+    return Trajectory(np.cumsum((0.0, *loop.durations)), np.array(amps), space, stats)
 
 
 def _sector_rows(initial: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -414,9 +391,8 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
     batched product, so a step costs its eigendecomposition and one product
     with psi, and no array grows with the step count.  After every
     stride-th step and after the last, the amplitudes are checked and
-    on_sample(t, v, psi) receives the time from the leg's start, the
-    eigenvectors of the step's (S, d, d) generator and the state.  Returns
-    the final amplitudes.
+    on_sample(v, psi) receives the eigenvectors of the step's (S, d, d)
+    generator and the state.  Returns the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the leg, the step and the time.
@@ -453,15 +429,14 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
         for end, unit in enumerate(units, start + 1):
             psi = unit @ psi
             if end % stride == 0 or end == steps:
-                t_now = end * h
                 try:
-                    _check_state(psi, f"at step {end} (t = {t_now:.6g} ms)")
+                    _check_state(psi, f"at step {end} (t = {end * h:.6g} ms)")
                 except IntegrationError as exc:
                     t_leg = sum(loop.durations[:leg])
                     raise IntegrationError(
                         f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
                     ) from exc
-                on_sample(t_now, v[end - start - 1], psi)
+                on_sample(v[end - start - 1], psi)
     return psi
 
 

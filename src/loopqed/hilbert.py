@@ -12,9 +12,8 @@ integer labels of every flat index as one table, from which the model,
 the sector maps, the ideal phase map and the re-embedding of a state into
 another space (embed_state) are all built.  A box (a, b) holds excitation
 sector k whole iff k <= min(a, b) (require_complete, complete_box).
-Amplitudes are
-complex numpy arrays.  OperatorMatrix holds a sparse operator; scipy is
-imported only when one is made.
+Amplitudes are complex numpy arrays; operators are the model's dense
+blocks, so nothing here needs scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 __all__ = [
     "SpaceConfig",
     "StateVector",
-    "OperatorMatrix",
     "TruncationError",
     "make_space",
     "state_index",
@@ -41,7 +39,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 DEFAULT_TAIL_TOL = 1e-3
 
 
@@ -149,35 +146,6 @@ class StateVector:
         """The norm: a float for one state, a (B,) array for a batch."""
         nrm = np.linalg.norm(self.amplitudes, axis=-1)
         return float(nrm) if nrm.ndim == 0 else nrm
-
-
-@dataclass
-class OperatorMatrix:
-    """Sparse operator on a SpaceConfig with an optional hermiticity guarantee."""
-
-    entries: scipy.sparse.spmatrix
-    space: SpaceConfig
-    hermitian: bool = False
-
-    def __post_init__(self):
-        from scipy import sparse
-
-        mat = sparse.csr_matrix(self.entries, dtype=complex)
-        if mat.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"operator shape {mat.shape} does not match space dim {self.space.dim}"
-            )
-        self.entries = mat
-        if self.hermitian:
-            dev = abs(mat - mat.conj().T)
-            worst = dev.max() if dev.nnz else 0.0
-            if worst > HERMITICITY_TOL:
-                raise ValueError(
-                    f"operator flagged hermitian deviates from H = H^dag by {worst:.3e}"
-                )
-
-    def dense(self) -> np.ndarray:
-        return self.entries.toarray()
 
 
 def embed_state(state: StateVector, space: SpaceConfig) -> StateVector:

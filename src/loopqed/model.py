@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, SpaceConfig, basis_labels
+from .hilbert import SpaceConfig, basis_labels
 
 __all__ = [
     "ModelParams",
@@ -223,15 +224,15 @@ def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:
     return np.flatnonzero(basis_labels(space).sum(axis=0) == n_exc).tolist()
 
 
-def excitation_operator(space: SpaceConfig) -> OperatorMatrix:
-    """Conserved total excitation N+ + N- + P2.
+def excitation_operator(space: SpaceConfig) -> SimpleNamespace:
+    """Conserved total excitation N+ + N- + P2, a scipy.sparse diagonal under .entries.
 
     Commutes with H at every sphere point, so propagation never mixes
-    excitation sectors.  Diagonal in the basis; its entries are the exact
-    integer labels (level - 1) + n + m, so states of one sector compare
-    equal.  Imports scipy, which nothing on the run path needs.
+    excitation sectors.  Its entries are the exact integer labels
+    (level - 1) + n + m, so states of one sector compare equal.  Imports
+    scipy, which nothing on the run path needs.
     """
     from scipy import sparse
 
-    labels = basis_labels(space).sum(axis=0).astype(float)
-    return OperatorMatrix(sparse.diags(labels).tocsr(), space, hermitian=True)
+    labels = basis_labels(space).sum(axis=0)
+    return SimpleNamespace(entries=sparse.diags(labels, dtype=labels.dtype))

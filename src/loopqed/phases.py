@@ -205,7 +205,7 @@ def adiabatic_eigenstate_transport(
     stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
     min_fidelity = 1.0
 
-    def track(t_now, v, psi):
+    def track(v, psi):
         # maximal-overlap continuation: the instantaneous eigenvector the
         # state follows is the one it overlaps most; its weight is the
         # adiabatic fidelity (phase-smoothness gauge is implicit in taking

@@ -77,6 +77,9 @@ class PathSpec:
                 f"{len(self.knots)} knots need {len(self.knots) - 1} leg durations, "
                 f"got {len(self.durations)}"
             )
+        values = [x for knot in self.knots for x in knot] + list(self.durations)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("knot angles and leg durations must be finite")
         for theta, _ in self.knots:
             if not -1e-12 <= theta <= math.pi + 1e-12:
                 raise ValueError(f"theta = {theta} outside [0, pi]")

@@ -601,3 +601,17 @@ def test_console_script_version(capsys):
         assert "--config" in usage and "--out" in usage, argv
         for name, (_, _, flag) in loopqed.cli._COMMANDS.items():
             assert name in usage and (flag is None or flag[0] in usage), (argv, name)
+
+
+def test_help_is_read_only_where_an_option_is_expected(tmp_path, capsys, monkeypatch):
+    # an option's VALUE is taken whatever it starts with, so -h there is a
+    # value: an output directory, or list text that is not a number
+    monkeypatch.chdir(tmp_path)
+    assert main(["fringe", "--out", "-h"]) == 0
+    assert (tmp_path / "-h" / "fringe.csv").is_file()
+    assert "usage" not in capsys.readouterr().out
+    assert main(["alpha-sweep", "--alphas", "-h"]) == 1
+    assert "field 'alphas'" in capsys.readouterr().err
+    # in place of an option, after a value, it still asks for the usage
+    assert main(["fringe", "--out", "-h", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: loopqed")

@@ -82,13 +82,13 @@ def test_norm_conserved_over_loop():
 
 
 def test_trajectory_sampling_and_shape():
+    # the trajectory holds the state at t = 0 and at the end of each leg
     space = make_space(1, 0)
     params = default_params()
     loop = PathSpec(((0.0, 0.0), (0.0, 0.0)), (0.1,))
-    traj = evolve(fock_state(space, 1, 0, 0), loop, params, dt=1e-4, sample_stride=100)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.1)
-    assert traj.amplitudes.shape == (traj.times.size, space.dim)
+    traj = evolve(fock_state(space, 1, 0, 0), loop, params, dt=1e-4)
+    np.testing.assert_array_equal(traj.times, [0.0, 0.1])
+    assert traj.amplitudes.shape == (2, space.dim)
     np.testing.assert_allclose(np.linalg.norm(traj.amplitudes, axis=1), 1.0, atol=1e-10)
 
 
@@ -156,28 +156,25 @@ def test_evolve_steps_only_the_occupied_sectors(monkeypatch, make_state, sectors
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     loop = lasso_path(math.pi, 0.3)
-    traj = evolve(st, loop, params, dt=0.3 / 600, sample_stride=7)
+    traj = evolve(st, loop, params, dt=0.3 / 600)
     width = max(len(b) for b in blocks)
     assert len(shapes) == traj.step_stats["steps"] == 600
     assert set(shapes) == {(len(blocks), width, width)}
-    assert traj.amplitudes.shape == (traj.times.size, space.dim)
+    np.testing.assert_array_equal(traj.times, np.cumsum((0.0, *loop.durations)))
+    assert traj.amplitudes.shape == (4, space.dim)
     assert np.all(traj.amplitudes[:, empty] == 0.0)
 
 
-def test_frozen_schedule_advances_sample_to_sample():
+def test_frozen_schedule_composes_the_exact_propagator():
     # every midpoint of a frozen drive is the same point, so stepping
-    # composes the exact propagator, with the stepper's step count and
-    # sample times
+    # composes the exact propagator, with the stepper's step count
     space = make_space(1, 1)
     params = default_params()
     theta, phi, T = 0.7, 0.3, 0.12
     st = _three_sector_state(space)
-    traj = evolve(
-        st, PathSpec(((theta, phi), (theta, phi)), (T,)), params, dt=T / 1000, sample_stride=7
-    )
+    traj = evolve(st, PathSpec(((theta, phi), (theta, phi)), (T,)), params, dt=T / 1000)
     assert traj.step_stats["steps"] == 1000
-    ends = np.r_[0, np.arange(7, 1000, 7), 1000]
-    np.testing.assert_array_equal(traj.times, ends * (T / 1000))
+    np.testing.assert_array_equal(traj.times, [0.0, T])
 
     h_full = HamiltonianFactory(space, params).dense(theta, phi)
     w, v = np.linalg.eigh(h_full)
@@ -191,10 +188,11 @@ def test_frozen_schedule_advances_sample_to_sample():
     ids=["frozen", "lasso"],
 )
 def test_norm_guard_trips_at_the_first_sample(loop):
+    # 100 steps are fewer than NORM_CHECKS, so the norm is checked every step
     space = make_space(1, 1)
     st = StateVector(1.1 * fock_state(space, 2, 0, 0).amplitudes, space, normalized=False)
-    with pytest.raises(IntegrationError, match="at step 7 "):
-        evolve(st, loop, default_params(), dt=0.12 / 100, sample_stride=7)
+    with pytest.raises(IntegrationError, match="at step 1 "):
+        evolve(st, loop, default_params(), dt=0.12 / 100)
 
 
 def test_all_zero_state_trips_the_norm_guard():
@@ -203,8 +201,8 @@ def test_all_zero_state_trips_the_norm_guard():
     space = make_space(1, 1)
     st = StateVector(np.zeros(space.dim), space, normalized=False)
     loop = lasso_path(math.pi, 0.12)
-    with pytest.raises(IntegrationError, match="at step 7 "):
-        evolve(st, loop, default_params(), dt=0.12 / 100, sample_stride=7)
+    with pytest.raises(IntegrationError, match="at step 1 "):
+        evolve(st, loop, default_params(), dt=0.12 / 100)
 
 
 def _halving_discrepancy(initial, loop, params, dt):

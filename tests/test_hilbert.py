@@ -1,4 +1,4 @@
-"""Unit tests for the truncated state space: indexing, states, operators."""
+"""Unit tests for the truncated state space: indexing, states, truncation."""
 
 import math
 import re
@@ -8,7 +8,6 @@ import pytest
 
 from loopqed.hilbert import (
     DEFAULT_TAIL_TOL,
-    OperatorMatrix,
     StateVector,
     TruncationError,
     basis_labels,
@@ -21,8 +20,6 @@ from loopqed.hilbert import (
     require_complete,
     state_index,
 )
-
-from scipy import sparse
 
 
 def test_space_dim():
@@ -155,15 +152,6 @@ def test_state_vector_norm_enforced():
 def test_state_vector_shape_checked():
     with pytest.raises(ValueError):
         StateVector(np.zeros(3), make_space(1, 0))
-
-
-def test_operator_hermitian_flag_enforced():
-    space = make_space(1, 0)
-    bad = sparse.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
-    bad.resize(space.dim, space.dim)
-    with pytest.raises(ValueError):
-        OperatorMatrix(bad, space, hermitian=True)
-    OperatorMatrix(bad, space, hermitian=False)  # fine when not claimed
 
 
 # ---- Poisson truncation tails ----------------------------------------------

@@ -102,7 +102,7 @@ def test_hamiltonian_hermitian_on_grid():
 def test_hamiltonian_commutes_with_excitation_number():
     space = make_space(3, 3)
     params = default_params()
-    n_exc = excitation_operator(space).dense()
+    n_exc = excitation_operator(space).entries.toarray()
     factory = HamiltonianFactory(space, params)
     rng = np.random.default_rng(3)
     for theta, phi in zip(rng.uniform(0, math.pi, 5), rng.uniform(0, TWO_PI, 5)):
@@ -236,7 +236,7 @@ def test_excitation_operator_is_the_integer_labels(cutoffs):
         for n in range(space.nmax_plus + 1):
             for m in range(space.nmax_minus + 1):
                 labels[state_index(space, level, n, m)] = (level - 1) + n + m
-    n_exc = excitation_operator(space).dense()
+    n_exc = excitation_operator(space).entries.toarray()
     assert np.array_equal(n_exc, np.diag(labels))
 
 

@@ -128,6 +128,28 @@ def test_path_validation_errors():
         piecewise_path([(0.0, 0.0), (0.5, 0.0), (0.0, 0.0)], [1.0, -1.0])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lasso_path(math.pi, math.nan),
+        lambda: lasso_path(math.pi, math.inf),
+        lambda: piecewise_path([(0.0, 0.0), (0.5, math.inf), (0.0, 0.0)], [1.0, 1.0]),
+        lambda: piecewise_path([(0.0, 0.0), (0.5, -math.inf), (0.0, 0.0)], [1.0, 1.0]),
+        lambda: piecewise_path([(0.0, 0.0), (math.nan, 1.0), (0.0, 0.0)], [1.0, 1.0]),
+        lambda: piecewise_path([(0.0, 0.0), (0.5, 1.0), (0.0, 0.0)], [1.0, math.nan]),
+        lambda: rescaled_path(lasso_path(math.pi, 1.0), math.inf),
+    ],
+    ids=[
+        "lasso-nan-time", "lasso-inf-time", "inf-azimuth", "minus-inf-azimuth",
+        "nan-theta", "nan-duration", "rescaled-to-inf",
+    ],
+)
+def test_non_finite_angles_and_durations_are_refused(build):
+    # refused where the loop is made, not in LAPACK inside a propagator
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 def test_rescaled_path():
     loop = lasso_path(math.pi, 4.0)
     fast = rescaled_path(loop, 1.0)
