@@ -239,7 +239,7 @@ KEYS: tuple[Key, ...] = (
     Key("dt_ms", "", _optional(_to_float, None), lambda dt: None if dt is None else _positive(dt),
         lambda dt: "auto" if dt is None else _fmt(dt),
         "integrator step in ms for the transport and for tilted loop legs; lasso legs "
-        "are exact and ignore it (empty: duration/8000 for the transport, "
+        "are exact and ignore it (empty: duration/4500 for the transport, "
         "duration/20000 for tilted legs)"),
     Key("round_flips", "true", _to_bool, None, lambda b: "true" if b else "false",
         "round interaction time to whole Rabi flips"),

@@ -27,17 +27,17 @@ and phase extraction downstream is never polluted by integrator norm
 error.  It has two generator builders.  The midpoint rule takes the
 Hamiltonian at the step's midpoint angles; its time-ordering error falls
 as dt**2, which the exact legs of evolve_loop pin down, and evolve and the
-stepped legs of evolve_loop use it.  The fourth-order Magnus step takes H
-at the step's two Gauss points and their commutator; its error falls as
-dt**4, and the dressed-branch transport uses it.  The stepper steps one
-straight leg at a time, in ceil(leg duration / dt) equal steps whose points
-lie at fixed fractions of the leg, so no step straddles a knot.  It works a
-block of steps at a time, whose arrays take at most BLOCK_BYTES: it makes
-the block's points, builds its Hamiltonians in one call per point of a
-step and its step unitaries in one batched product, so the work left per
-step is that step's eigendecomposition and one product with the state,
-and memory does not grow with the step count.  A step size that makes more
-steps than an int64 counts is refused (StepCountError).
+stepped legs of evolve_loop use it.  The sixth-order Magnus step takes H
+at the step's three Gauss points and nested commutators of them; its
+error falls as dt**6, and the dressed-branch transport uses it.  The
+stepper steps one straight leg at a time, in ceil(leg duration / dt) equal
+steps whose points lie at fixed fractions of the leg, so no step straddles
+a knot.  It works a block of steps at a time, whose arrays take at most
+BLOCK_BYTES: it makes the block's points, builds its Hamiltonians in one
+call per point of a step and its step unitaries in one batched product, so
+the work left per step is that step's eigendecomposition and one product
+with the state, and memory does not grow with the step count.  A step size
+that makes more steps than an int64 counts is refused (StepCountError).
 """
 
 from __future__ import annotations
@@ -66,16 +66,13 @@ DEFAULT_STEPS = 20000
 NORM_DRIFT_LIMIT = 1e-8
 # evolve checks the norm every max(1, steps // NORM_CHECKS) steps of a leg
 NORM_CHECKS = 512
-# bytes of the (n, S, d, d) arrays the stepper holds for a block of n steps:
-# the generators (then the step unitaries in their place), their
-# eigenvectors, the two factors of the unitaries' product and, for the
-# Magnus builder, H at both Gauss points and their commutator.  A long
-# stepped leg in a large box never holds the arrays of all its steps.
+# bytes of the (n, S, d, d) arrays the stepper holds at once for a block of
+# n steps: four while it exponentiates (the generators, then the step
+# unitaries in their place, their eigenvectors and the two factors of the
+# unitaries' product), and six while the Magnus builder runs (H at the three
+# Gauss points and three products of them).  A long stepped leg in a large
+# box never holds the arrays of all its steps.
 BLOCK_BYTES = 1 << 20
-# the fourth-order Magnus step's two Gauss points lie GAUSS_OFFSET of a step
-# either side of its midpoint, and its commutator carries MAGNUS_WEIGHT
-GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-MAGNUS_WEIGHT = math.sqrt(3.0) / 12.0
 
 
 class IntegrationError(RuntimeError):
@@ -177,8 +174,8 @@ def evolve(
     drifts = [_norm_drift(psi)[0]]
     amps = [initial.amplitudes.astype(complex)]
 
-    def record_drift(v, checked):
-        drifts.append(_norm_drift(checked)[0])
+    def record_drift(v, checked, drift):
+        drifts.append(drift[0])
 
     for leg, steps in enumerate(leg_steps):
         psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, record_drift)
@@ -380,10 +377,10 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
     stack.  The generator comes from one of two builders, which order picks:
 
     * order 2, the midpoint rule: the blocks at the step's midpoint;
-    * order 4, the fourth-order Magnus step (Blanes, Casas, Oteo and Ros,
-      Phys. Rep. 470, 151 (2009)): M = (H1 + H2)/2 - i (sqrt(3)/12) h
-      [H2, H1] from the blocks H1, H2 at the step's two Gauss points,
-      fractions (k + 1/2 -+ sqrt(3)/6) / steps of the leg.
+    * order 6, the sixth-order Magnus step (Blanes, Casas, Oteo and Ros,
+      Phys. Rep. 470, 151 (2009)): M = i Omega / h, with Omega built by
+      _magnus6 from the blocks at the step's three Gauss points, fractions
+      (k + 1/2 + c) / steps of the leg for c = -sqrt(15)/10, 0, sqrt(15)/10.
 
     The steps run in blocks whose arrays take at most BLOCK_BYTES: each
     block's points are made together, its Hamiltonians come from one
@@ -391,8 +388,9 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
     batched product, so a step costs its eigendecomposition and one product
     with psi, and no array grows with the step count.  After every
     stride-th step and after the last, the amplitudes are checked and
-    on_sample(v, psi) receives the eigenvectors of the step's (S, d, d)
-    generator and the state.  Returns the final amplitudes.
+    on_sample(v, psi, drift) receives the eigenvectors of the step's
+    (S, d, d) generator, the state and its per-state norm drift, a (B,)
+    array.  Returns the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the leg, the step and the time.
@@ -403,19 +401,21 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
     def hamiltonians(fracs):
         return dense(th_a + fracs * (th_b - th_a), ph_a + fracs * (ph_b - ph_a))
 
-    # a step's four (S, d, d) arrays, and the Magnus builder's H1, H2 and
-    # their commutator
-    arrays = 4 if order == 2 else 7
+    # the most (S, d, d) arrays a step holds at once (BLOCK_BYTES)
+    arrays = 4 if order == 2 else 6
     step_bytes = arrays * 16 * psi.shape[0] * psi.shape[1] ** 2
     block = max(1, BLOCK_BYTES // max(step_bytes, 1))
+    # the outer Gauss points lie this fraction of a step from its midpoint
+    offset = math.sqrt(15.0) / 10.0
     for start in range(0, steps, block):
         mids = np.arange(start, min(start + block, steps)) + 0.5
         if order == 2:
             hams = hamiltonians(mids / steps)
         else:
-            hams = _magnus4(
-                hamiltonians((mids - GAUSS_OFFSET) / steps),
-                hamiltonians((mids + GAUSS_OFFSET) / steps),
+            hams = _magnus6(
+                hamiltonians((mids - offset) / steps),
+                hamiltonians(mids / steps),
+                hamiltonians((mids + offset) / steps),
                 h,
             )
         w, v = np.empty(hams.shape[:-1]), np.empty_like(hams)
@@ -430,30 +430,63 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
             psi = unit @ psi
             if end % stride == 0 or end == steps:
                 try:
-                    _check_state(psi, f"at step {end} (t = {end * h:.6g} ms)")
+                    drift = _check_state(psi, f"at step {end} (t = {end * h:.6g} ms)")
                 except IntegrationError as exc:
                     t_leg = sum(loop.durations[:leg])
                     raise IntegrationError(
                         f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
                     ) from exc
-                on_sample(v[end - start - 1], psi)
+                on_sample(v[end - start - 1], psi, drift)
     return psi
 
 
-def _magnus4(h1, h2, h):
-    """Fourth-order Magnus generators of steps of length h, built in h1.
+def _magnus6(h1, h2, h3, h):
+    """Sixth-order Magnus generators of steps of length h, built in h2.
 
-    M = (H1 + H2)/2 - i (sqrt(3)/12) h [H2, H1] per stack, from the blocks
-    H1 and H2 at each step's earlier and later Gauss point; M is Hermitian,
-    and exp(-i M h) matches the step's time-ordered propagator to O(h**5).
+    From the blocks H1, H2, H3 at each step's three Gauss points and
+    A_i = -i h H_i: alpha1 = A2, alpha2 = (sqrt(15)/3)(A3 - A1), alpha3 =
+    (10/3)(A3 - 2 A2 + A1), C1 = [alpha1, alpha2], C2 = -(1/60)[alpha1,
+    2 alpha3 + C1] and Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 -
+    alpha3 + C1, alpha2 + C2] per stack.  Returns M = i Omega / h, which is
+    Hermitian, and exp(-i M h) = exp(Omega) matches the step's time-ordered
+    propagator to O(h**7).  The three inputs are overwritten, and at most
+    three more arrays of their shape are held at once.
     """
-    comm = h2 @ h1
-    comm -= h1 @ h2
-    comm *= -1j * MAGNUS_WEIGHT * h
-    h1 += h2
-    h1 *= 0.5
-    h1 += comm
-    return h1
+    # alpha1, alpha2 and alpha3 in place of H2, H3 and H1
+    h1 += h3
+    h3 *= 2.0
+    h3 -= h1
+    h1 -= h2
+    h1 -= h2
+    a1, a2, a3 = h2, h3, h1
+    a1 *= -1j * h
+    a2 *= -1j * h * math.sqrt(15.0) / 3.0
+    a3 *= -1j * h * 10.0 / 3.0
+    c1 = a1 @ a2
+    x = a2 @ a1
+    c1 -= x
+    # x = 2 alpha3 + C1; alpha2 + C2 is built in place of alpha2
+    np.multiply(a3, 2.0, out=x)
+    x += c1
+    y = a1 @ x
+    y *= -1.0 / 60.0
+    a2 += y
+    np.matmul(x, a1, out=y)
+    y *= 1.0 / 60.0
+    a2 += y
+    # x = -20 alpha1 - alpha3 + C1, then its commutator with alpha2 + C2 in c1
+    np.multiply(a1, -20.0, out=x)
+    x -= a3
+    x += c1
+    np.matmul(x, a2, out=c1)
+    np.matmul(a2, x, out=y)
+    c1 -= y
+    c1 *= 1.0 / 240.0
+    a3 *= 1.0 / 12.0
+    a1 += a3
+    a1 += c1
+    a1 *= 1j / h
+    return a1
 
 
 def brute_force_evolve(

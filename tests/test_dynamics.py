@@ -395,7 +395,7 @@ def _first_block_of_a_billion_step_leg(order):
     psi = np.zeros((1, len(sector), 1), dtype=complex)
     psi[0, 0, 0] = 1.0
     steps = 10**9
-    points = 1 if order == 2 else 2  # dense() calls a block makes
+    points = 1 if order == 2 else 3  # dense() calls a block makes
     seen = []
 
     class Stop(Exception):
@@ -429,18 +429,19 @@ def test_a_billion_step_leg_makes_its_midpoints_a_block_at_a_time():
 
 
 def test_a_billion_step_magnus_leg_makes_its_gauss_points_a_block_at_a_time():
-    # the fourth-order builder also holds H at both Gauss points and their
-    # commutator, seven (S, d, d) arrays a step, so its blocks are shorter
-    # and their two dense() calls stay within the same bound
-    seen, peak, d = _first_block_of_a_billion_step_leg(order=4)
-    per_block = BLOCK_BYTES // (7 * 16 * d**2)
-    assert seen == [(per_block,)] * 2
+    # the sixth-order builder holds H at the three Gauss points and three
+    # products of them, six (S, d, d) arrays a step, so its blocks are
+    # shorter and their three dense() calls stay within the same bound
+    seen, peak, d = _first_block_of_a_billion_step_leg(order=6)
+    per_block = BLOCK_BYTES // (6 * 16 * d**2)
+    assert seen == [(per_block,)] * 3
     assert peak < 2 * BLOCK_BYTES
 
 
 def test_magnus_step_is_exact_on_a_frozen_leg():
-    # with H constant both Gauss points see the same blocks, the commutator
-    # vanishes and M = H, so the fourth-order route is exp(-i H T) psi
+    # with H constant the three Gauss points see the same blocks, alpha2,
+    # alpha3 and every commutator vanish and M = H, so the sixth-order route
+    # is exp(-i H T) psi
     from scipy.linalg import expm
 
     space = make_space(2, 2)
@@ -451,7 +452,7 @@ def test_magnus_step_is_exact_on_a_frozen_leg():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
     amps /= np.linalg.norm(amps)
-    psi = _step_leg(amps[None, :, None], factory.dense, loop, 0, 37, 37, lambda *_: None, 4)
+    psi = _step_leg(amps[None, :, None], factory.dense, loop, 0, 37, 37, lambda *_: None, 6)
     exact = expm(-1j * T * factory.dense(theta, phi)[0]) @ amps
     np.testing.assert_allclose(psi[0, :, 0], exact, rtol=0, atol=1e-12)
 
