@@ -239,8 +239,9 @@ KEYS: tuple[Key, ...] = (
     Key("dt_ms", "", _optional(_to_float, None), lambda dt: None if dt is None else _positive(dt),
         lambda dt: "auto" if dt is None else _fmt(dt),
         "integrator step in ms for the transport and for tilted loop legs; lasso legs "
-        "are exact and ignore it (empty: duration/4500 for the transport, "
-        "duration/20000 for tilted legs)"),
+        "are exact: Ramsey loops ignore it there, and the transport's steps are exact "
+        "there at any value (empty: duration/750 for the transport, duration/20000 "
+        "for tilted legs)"),
     Key("round_flips", "true", _to_bool, None, lambda b: "true" if b else "false",
         "round interaction time to whole Rabi flips"),
     Key("out_dir", "runs", lambda key, raw: raw.strip() or "runs", None, str, "output directory"),

@@ -27,13 +27,15 @@ and phase extraction downstream is never polluted by integrator norm
 error.  It has two generator builders.  The midpoint rule takes the
 Hamiltonian at the step's midpoint angles; its time-ordering error falls
 as dt**2, which the exact legs of evolve_loop pin down, and evolve and the
-stepped legs of evolve_loop use it.  The sixth-order Magnus step takes H
-at the step's three Gauss points and nested commutators of them; its
-error falls as dt**6, and the dressed-branch transport uses it.  The
+stepped legs of evolve_loop use it.  The sixth-order Magnus step takes
+the generator at the step's three Gauss points and nested commutators of
+them; its error falls as dt**6.  The dressed-branch transport uses it on
+the drive-frame generator (HamiltonianFactory.drive_frame), which does not
+move along azimuth and meridian legs, so there it is exact.  The
 stepper steps one straight leg at a time, in ceil(leg duration / dt) equal
 steps whose points lie at fixed fractions of the leg, so no step straddles
 a knot.  It works a block of steps at a time, whose arrays take at most
-BLOCK_BYTES: it makes the block's points, builds its Hamiltonians in one
+BLOCK_BYTES: it makes the block's points, builds its generators in one
 call per point of a step and its step unitaries in one batched product, so
 the work left per step is that step's eigendecomposition and one product
 with the state, and memory does not grow with the step count.  A step size
@@ -69,9 +71,9 @@ NORM_CHECKS = 512
 # bytes of the (n, S, d, d) arrays the stepper holds at once for a block of
 # n steps: four while it exponentiates (the generators, then the step
 # unitaries in their place, their eigenvectors and the two factors of the
-# unitaries' product), and six while the Magnus builder runs (H at the three
-# Gauss points and three products of them).  A long stepped leg in a large
-# box never holds the arrays of all its steps.
+# unitaries' product), and six while the Magnus builder runs (the blocks at
+# the three Gauss points and three products of them).  A long stepped leg in
+# a large box never holds the arrays of all its steps.
 BLOCK_BYTES = 1 << 20
 
 
@@ -174,7 +176,7 @@ def evolve(
     drifts = [_norm_drift(psi)[0]]
     amps = [initial.amplitudes.astype(complex)]
 
-    def record_drift(v, checked, drift):
+    def record_drift(checked, drift):
         drifts.append(drift[0])
 
     for leg, steps in enumerate(leg_steps):
@@ -369,28 +371,31 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
     the package's one stepping loop.
 
     psi is an (S, d, B) stack of sector amplitudes, and dense(theta, phi)
-    returns the matching (S, d, d) stack of Hamiltonian blocks, or the
-    (n, S, d, d) stacks of n points given arrays of angles.  A leg is
-    straight in (theta, phi), so points of a step lie at fixed fractions of
-    it.  Each step applies the exact exponential V exp(-i w h) V^H of a
-    Hermitian step generator, from one batched eigendecomposition of its
-    stack.  The generator comes from one of two builders, which order picks:
+    returns the matching (S, d, d) stack of Hermitian blocks that generate
+    the motion at that point of the leg (the lab-frame Hamiltonian, or the
+    dressed-branch transport's drive-frame generator), or the (n, S, d, d)
+    stacks of n points given arrays of angles.  A leg is straight in
+    (theta, phi), so points of a step lie at fixed fractions of it.  Each
+    step applies the exact exponential V exp(-i w h) V^H of a Hermitian
+    step generator, from one batched eigendecomposition of its stack.  The
+    step generator comes from one of two builders, which order picks:
 
     * order 2, the midpoint rule: the blocks at the step's midpoint;
     * order 6, the sixth-order Magnus step (Blanes, Casas, Oteo and Ros,
       Phys. Rep. 470, 151 (2009)): M = i Omega / h, with Omega built by
       _magnus6 from the blocks at the step's three Gauss points, fractions
       (k + 1/2 + c) / steps of the leg for c = -sqrt(15)/10, 0, sqrt(15)/10.
+      Where the blocks do not move along the leg, M is them and the step
+      is exact.
 
     The steps run in blocks whose arrays take at most BLOCK_BYTES: each
-    block's points are made together, its Hamiltonians come from one
+    block's points are made together, its generators come from one
     dense() call per point of a step and its step unitaries from one
     batched product, so a step costs its eigendecomposition and one product
     with psi, and no array grows with the step count.  After every
     stride-th step and after the last, the amplitudes are checked and
-    on_sample(v, psi, drift) receives the eigenvectors of the step's
-    (S, d, d) generator, the state and its per-state norm drift, a (B,)
-    array.  Returns the final amplitudes.
+    on_sample(psi, drift) receives the state and its per-state norm drift,
+    a (B,) array.  Returns the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, naming the leg, the step and the time.
@@ -436,7 +441,7 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
                     raise IntegrationError(
                         f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
                     ) from exc
-                on_sample(v[end - start - 1], psi, drift)
+                on_sample(psi, drift)
     return psi
 
 

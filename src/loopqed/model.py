@@ -204,15 +204,49 @@ class HamiltonianFactory:
         min(nmax_plus, nmax_minus); a sector cut by a cutoff lacks states
         the rotation reaches, and there it fails.
         """
+        hop = self._hop()
+        return -0.5j * (hop - hop.swapaxes(-1, -2))
+
+    def drive_frame(
+        self, theta: float | np.ndarray, theta_rate: float, phi_rate: float
+    ) -> np.ndarray:
+        """Generator G of the drive frame W = exp(-i phi N-) exp(-i theta K).
+
+        While the drive moves at rates (theta_rate, phi_rate), the state
+        chi = W^H psi obeys i dchi/dt = G chi with
+
+            G = H(0, 0) - theta_rate K
+                - phi_rate [cos^2(theta/2) N- + sin^2(theta/2) N+
+                            + (1/2) sin(theta) (a+^H a- + a-^H a+)],
+
+        the bracket being exp(i theta K) N- exp(-i theta K).  G does not
+        depend on phi, so on an azimuth leg (constant theta) and on a
+        meridian leg (phi_rate = 0) it does not move at all.  The identity
+        needs the same complete sectors as mode_rotation.  theta broadcasts
+        like dense()'s angles: an array of angles gives the generators of
+        every point, on leading axes of its shape.
+        """
+        _, n, m = self._labels
+        hop = self._hop()
+        eye = np.eye(n.shape[-1])
+        t = np.reshape(theta, np.shape(theta) + (1,) * (n.ndim + 1))
+        turned = (
+            np.cos(0.5 * t) ** 2 * (m[..., None] * eye)
+            + np.sin(0.5 * t) ** 2 * (n[..., None] * eye)
+            + 0.5 * np.sin(t) * (hop + hop.swapaxes(-1, -2))
+        )
+        return self.dense(0.0, 0.0) - theta_rate * self.mode_rotation() - phi_rate * turned
+
+    def _hop(self) -> np.ndarray:
+        """Dense a+^H a- on the block: one photon moved from mode "-" to mode "+",
+        on either atomic level."""
         level, n, m = self._labels
         row, col = (..., slice(None), None), (..., None, slice(None))
-        # a+^H a- moves one photon from mode "-" to mode "+" on either level
-        hop = np.where(
+        return np.where(
             (level[row] == level[col]) & (n[row] == n[col] + 1) & (m[row] == m[col] - 1),
             np.sqrt(n[row] * m[col]),
             0.0,
         )
-        return -0.5j * (hop - hop.swapaxes(-1, -2))
 
 
 def excitation_sector_indices(space: SpaceConfig, n_exc: int) -> list[int]:

@@ -9,8 +9,11 @@ Conventions used throughout (and relied on by the tests):
   Geometric phase is the wrapped difference.  Transport runs step the
   loop leg by leg with dynamics' sixth-order Magnus step, ceil(leg / dt)
   steps a leg, inside the doublet's excitation sector, which must be
-  complete; there the spectrum is the same at every point of the sphere,
-  so the tracked level's gap is exact and constant along any loop.
+  complete; there H(theta, phi) = W H(0, 0) W^H with W = exp(-i phi N-)
+  exp(-i theta K), so the spectrum is the same at every point of the
+  sphere and the tracked level's gap is exact and constant along any
+  loop.  The steps act on W^H psi, whose generator does not move along
+  azimuth and meridian legs: there they are exact at any dt.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -58,11 +61,12 @@ DEFAULT_CYCLICITY_FLOOR = 0.99
 GAP_FACTOR = 10.0
 # adiabatic fidelity is sampled about this many times per transport run
 FIDELITY_SAMPLES = 256
-# default sixth-order Magnus steps of a transport run (dt = duration / this):
-# the fewest, in multiples of 500, at which no row of the dressed-doublets
-# workload (seeds 0-3) or of acceptance criterion 4 is less accurate than
-# 8 000 fourth-order steps were
-TRANSPORT_STEPS = 4500
+# default drive-frame Magnus steps of a transport run (dt = duration / this).
+# Lasso legs are exact at any count, so tilted legs set it: the fewest, in
+# multiples of 250, at which no tilted row of the check set (two loops at 6,
+# 24 and 96 ms, doublets (0,0) and (1,0), both branches) is less accurate
+# than 4 500 lab-frame steps were
+TRANSPORT_STEPS = 750
 
 
 class NonCyclicWarning(UserWarning):
@@ -124,15 +128,20 @@ def analytic_dressed_phase(n: int, m: int, gamma: float, branch: str) -> float:
 
 
 def _select_doublet_branch(
-    h_sector: np.ndarray,
+    h_pole: np.ndarray,
     sector: list[int],
     space: SpaceConfig,
     n: int,
     m: int,
     branch: str,
 ):
-    """Eigenpair of the sector Hamiltonian belonging to the (n, m) doublet."""
-    w, v = np.linalg.eigh(h_sector)
+    """Eigenpairs of the sector's H(0, 0) and the column of the (n, m) doublet.
+
+    At the north pole the drive couples |2,n,m> to |1,n+1,m> alone, so the
+    doublet is an exact 2-state block of H(0, 0): its two eigenvectors are
+    the two with all their weight on those states.
+    """
+    w, v = np.linalg.eigh(h_pole)
     loc2 = sector.index(state_index(space, 2, n, m))
     loc1 = sector.index(state_index(space, 1, n + 1, m))
     projection = np.abs(v[loc2, :]) ** 2 + np.abs(v[loc1, :]) ** 2
@@ -140,7 +149,7 @@ def _select_doublet_branch(
     upper_col = candidates[np.argmax(w[candidates])]
     lower_col = candidates[np.argmin(w[candidates])]
     col = upper_col if branch == "upper" else lower_col
-    return w, v[:, col].copy(), int(col)
+    return w, v, int(col)
 
 
 def adiabatic_eigenstate_transport(
@@ -155,23 +164,31 @@ def adiabatic_eigenstate_transport(
 
     The run starts in the eigenstate of H at the loop's first knot that
     belongs to the (n, m) doublet (the one spanned by |2,n,m> and
-    |1,n+1,m>) on the requested branch, propagates it leg by leg with
-    dynamics' sixth-order Magnus steps restricted to its excitation
-    sector (ceil(leg duration / dt) steps a leg; dt defaults to the loop
-    duration / TRANSPORT_STEPS), and decomposes the Pancharatnam phase into
-    dynamical and geometric parts.  Each step is the exact exponential of
-    the Hermitian Magnus generator M built from H at the step's three Gauss
-    points, and min_adiabatic_fidelity, the state's worst largest overlap
-    with an eigenvector of the step's generator, is read against M's
-    eigenvectors.
+    |1,n+1,m> at the north pole) on the requested branch, and decomposes
+    the Pancharatnam phase of its return into dynamical and geometric
+    parts.  It is stepped inside its excitation sector in the drive frame
+    W = exp(-i phi N-) exp(-i theta K), where H(theta, phi) = W H(0, 0)
+    W^H: the state chi = W^H psi starts at the branch's eigenvector u of
+    H(0, 0) and moves under HamiltonianFactory.drive_frame's generator,
+    leg by leg, with dynamics' sixth-order Magnus steps (ceil(leg duration
+    / dt) steps a leg; dt defaults to the loop duration / TRANSPORT_STEPS).
+    That generator is constant along azimuth and meridian legs, so there
+    the steps are exact at any dt; only tilted legs carry a step error.
+    On a closed loop W(start)^H W(end) is exp(-i dphi N-), dphi the
+    azimuth the loop winds (a diagonal phase when it closes at the north
+    pole, the identity otherwise), so the return overlap is
+    <u| exp(-i dphi N-) chi(T)>.  The eigenvectors of H along the loop are
+    W times those of H(0, 0), so min_adiabatic_fidelity, the state's worst
+    largest overlap with an instantaneous eigenvector, is read against
+    H(0, 0)'s.
 
     The doublet's sector k = n + 1 + m must be complete (k <= min(nmax_plus,
     nmax_minus)).  There H at every point of the sphere is unitarily
-    equivalent to H at the first knot, so the spectrum is the same all
-    along the loop: min_gap, the tracked level's distance to the nearest
-    other level of the sector, is exact from the first eigendecomposition,
-    for any loop.  The dynamical phase removed is the reference arm's
-    -E0 T (the frozen-drive twin of an eigenstate reduces to its
+    equivalent to H(0, 0), so the spectrum is the same all along the loop:
+    e0 and min_gap, the tracked level's distance to the nearest other
+    level of the sector, are exact from the one eigendecomposition of
+    H(0, 0), for any loop.  The dynamical phase removed is the reference
+    arm's -E0 T (the frozen-drive twin of an eigenstate reduces to its
     eigenvalue).
 
     Raises TruncationError when the space cuts the doublet's sector,
@@ -190,9 +207,9 @@ def adiabatic_eigenstate_transport(
     sector = excitation_sector_indices(space, k)
     # the sector is the stepper's one block: a stack of S = 1
     factory = HamiltonianFactory(space, params, [sector])
-    theta0, phi0 = loop.knots[0]
-    h0 = factory.dense(float(theta0), float(phi0))[0]
-    w0, v0, col = _select_doublet_branch(h0, sector, space, n, m, branch)
+    w0, v0, col = _select_doublet_branch(
+        factory.dense(0.0, 0.0)[0], sector, space, n, m, branch
+    )
     e0 = float(w0[col])
     # the tracked level is excluded by its column, so an exactly degenerate
     # twin counts as a zero gap
@@ -210,20 +227,33 @@ def adiabatic_eigenstate_transport(
     stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
     min_fidelity = 1.0
 
-    def track(v, psi, drift):
+    def track(chi, drift):
         # maximal-overlap continuation: the instantaneous eigenvector the
         # state follows is the one it overlaps most; its weight is the
         # adiabatic fidelity (phase-smoothness gauge is implicit in taking
         # magnitudes only)
         nonlocal min_fidelity
-        overlaps = v[0].conj().T @ psi[0, :, 0]
+        overlaps = v0.conj().T @ chi[0, :, 0]
         min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
-    psi = v0[None, :, None]
-    for leg, steps in enumerate(leg_steps):
-        psi = _step_leg(psi, factory.dense, loop, leg, steps, stride, track, order=6)
-
-    ov = complex(np.vdot(v0, psi[0, :, 0]))
+    u = v0[:, col]
+    chi = u[None, :, None]
+    legs = zip(loop.knots, loop.knots[1:], loop.durations)
+    for leg, ((th_a, ph_a), (th_b, ph_b), dur) in enumerate(legs):
+        rates = ((th_b - th_a) / dur, (ph_b - ph_a) / dur)
+        chi = _step_leg(
+            chi,
+            lambda theta, phi: factory.drive_frame(theta, *rates),
+            loop,
+            leg,
+            leg_steps[leg],
+            stride,
+            track,
+            order=6,
+        )
+    winding = loop.knots[-1][1] - loop.knots[0][1]
+    chi_end = np.exp(-1j * winding * factory.minus_photons[0]) * chi[0, :, 0]
+    ov = complex(np.vdot(u, chi_end))
     cyclicity = abs(ov)
     total = float(np.angle(ov))
     dynamical = -e0 * loop.total_time

@@ -306,3 +306,36 @@ def test_mode_rotation_on_a_padded_stack_is_the_blocks():
         np.testing.assert_array_equal(block[: len(b), : len(b)], full[np.ix_(b, b)])
         assert np.all(block[len(b):] == 0) and np.all(block[:, len(b):] == 0)
     np.testing.assert_array_equal(full, full.conj().T)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(TRUNCATIONS),
+    st.data(),
+    st.floats(0.0, math.pi),
+    st.floats(-20.0, 20.0),
+    st.floats(-50.0, 50.0),
+    st.floats(-50.0, 50.0),
+)
+def test_drive_frame_generates_the_rotating_frame(cutoffs, data, theta, phi, theta_rate, phi_rate):
+    # chi = W^H psi with W = exp(-i phi N-) exp(-i theta K) obeys
+    # i dchi/dt = (W^H H W - i W^H dW/dt) chi, where each factor commutes with
+    # its own generator: dW/dt = -i (phi' N- W + theta' W K).  Compared in
+    # units of the flip rate lam, on complete sectors up to k = 4
+    from scipy.linalg import expm
+
+    space = make_space(*cutoffs)
+    k = data.draw(st.integers(0, min(*cutoffs, 4)), label="sector")
+    params = default_params()
+    factory = HamiltonianFactory(space, params, excitation_sector_indices(space, k))
+    n_minus = np.diag(factory.minus_photons).astype(float)
+    k_mat = factory.mode_rotation()
+    w = expm(-1j * phi * n_minus) @ expm(-1j * theta * k_mat)
+    dw = -1j * (phi_rate * n_minus @ w + theta_rate * w @ k_mat)
+    expected = w.conj().T @ factory.dense(theta, phi) @ w - 1j * w.conj().T @ dw
+    generator = factory.drive_frame(theta, theta_rate, phi_rate)
+    assert np.max(np.abs(generator - expected)) / params.lam < 1e-12
+    # an array of angles gives each point's generator on a leading axis
+    stack = factory.drive_frame(np.array([[theta, 0.0]]), theta_rate, phi_rate)
+    assert stack.shape == (1, 2, *generator.shape)
+    np.testing.assert_allclose(stack[0, 0], generator, rtol=0, atol=1e-12 * params.lam)

@@ -1,5 +1,6 @@
 """Unit tests for geometric-phase extraction and dressed-branch transport."""
 
+import functools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopqed.dynamics import _resolve_steps, _step_leg
 from loopqed.hilbert import StateVector, fock_state, make_space, state_index
 from loopqed.model import (
     HamiltonianFactory,
@@ -18,6 +20,7 @@ from loopqed.phases import (
     DegeneracyError,
     NonCyclicWarning,
     PhaseReading,
+    _select_doublet_branch,
     adiabatic_eigenstate_transport,
     analytic_dressed_phase,
     dressed_phase_pair,
@@ -29,6 +32,7 @@ from loopqed.poincare_path import (
     piecewise_path,
     rescaled_path,
     reversed_path,
+    solid_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -344,6 +348,7 @@ def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
         assert calls == {"eigh": eigh_calls, "eigvalsh": 0}
 
 
+@functools.cache
 def _phase_at(doublet, branch, steps):
     # a row of the dressed-doublets workload's seed-0 run: default
     # couplings, the 6 ms lasso of solid angle pi (reversed for the lower
@@ -357,18 +362,51 @@ def _phase_at(doublet, branch, steps):
     ).geometric_phase
 
 
+@functools.cache
+def _longest_acceptance_phase(steps):
+    # acceptance criterion 4's (1,0) doublet at gamma = pi, upper branch: it
+    # runs 640 flip periods, the most flips a step has to resolve
+    g = TWO_PI * 50.0
+    params = ModelParams(g=g, omega_drive=math.sqrt(2.0) * g,
+                         delta=3.0 * math.sqrt(2.0) * g)
+    loop = lasso_path(math.pi, 640 * params.flip_period)
+    dt = None if steps is None else loop.total_time / steps
+    return adiabatic_eigenstate_transport(
+        make_space(2, 2), params, loop, (1, 0), "upper", dt=dt
+    ).geometric_phase
+
+
 def test_transport_error_falls_at_sixth_order():
-    # halving the Magnus step divides the error against a 16x finer run by
-    # about 2**6 = 64; a fourth-order step would give 16
-    reference = _phase_at((1, 0), "upper", 32000)
-    errors = [abs(_phase_at((1, 0), "upper", steps) - reference) for steps in (2000, 4000)]
+    # lasso legs carry no step error, so the order shows on tilted legs:
+    # halving the Magnus step on the tilted loop at 24 ms divides the error
+    # against a 16x finer run by about 2**6 = 64; a fourth-order step would
+    # give 16
+    loop = rescaled_path(_tilted_loop(), 24.0)
+
+    def phase(steps):
+        return adiabatic_eigenstate_transport(
+            make_space(2, 2), default_params(), loop, (1, 0), "upper",
+            dt=loop.total_time / steps,
+        ).geometric_phase
+
+    reference = phase(16000)
+    errors = [abs(phase(steps) - reference) for steps in (500, 1000)]
     assert errors[0] / errors[1] >= 40.0
 
 
+def test_lasso_legs_take_one_exact_step_each():
+    # in the drive frame the generator of an azimuth or meridian leg does not
+    # move, so one Magnus step a leg (dt = half the loop: 1 + 1 + 1 steps) is
+    # that leg's exact propagator; 16 000 steps only add rounding
+    for doublet in ((0, 0), (1, 0)):
+        for branch in ("upper", "lower"):
+            assert abs(_phase_at(doublet, branch, 2) - _phase_at(doublet, branch, 16000)) < 1e-11
+    assert abs(_longest_acceptance_phase(2) - _longest_acceptance_phase(16000)) < 1e-11
+
+
 def test_default_transport_step_is_within_1e_9_of_a_fine_run():
-    # the default of duration / 4500 sixth-order steps leaves each row of
-    # the workload below 1e-9 rad of a run at 16 000 steps, whose own error
-    # is about (4500 / 16000)**6, 5e-4 times smaller
+    # each row of the workload, at the default of duration / TRANSPORT_STEPS
+    # steps, against a run at 16 000 steps
     for doublet in ((0, 0), (1, 0)):
         for branch in ("upper", "lower"):
             default = _phase_at(doublet, branch, None)
@@ -376,20 +414,62 @@ def test_default_transport_step_is_within_1e_9_of_a_fine_run():
 
 
 def test_default_transport_step_holds_on_the_longest_acceptance_loop():
-    # acceptance criterion 4's (1,0) doublet at gamma = pi runs 640 flip
-    # periods, the most flips a step has to resolve; 8 000 fourth-order
-    # steps left its upper branch 3.47e-6 rad from the converged phase
-    g = TWO_PI * 50.0
-    params = ModelParams(g=g, omega_drive=math.sqrt(2.0) * g,
-                         delta=3.0 * math.sqrt(2.0) * g)
-    loop = lasso_path(math.pi, 640 * params.flip_period)
+    # 8 000 fourth-order lab-frame steps left this row 3.47e-6 rad from the
+    # converged phase, and 4 500 sixth-order ones 2.3e-6; its lasso legs are
+    # exact in the drive frame
+    assert abs(_longest_acceptance_phase(None) - _longest_acceptance_phase(16000)) < 1e-9
 
-    def phase(dt):
-        return adiabatic_eigenstate_transport(
-            make_space(2, 2), params, loop, (1, 0), "upper", dt=dt
-        ).geometric_phase
 
-    assert abs(phase(None) - phase(loop.total_time / 16000)) < 3.5e-6
+def _pole_closing_loop():
+    # the tilted loop of test_cli, which closes at the north pole after
+    # winding 3 rad of azimuth, at 6 ms
+    knots = [(0.0, 0.0), (1.0, 0.5), (1.0, 2.5), (0.0, 3.0)]
+    return piecewise_path(knots, [1.5, 3.0, 1.5])
+
+
+@pytest.mark.parametrize("make_loop", [_tilted_loop, _pole_closing_loop])
+def test_drive_frame_transport_matches_lab_frame_steps(make_loop):
+    # the independent route: Magnus steps of H itself, 64 000 a loop,
+    # started from W0 u, the branch's eigenvector u of H(0, 0) carried to the
+    # first knot by W0 = exp(-i phi0 N-) exp(-i theta0 K), and overlapped
+    # with W0 u at the end
+    from scipy.linalg import expm
+
+    loop = make_loop()
+    space, params, doublet, branch = make_space(2, 2), default_params(), (1, 0), "upper"
+    sector = excitation_sector_indices(space, 2)
+    factory = HamiltonianFactory(space, params, [sector])
+    w, v, col = _select_doublet_branch(factory.dense(0.0, 0.0)[0], sector, space, *doublet, branch)
+    theta0, phi0 = loop.knots[0]
+    w0 = np.exp(-1j * phi0 * factory.minus_photons[0])[:, None] * expm(
+        -1j * theta0 * factory.mode_rotation()[0]
+    )
+    start = w0 @ v[:, col]
+    psi = start[None, :, None]
+    for leg, dur in enumerate(loop.durations):
+        steps = _resolve_steps(dur, loop.total_time, loop.total_time / 64000)
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, steps, lambda *_: None, order=6)
+    overlap = np.vdot(start, psi[0, :, 0])
+    lab = wrap_phase(np.angle(overlap) + w[col] * loop.total_time)
+    reading = adiabatic_eigenstate_transport(space, params, loop, doublet, branch)
+    assert abs(wrap_phase(reading.geometric_phase - lab)) < 1e-8
+    assert reading.cyclicity == pytest.approx(abs(overlap), abs=1e-8)
+
+
+def test_a_loop_from_the_south_pole_transports_one_doublet_on_both_branches():
+    # at the south pole the drive couples |2,0,0> to |1,0,1>, not to |1,1,0>;
+    # branches picked there by their weight on |2,0,0> and |1,1,0> were not
+    # one doublet, and the "lower" one followed the uncoupled level (-0.785
+    # rad against +2.729).  Picked at H(0, 0), the resonant pair are mirror
+    # images near +-gamma/4
+    theta0 = 2.4188584057763776
+    knots = [(math.pi, 0.0), (theta0, 0.0), (theta0, TWO_PI), (math.pi, TWO_PI)]
+    loop = piecewise_path(knots, [1.5, 3.0, 1.5])
+    pair = dressed_phase_pair(make_space(1, 1), default_params(), loop, (0, 0))
+    upper, lower = pair["upper"].geometric_phase, pair["lower"].geometric_phase
+    assert abs(upper + lower) < 1e-9
+    assert upper == pytest.approx(solid_angle(loop) / 4, rel=0.02)
+    assert pair["lower"].metadata["eigenvalue"] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_an_exactly_degenerate_twin_of_the_tracked_level_trips_the_gap_rule():
