@@ -238,10 +238,9 @@ KEYS: tuple[Key, ...] = (
         '"full" dynamics or "ideal" phase map'),
     Key("dt_ms", "", _optional(_to_float, None), lambda dt: None if dt is None else _positive(dt),
         lambda dt: "auto" if dt is None else _fmt(dt),
-        "integrator step in ms for the transport and for tilted loop legs; lasso legs "
-        "are exact: Ramsey loops ignore it there, and the transport's steps are exact "
-        "there at any value (empty: duration/750 for the transport, duration/20000 "
-        "for tilted legs)"),
+        "integrator step in ms of every stepped leg (empty: duration/750); lasso legs "
+        "are exact: Ramsey loops ignore it there, and the transport takes ceil(leg/dt) "
+        "exact steps there"),
     Key("round_flips", "true", _to_bool, None, lambda b: "true" if b else "false",
         "round interaction time to whole Rabi flips"),
     Key("out_dir", "runs", lambda key, raw: raw.strip() or "runs", None, str, "output directory"),

@@ -11,35 +11,28 @@ the sectors some initial state occupies are propagated, so the others stay
 exactly zero; the dressed-branch transport steps its single sector, a
 (1, d, 1) stack.
 
-evolve_loop propagates along the legs of a PathSpec, in complete sectors
-only (hilbert.require_complete).  There each lasso leg has a time-independent
-generator in a rotating frame, so it is exact: an azimuth leg (constant
-theta) is covariant under the diagonal frame exp(-i phi N-), and a
-meridian leg (constant phi) under the mode rotation exp(-i theta K_phi)
-(HamiltonianFactory.mode_rotation).  Such a leg costs one
-eigendecomposition of its generator.  A tilted leg is stepped with the
-stepper's midpoint rule below, and the step size sets only those legs'
-accuracy.
+evolve_loop and the dressed-branch transport work in complete sectors only
+(hilbert.require_complete), where H(theta, phi) = W H(0, 0) W^H with the
+drive frame W = exp(-i phi N-) exp(-i theta K).  Both step chi = W^H psi
+through one leg loop, _frame_legs, under HamiltonianFactory.drive_frame's
+generator, which does not move along azimuth and meridian legs: there a
+step is exact, and only tilted legs carry a step error.  evolve, and its
+reference brute_force_evolve, step H itself in the lab frame.
 
 The stepper applies, step by step, the exact unitary exponential of a
 Hermitian generator frozen over the step, so every step is exactly unitary
 and phase extraction downstream is never polluted by integrator norm
-error.  It has two generator builders.  The midpoint rule takes the
-Hamiltonian at the step's midpoint angles; its time-ordering error falls
-as dt**2, which the exact legs of evolve_loop pin down, and evolve and the
-stepped legs of evolve_loop use it.  The sixth-order Magnus step takes
-the generator at the step's three Gauss points and nested commutators of
-them; its error falls as dt**6.  The dressed-branch transport uses it on
-the drive-frame generator (HamiltonianFactory.drive_frame), which does not
-move along azimuth and meridian legs, so there it is exact.  The
-stepper steps one straight leg at a time, in ceil(leg duration / dt) equal
-steps whose points lie at fixed fractions of the leg, so no step straddles
-a knot.  It works a block of steps at a time, whose arrays take at most
-BLOCK_BYTES: it makes the block's points, builds its generators in one
-call per point of a step and its step unitaries in one batched product, so
-the work left per step is that step's eigendecomposition and one product
-with the state, and memory does not grow with the step count.  A step size
-that makes more steps than an int64 counts is refused (StepCountError).
+error.  It has two generator builders: the midpoint rule (error falling as
+dt**2; evolve's steps and the frame's exact legs) and the sixth-order
+Magnus step from the generators at the step's three Gauss points (error
+falling as dt**6; the frame's tilted legs).  It steps one straight leg at
+a time, in ceil(leg duration / dt) equal steps whose points lie at fixed
+fractions of the leg, so no step straddles a knot, and it works a block of
+steps at a time, whose arrays take at most BLOCK_BYTES, so the work left
+per step is its eigendecomposition and one product with the state, and
+memory does not grow with the step count.  A dt that is not positive and
+finite is refused, and so is one that makes more steps than an int64
+counts (StepCountError).
 """
 
 from __future__ import annotations
@@ -64,7 +57,12 @@ __all__ = [
     "brute_force_evolve",
 ]
 
+# default steps of a run of evolve and brute_force_evolve (dt = duration / this)
 DEFAULT_STEPS = 20000
+# default drive-frame steps of a run of evolve_loop and of the transport: the
+# fewest, in multiples of 250, at which no tilted transport row of the check
+# set is less accurate than 4 500 lab-frame steps were (other legs are exact)
+FRAME_STEPS = 750
 NORM_DRIFT_LIMIT = 1e-8
 # evolve checks the norm every max(1, steps // NORM_CHECKS) steps of a leg
 NORM_CHECKS = 512
@@ -104,24 +102,27 @@ class Trajectory:
 class LoopRun:
     """Final state of evolve_loop and how its legs were propagated.
 
-    stats holds exact_legs and stepped_legs (leg counts), steps (midpoint
-    steps taken on the stepped legs) and max_norm_drift (the worst norm
-    error of the initial state and of the state after each leg).
+    stats holds exact_legs (azimuth and meridian legs, one step each) and
+    stepped_legs (tilted legs), steps (the Magnus steps of the tilted legs)
+    and max_norm_drift (the worst norm error of the initial state and of
+    the state after each leg).
     """
 
     final_state: StateVector
     stats: dict
 
 
-def _resolve_steps(
-    duration: float, total: float, dt: float | None, default_steps: int = DEFAULT_STEPS
-) -> int:
-    """Steps of a leg of the given duration: ceil(duration / dt), at least 1."""
+def _step_size(loop: PathSpec, dt: float | None, default_steps: int) -> float:
+    """Target step (ms) of a run: dt, or the loop duration / default_steps."""
     if dt is None:
-        # default resolves the whole run of length total at default_steps steps
-        dt = total / default_steps
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        return loop.total_time / default_steps
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    return dt
+
+
+def _resolve_steps(duration: float, dt: float) -> int:
+    """Steps of a leg of the given duration: ceil(duration / dt), at least 1."""
     count = duration / dt - 1e-12
     # floats below 2**63 are at most 2**63 - 1024, so their ceiling fits
     if not count < 2.0**63:
@@ -167,7 +168,8 @@ def evolve(
         If amplitudes become non-finite or the norm drifts beyond 1e-8;
         the message reports the offending leg, step and time.
     """
-    leg_steps = [_resolve_steps(dur, loop.total_time, dt) for dur in loop.durations]
+    h = _step_size(loop, dt, DEFAULT_STEPS)
+    leg_steps = [_resolve_steps(dur, h) for dur in loop.durations]
     stride = max(1, sum(leg_steps) // NORM_CHECKS)
     space = initial.space
     _, rows = _sector_rows(initial)
@@ -224,12 +226,6 @@ def _scatter(psi: np.ndarray, rows: np.ndarray, space: SpaceConfig) -> np.ndarra
     return full[:, :-1]
 
 
-def _exp_apply(generator, duration, psi):
-    """exp(-i G duration) psi per block, from one eigendecomposition of G."""
-    w, v = np.linalg.eigh(generator)
-    return _rotate(v, np.exp(w * (-1j * duration)), psi)
-
-
 def _rotate(v, phases, psi):
     """V diag(phases) V^H psi per block of an (S, d, B) stack.
 
@@ -249,24 +245,17 @@ def evolve_loop(
     """Propagate a state, or a batch of states, once around a loop, leg by leg.
 
     A batch (amplitudes of shape (B, dim)) is propagated as one (S, d, B)
-    stack over the sectors any of its states occupies, so each leg costs
-    the same eigendecompositions for the whole batch as for one state, and
-    each state ends where it would alone.  Every occupied sector must be
-    complete: write the state in hilbert.complete_box first, as
-    ramsey.run_batch does.  Each straight leg runs at constant
-    (theta', phi') and takes the route its shape sets:
-
-    * azimuth (constant theta): one eigendecomposition of
-      H(theta, phi_a) - phi' N-, then the diagonal frame exp(-i dphi N-);
-    * meridian (constant phi): one eigendecomposition of
-      H(theta_a, phi) - theta' K_phi with K_phi = exp(-i phi N-) K
-      exp(i phi N-), then the frame exp(-i dtheta K_phi); K's own
-      eigendecomposition is made once per call;
-    * tilted (both angles change): the midpoint stepper,
-      ceil(leg duration / dt) steps.
-
-    A zero-rate leg is an azimuth leg, so a frozen drive costs one
-    exponential.
+    stack over the sectors any of its states occupies, so each step's
+    eigendecomposition serves the whole batch, and each state ends where
+    it would alone.  Every occupied sector must be complete: write the
+    state in hilbert.complete_box first, as ramsey.run_batch does.  The
+    stack is mapped into the drive frame once (chi = W^H psi, W at the
+    first knot), goes through _frame_legs, which takes one exact step on
+    an azimuth leg (constant theta, so a zero-rate leg too) or a meridian
+    leg (constant phi) and ceil(leg duration / dt) sixth-order Magnus
+    steps on a tilted leg, and is mapped back with W at the last knot; K
+    is decomposed, for exp(-i theta K), only if one of those knots lies
+    off the north pole.
 
     Parameters
     ----------
@@ -275,7 +264,7 @@ def evolve_loop(
     loop : PathSpec
     params : ModelParams
     dt : float, optional
-        Target step (ms) on stepped legs.  Default: loop duration / 20000.
+        Target step (ms) on tilted legs.  Default: loop duration / 750.
 
     Returns
     -------
@@ -293,54 +282,66 @@ def evolve_loop(
         beyond 1e-8 after any leg; the message names the leg, and for a
         batch the state.
     """
-    if dt is not None and dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    h = _step_size(loop, dt, FRAME_STEPS)
     space = initial.space
     occupied, rows = _sector_rows(initial)
     require_complete(space, occupied)
     factory = HamiltonianFactory(space, params, rows)
-    m = factory.minus_photons
+    routes = _routes(loop)
+    leg_steps = [
+        _resolve_steps(dur, h) if route == "stepped" else 1
+        for route, dur in zip(routes, loop.durations)
+    ]
     psi = _gather(initial, rows)
     max_drift = _norm_drift(psi)
-    k_mat = None
-    stats = {"exact_legs": 0, "stepped_legs": 0, "steps": 0}
-    t_leg = 0.0
-    legs = zip(loop.knots, loop.knots[1:], loop.durations)
-    for leg, ((th_a, ph_a), (th_b, ph_b), dur) in enumerate(legs, 1):
-        d_th, d_ph = th_b - th_a, ph_b - ph_a
-        if d_th == 0.0:
-            route = "azimuth"
-            n_minus = m[..., :, None] * np.eye(m.shape[-1])
-            generator = factory.dense(th_a, ph_a) - (d_ph / dur) * n_minus
-            psi = np.exp(-1j * d_ph * m)[..., None] * _exp_apply(generator, dur, psi)
-        elif d_ph == 0.0:
-            route = "meridian"
-            if k_mat is None:
-                k_mat = factory.mode_rotation()
-                k_w, k_v = np.linalg.eigh(k_mat)
-            # frame at azimuth phi: K_phi = R K R^H with R = exp(-i phi N-)
-            rot = np.exp(-1j * ph_a * m)[..., None]
-            k_phi = rot * k_mat * rot.conj().swapaxes(-1, -2)
-            generator = factory.dense(th_a, ph_a) - (d_th / dur) * k_phi
-            psi = _exp_apply(generator, dur, psi)
-            psi = rot * _rotate(k_v, np.exp(-1j * d_th * k_w), rot.conj() * psi)
-        else:
-            route = "stepped"
-            steps = _resolve_steps(dur, loop.total_time, dt)
-            psi = _step_leg(
-                psi, factory.dense, loop, leg - 1, steps, steps, lambda *_: None
-            )
-            stats["steps"] += steps
-        stats["stepped_legs" if route == "stepped" else "exact_legs"] += 1
-        t_leg += dur
-        where = f"after leg {leg} ({route}, t = {t_leg:.6g} ms)"
-        max_drift = np.maximum(max_drift, _check_state(psi, where))
-    final = _scatter(psi, rows, space)
+
+    def record_drift(chi, drift):
+        nonlocal max_drift
+        max_drift = np.maximum(max_drift, drift)
+
+    (th_0, ph_0), (th_t, ph_t) = loop.knots[0], loop.knots[-1]
+    m = factory.minus_photons[..., None]
+    chi = np.exp(1j * ph_0 * m) * psi
+    if th_0 or th_t:
+        k_w, k_v = np.linalg.eigh(factory.mode_rotation())
+        chi = _rotate(k_v, np.exp(1j * th_0 * k_w), chi)
+    # the state is checked at each leg's end
+    chi = _frame_legs(chi, factory, loop, leg_steps, max(leg_steps), record_drift)
+    if th_0 or th_t:
+        chi = _rotate(k_v, np.exp(-1j * th_t * k_w), chi)
+    final = _scatter(np.exp(-1j * ph_t * m) * chi, rows, space)
+    stepped = [steps for route, steps in zip(routes, leg_steps) if route == "stepped"]
     batched = initial.amplitudes.ndim == 2
-    stats["max_norm_drift"] = max_drift if batched else float(max_drift[0])
-    return LoopRun(
-        StateVector(final if batched else final[0], space, normalized=True), stats
-    )
+    drift = max_drift if batched else float(max_drift[0])
+    stats = {"exact_legs": len(routes) - len(stepped), "stepped_legs": len(stepped),
+             "steps": sum(stepped), "max_norm_drift": drift}
+    return LoopRun(StateVector(final if batched else final[0], space, normalized=True), stats)
+
+
+def _routes(loop: PathSpec) -> list[str]:
+    """Each leg's route: "azimuth" (constant theta, so a zero-rate leg too),
+    "meridian" (constant phi) or "stepped" (both angles change)."""
+    return [
+        "azimuth" if th_a == th_b else "meridian" if ph_a == ph_b else "stepped"
+        for (th_a, ph_a), (th_b, ph_b) in zip(loop.knots, loop.knots[1:])
+    ]
+
+
+def _frame_legs(chi, factory, loop, leg_steps, stride, on_sample):
+    """Step chi = W^H psi around a loop in the drive frame, leg k in
+    leg_steps[k] steps of _step_leg (with stride and on_sample), under
+    factory.drive_frame's generator at the leg's constant rates: midpoint
+    steps, exact, on azimuth and meridian legs, and sixth-order Magnus
+    steps on tilted legs.  Returns the final chi."""
+    for leg, route in enumerate(_routes(loop)):
+        (th_a, ph_a), (th_b, ph_b) = loop.knots[leg:leg + 2]
+        rates = ((th_b - th_a) / loop.durations[leg], (ph_b - ph_a) / loop.durations[leg])
+        order = 6 if route == "stepped" else 2
+        chi = _step_leg(
+            chi, lambda theta, phi: factory.drive_frame(theta, *rates), loop, leg,
+            leg_steps[leg], stride, on_sample, order, route,
+        )
+    return chi
 
 
 def _norm_drift(psi) -> np.ndarray:
@@ -366,42 +367,38 @@ def _check_state(psi, where: str) -> np.ndarray:
     return drift
 
 
-def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
+def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2, route="stepped"):
     """Step psi along leg `leg` (from 0) of a loop, in `steps` equal steps;
     the package's one stepping loop.
 
     psi is an (S, d, B) stack of sector amplitudes, and dense(theta, phi)
-    returns the matching (S, d, d) stack of Hermitian blocks that generate
-    the motion at that point of the leg (the lab-frame Hamiltonian, or the
-    dressed-branch transport's drive-frame generator), or the (n, S, d, d)
-    stacks of n points given arrays of angles.  A leg is straight in
-    (theta, phi), so points of a step lie at fixed fractions of it.  Each
-    step applies the exact exponential V exp(-i w h) V^H of a Hermitian
-    step generator, from one batched eigendecomposition of its stack.  The
-    step generator comes from one of two builders, which order picks:
+    returns the matching (S, d, d) stack of Hermitian generators at a point
+    of the leg (H, or the drive-frame generator), or the (n, S, d, d)
+    stacks of n points given arrays of angles.  Each step applies
+    V exp(-i w h) V^H from one batched eigendecomposition of the step
+    generator that order picks:
 
     * order 2, the midpoint rule: the blocks at the step's midpoint;
     * order 6, the sixth-order Magnus step (Blanes, Casas, Oteo and Ros,
       Phys. Rep. 470, 151 (2009)): M = i Omega / h, with Omega built by
       _magnus6 from the blocks at the step's three Gauss points, fractions
       (k + 1/2 + c) / steps of the leg for c = -sqrt(15)/10, 0, sqrt(15)/10.
-      Where the blocks do not move along the leg, M is them and the step
-      is exact.
 
-    The steps run in blocks whose arrays take at most BLOCK_BYTES: each
-    block's points are made together, its generators come from one
-    dense() call per point of a step and its step unitaries from one
-    batched product, so a step costs its eigendecomposition and one product
-    with psi, and no array grows with the step count.  After every
-    stride-th step and after the last, the amplitudes are checked and
-    on_sample(psi, drift) receives the state and its per-state norm drift,
-    a (B,) array.  Returns the final amplitudes.
+    The steps run in blocks whose arrays take at most BLOCK_BYTES, each
+    block's generators from one dense() call per point of a step and its
+    unitaries from one batched product.  After every stride-th step and
+    after the last, the amplitudes are checked and on_sample(psi, drift)
+    receives the state and its (B,) norm drift.  Returns the final
+    amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
-    NORM_DRIFT_LIMIT, naming the leg, the step and the time.
+    NORM_DRIFT_LIMIT, as "leg k (route, from t = ...): ... at step j (t =
+    ...)", or "... after leg k (route, t = ...)" at the end of an exact
+    leg (route azimuth or meridian).
     """
     (th_a, ph_a), (th_b, ph_b) = loop.knots[leg:leg + 2]
     h = loop.durations[leg] / steps
+    t_start, t_end = sum(loop.durations[:leg]), sum(loop.durations[:leg + 1])
 
     def hamiltonians(fracs):
         return dense(th_a + fracs * (th_b - th_a), ph_a + fracs * (ph_b - ph_a))
@@ -433,15 +430,19 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2):
         )
         for end, unit in enumerate(units, start + 1):
             psi = unit @ psi
-            if end % stride == 0 or end == steps:
+            if end % stride and end < steps:
+                continue
+            if end == steps and route != "stepped":
+                # the end of an exact leg is reported as the leg's, not a step's
+                drift = _check_state(psi, f"after leg {leg + 1} ({route}, t = {t_end:.6g} ms)")
+            else:
                 try:
                     drift = _check_state(psi, f"at step {end} (t = {end * h:.6g} ms)")
                 except IntegrationError as exc:
-                    t_leg = sum(loop.durations[:leg])
                     raise IntegrationError(
-                        f"leg {leg + 1} (stepped, from t = {t_leg:.6g} ms): {exc}"
+                        f"leg {leg + 1} ({route}, from t = {t_start:.6g} ms): {exc}"
                     ) from exc
-                on_sample(psi, drift)
+            on_sample(psi, drift)
     return psi
 
 
@@ -512,8 +513,9 @@ def brute_force_evolve(
     factory = HamiltonianFactory(initial.space, params)
     psi = initial.amplitudes.astype(complex).copy()
     legs = zip(loop.knots, loop.knots[1:], loop.durations)
+    h = _step_size(loop, dt, DEFAULT_STEPS)
     for (th_a, ph_a), (th_b, ph_b), dur in legs:
-        steps = _resolve_steps(dur, loop.total_time, dt)
+        steps = _resolve_steps(dur, h)
         for k in range(steps):
             f = (k + 0.5) / steps
             th, ph = th_a + f * (th_b - th_a), ph_a + f * (ph_b - ph_a)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,10 +203,10 @@ class HamiltonianFactory:
         a meridian: H(theta, 0) = exp(-i theta K) H(0, 0) exp(i theta K).
         The identity holds on every complete excitation sector, k <=
         min(nmax_plus, nmax_minus); a sector cut by a cutoff lacks states
-        the rotation reaches, and there it fails.
+        the rotation reaches, and there it fails.  The array is the
+        factory's own, built once; do not modify it.
         """
-        hop = self._hop()
-        return -0.5j * (hop - hop.swapaxes(-1, -2))
+        return self._frame_pieces[1]
 
     def drive_frame(
         self, theta: float | np.ndarray, theta_rate: float, phi_rate: float
@@ -224,28 +225,30 @@ class HamiltonianFactory:
         meridian leg (phi_rate = 0) it does not move at all.  The identity
         needs the same complete sectors as mode_rotation.  theta broadcasts
         like dense()'s angles: an array of angles gives the generators of
-        every point, on leading axes of its shape.
+        every point, on leading axes of its shape.  The fixed matrices are
+        built on the first call, so a call is one broadcast of them.
         """
-        _, n, m = self._labels
-        hop = self._hop()
-        eye = np.eye(n.shape[-1])
-        t = np.reshape(theta, np.shape(theta) + (1,) * (n.ndim + 1))
-        turned = (
-            np.cos(0.5 * t) ** 2 * (m[..., None] * eye)
-            + np.sin(0.5 * t) ** 2 * (n[..., None] * eye)
-            + 0.5 * np.sin(t) * (hop + hop.swapaxes(-1, -2))
-        )
-        return self.dense(0.0, 0.0) - theta_rate * self.mode_rotation() - phi_rate * turned
+        pole, k_mat, n_minus, n_plus, hop = self._frame_pieces
+        t = np.reshape(theta, np.shape(theta) + (1,) * pole.ndim)
+        turned = np.cos(0.5 * t) ** 2 * n_minus + np.sin(0.5 * t) ** 2 * n_plus
+        turned += 0.5 * np.sin(t) * hop
+        return pole - theta_rate * k_mat - phi_rate * turned
 
-    def _hop(self) -> np.ndarray:
-        """Dense a+^H a- on the block: one photon moved from mode "-" to mode "+",
-        on either atomic level."""
+    @cached_property
+    def _frame_pieces(self) -> tuple[np.ndarray, ...]:
+        """H(0, 0), K, the dense N- and N+ and a+^H a- + a-^H a+ on the block."""
         level, n, m = self._labels
         row, col = (..., slice(None), None), (..., None, slice(None))
-        return np.where(
+        # a+^H a-: one photon moved from mode "-" to mode "+", on either level
+        hop = np.where(
             (level[row] == level[col]) & (n[row] == n[col] + 1) & (m[row] == m[col] - 1),
             np.sqrt(n[row] * m[col]),
             0.0,
+        )
+        eye = np.eye(n.shape[-1])
+        return (
+            self.dense(0.0, 0.0), -0.5j * (hop - hop.swapaxes(-1, -2)),
+            m[..., None] * eye, n[..., None] * eye, hop + hop.swapaxes(-1, -2),
         )
 
 

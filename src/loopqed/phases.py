@@ -6,14 +6,12 @@ Conventions used throughout (and relied on by the tests):
   arg<initial|final>, and its magnitude is the cyclicity.
 * The dynamical phase removed is -E0 T, which is what a twin run with the
   drive polarization frozen at its starting point gives an eigenstate.
-  Geometric phase is the wrapped difference.  Transport runs step the
-  loop leg by leg with dynamics' sixth-order Magnus step, ceil(leg / dt)
-  steps a leg, inside the doublet's excitation sector, which must be
-  complete; there H(theta, phi) = W H(0, 0) W^H with W = exp(-i phi N-)
-  exp(-i theta K), so the spectrum is the same at every point of the
-  sphere and the tracked level's gap is exact and constant along any
-  loop.  The steps act on W^H psi, whose generator does not move along
-  azimuth and meridian legs: there they are exact at any dt.
+  Geometric phase is the wrapped difference.  Transport runs step W^H psi
+  through dynamics' drive-frame leg loop, ceil(leg / dt) steps a leg,
+  inside the doublet's excitation sector, which must be complete; there
+  H(theta, phi) = W H(0, 0) W^H with W = exp(-i phi N-) exp(-i theta K),
+  so the tracked level's gap is exact and constant along any loop, and
+  the steps are exact on azimuth and meridian legs at any dt.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -42,7 +40,7 @@ import numpy as np
 from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, reversed_path
-from .dynamics import _resolve_steps, _step_leg
+from .dynamics import FRAME_STEPS, _frame_legs, _resolve_steps, _step_size
 
 __all__ = [
     "PhaseReading",
@@ -61,12 +59,6 @@ DEFAULT_CYCLICITY_FLOOR = 0.99
 GAP_FACTOR = 10.0
 # adiabatic fidelity is sampled about this many times per transport run
 FIDELITY_SAMPLES = 256
-# default drive-frame Magnus steps of a transport run (dt = duration / this).
-# Lasso legs are exact at any count, so tilted legs set it: the fewest, in
-# multiples of 250, at which no tilted row of the check set (two loops at 6,
-# 24 and 96 ms, doublets (0,0) and (1,0), both branches) is less accurate
-# than 4 500 lab-frame steps were
-TRANSPORT_STEPS = 750
 
 
 class NonCyclicWarning(UserWarning):
@@ -168,15 +160,13 @@ def adiabatic_eigenstate_transport(
     the Pancharatnam phase of its return into dynamical and geometric
     parts.  It is stepped inside its excitation sector in the drive frame
     W = exp(-i phi N-) exp(-i theta K), where H(theta, phi) = W H(0, 0)
-    W^H: the state chi = W^H psi starts at the branch's eigenvector u of
-    H(0, 0) and moves under HamiltonianFactory.drive_frame's generator,
-    leg by leg, with dynamics' sixth-order Magnus steps (ceil(leg duration
-    / dt) steps a leg; dt defaults to the loop duration / TRANSPORT_STEPS).
-    That generator is constant along azimuth and meridian legs, so there
-    the steps are exact at any dt; only tilted legs carry a step error.
-    On a closed loop W(start)^H W(end) is exp(-i dphi N-), dphi the
-    azimuth the loop winds (a diagonal phase when it closes at the north
-    pole, the identity otherwise), so the return overlap is
+    W^H: chi = W^H psi starts at the branch's eigenvector u of H(0, 0)
+    and goes through dynamics' leg loop, ceil(leg duration / dt) steps a
+    leg (dt defaults to the loop duration / 750), exact on azimuth and
+    meridian legs and sixth-order Magnus steps on tilted ones.  On a
+    closed loop W(start)^H W(end) is exp(-i dphi N-), dphi the azimuth the
+    loop winds (a diagonal phase when it closes at the north pole, the
+    identity otherwise), so the return overlap is
     <u| exp(-i dphi N-) chi(T)>.  The eigenvectors of H along the loop are
     W times those of H(0, 0), so min_adiabatic_fidelity, the state's worst
     largest overlap with an instantaneous eigenvector, is read against
@@ -221,9 +211,8 @@ def adiabatic_eigenstate_transport(
             f"{GAP_FACTOR:.0f}x the peak sweep rate {loop.max_rate:.4g} rad/ms"
         )
 
-    leg_steps = [
-        _resolve_steps(dur, loop.total_time, dt, TRANSPORT_STEPS) for dur in loop.durations
-    ]
+    h = _step_size(loop, dt, FRAME_STEPS)
+    leg_steps = [_resolve_steps(dur, h) for dur in loop.durations]
     stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
     min_fidelity = 1.0
 
@@ -237,20 +226,7 @@ def adiabatic_eigenstate_transport(
         min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
 
     u = v0[:, col]
-    chi = u[None, :, None]
-    legs = zip(loop.knots, loop.knots[1:], loop.durations)
-    for leg, ((th_a, ph_a), (th_b, ph_b), dur) in enumerate(legs):
-        rates = ((th_b - th_a) / dur, (ph_b - ph_a) / dur)
-        chi = _step_leg(
-            chi,
-            lambda theta, phi: factory.drive_frame(theta, *rates),
-            loop,
-            leg,
-            leg_steps[leg],
-            stride,
-            track,
-            order=6,
-        )
+    chi = _frame_legs(u[None, :, None], factory, loop, leg_steps, stride, track)
     winding = loop.knots[-1][1] - loop.knots[0][1]
     chi_end = np.exp(-1j * winding * factory.minus_photons[0]) * chi[0, :, 0]
     ov = complex(np.vdot(u, chi_end))

@@ -21,11 +21,10 @@ run in the sector-complete box (K, K) (hilbert.complete_box), K the
 highest excitation sector the prepared states occupy (1 for vacuum,
 nmax_plus + 1 for a field filling the "+" cutoff): sector k holds at most
 k photons per mode, so every occupied sector is whole there and the "-"
-cutoff cuts nothing.  Both arms follow the loop leg by leg
-(dynamics.evolve_loop), where every lasso leg is propagated exactly and
-the frozen caliber arm is one exponential, so the integrator step dt
-applies only to tilted legs of explicit paths.  Ideal-phase arms keep the
-configured space: the phase map is diagonal and gains nothing from a box.
+cutoff cuts nothing.  Both arms go through dynamics.evolve_loop in the
+drive frame, where every lasso leg and the frozen caliber arm is one
+exact step, so dt applies only to tilted legs of explicit paths.
+Ideal-phase arms keep the configured space.
 
 Closing pulse convention (fixed; all shifts are caliber-relative so physics
 does not depend on it):
@@ -308,9 +307,9 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     prepared state is re-embedded into the sector-complete box (K, K) of
     its highest occupied sector K (see the module docstring), whatever
     config.space.nmax_minus says, and both arms go through
-    dynamics.evolve_loop there: lasso legs are propagated exactly, and
-    config.dt sets the step only on tilted legs.  The caliber arm is a
-    single zero-rate leg, one exponential.  Ideal mode keeps config.space.
+    dynamics.evolve_loop there: lasso legs and the caliber arm's one
+    zero-rate leg are exact steps, and config.dt sets the step only on
+    tilted legs.  Ideal mode keeps config.space.
     Result metadata records the solid angle, the interaction time actually
     used, the adiabaticity ratio, arm cyclicities, any quality flags,
     propagation_box (the (nmax_plus, nmax_minus) cutoffs the arms ran in),
@@ -330,8 +329,8 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     replaced, everything else is shared.  Every stage takes the whole batch
     at once.  prepare builds one (B, dim) stack.  In full mode the stack
     is embedded in the one box (K, K) of the highest sector K any input
-    occupies, and each arm is one evolve_loop call, one eigendecomposition
-    per leg for the whole batch; every result then reports that box as its
+    occupies, and each arm is one evolve_loop call, whose eigendecompositions
+    serve the whole batch; every result then reports that box as its
     propagation_box.  In ideal mode the batch stays in config.space.
     Detection runs once per arm, and one inverse of the 3x3 Gram matrix
     fits every fringe of both arms.  The results are views of the arrays

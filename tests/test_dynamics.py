@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from loopqed import dynamics
 from loopqed.dynamics import (
     BLOCK_BYTES,
     IntegrationError,
@@ -316,33 +317,66 @@ def test_evolve_loop_routes_each_leg(monkeypatch, make_state, sectors):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     run = evolve_loop(st, loop, default_params(), dt=0.3 / 600)
     stats = run.stats
-    # every lasso leg is exact: one eigendecomposition per leg and one for
-    # the meridian frame K
+    # every lasso leg is one exact drive-frame step, one eigendecomposition;
+    # the lasso starts and ends at the pole, so the frame needs no K
     assert (stats["exact_legs"], stats["stepped_legs"], stats["steps"]) == (3, 0, 0)
     assert stats["max_norm_drift"] < 1e-12
-    assert len(shapes) == 4
+    assert len(shapes) == 3
     # amplitudes of unoccupied sectors stay exactly zero
     assert np.all(run.final_state.amplitudes[empty] == 0.0)
 
 
-def test_evolve_loop_steps_tilted_legs_like_evolve():
-    # evolve_loop steps a loop of tilted legs with evolve's leg stepper, so
-    # the two take the same steps at the same midpoints, bit for bit
+def _tilted_box_loop():
+    # three tilted legs, 6 ms; sectors 0-2 of the (2, 2) box are complete
+    return piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.5, 2.0), (0.0, 0.0)], [1.5, 3.0, 1.5])
+
+
+def test_evolve_loop_matches_lab_frame_steps_on_a_tilted_loop():
+    # the independent route: 64 000 sixth-order Magnus steps of H itself in
+    # the lab frame, on the stack of sectors 0-2 padded to width 5; the drive
+    # frame's 750 steps (the default) agree within 1e-8
     space = make_space(2, 2)
     params = default_params()
-    loop = piecewise_path([(0.0, 0.0), (1.0, 0.5), (0.5, 2.0), (0.0, 0.0)], [0.1] * 3)
+    loop = _tilted_box_loop()
     st = _three_sector_state(space)
-    run = evolve_loop(st, loop, params, dt=0.3 / 600)
-    assert (run.stats["stepped_legs"], run.stats["steps"]) == (3, 600)
-    traj = evolve(st, loop, params, dt=0.3 / 600)
-    np.testing.assert_array_equal(run.final_state.amplitudes, traj.amplitudes[-1])
+    run = evolve_loop(st, loop, params)
+    # ceil(leg / (6 ms / 750)) steps a leg: 188 + 375 + 188
+    assert (run.stats["exact_legs"], run.stats["stepped_legs"], run.stats["steps"]) == (0, 3, 751)
+    sectors = [excitation_sector_indices(space, k) for k in range(3)]
+    rows = np.array([idx + [space.dim] * (5 - len(idx)) for idx in sectors])
+    factory = HamiltonianFactory(space, params, rows)
+    psi = np.append(st.amplitudes, 0.0)[rows][..., None]
+    for leg, dur in enumerate(loop.durations):
+        steps = round(64000 * dur / loop.total_time)
+        psi = _step_leg(psi, factory.dense, loop, leg, steps, steps, lambda *_: None, order=6)
+    lab = np.zeros(space.dim + 1, dtype=complex)
+    lab[rows] = psi[..., 0]
+    np.testing.assert_allclose(run.final_state.amplitudes, lab[:-1], rtol=0, atol=1e-8)
+
+
+def test_evolve_loop_tilted_legs_converge_at_sixth_order():
+    # against 8 000 steps, doubling the tilted legs' steps from 500 to 1 000
+    # cuts the error by at least 40 (2**6 = 64 asymptotically)
+    space = make_space(2, 2)
+    params = default_params()
+    loop = _tilted_box_loop()
+    st = _three_sector_state(space)
+
+    def final(steps):
+        return evolve_loop(st, loop, params, dt=loop.total_time / steps).final_state.amplitudes
+
+    fine = final(8000)
+    errors = [np.max(np.abs(final(steps) - fine)) for steps in (500, 1000)]
+    assert errors[1] > 1e-11
+    assert errors[0] / errors[1] >= 40
 
 
 def test_stepped_legs_build_bounded_blocks(monkeypatch):
     # a tilted loop in the (9, 9) box steps a (10, 19, 19) stack: evolve_loop
-    # strides over whole legs, yet each dense() call builds a block whose
-    # four working arrays fit in BLOCK_BYTES, and the blocks give the state
-    # that stepping one sector and one point at a time gives
+    # strides over whole legs, yet each drive_frame() call at the Gauss points
+    # builds a block whose six working arrays fit in BLOCK_BYTES, and the
+    # blocks give the state that stepping one sector and one step at a time
+    # gives
     space = make_space(9, 9)
     params = default_params()
     rng = np.random.default_rng(3)
@@ -352,36 +386,32 @@ def test_stepped_legs_build_bounded_blocks(monkeypatch):
         amps[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
     st = StateVector(amps / np.linalg.norm(amps), space)
     loop = piecewise_path([(0.2, 0.0), (1.0, 0.6), (0.6, 2.0), (0.2, 0.0)], [0.04] * 3)
-    steps = 102  # a leg
+    steps = 103  # a leg
     blocks = []
-    dense = HamiltonianFactory.dense
+    drive_frame = HamiltonianFactory.drive_frame
 
-    def recording_dense(self, theta, phi):
-        h = dense(self, theta, phi)
-        if h.ndim == 4:
-            blocks.append(h)
-        return h
+    def recording_drive_frame(self, theta, theta_rate, phi_rate):
+        g = drive_frame(self, theta, theta_rate, phi_rate)
+        if g.ndim == 4:
+            blocks.append(g)
+        return g
 
-    monkeypatch.setattr(HamiltonianFactory, "dense", recording_dense)
+    monkeypatch.setattr(HamiltonianFactory, "drive_frame", recording_drive_frame)
     run = evolve_loop(st, loop, params, dt=0.04 / steps)
     monkeypatch.undo()
-    per_block = BLOCK_BYTES // (4 * 16 * 10 * 19 * 19)
+    per_block = BLOCK_BYTES // (6 * 16 * 10 * 19 * 19)
     assert 1 < per_block < steps and steps % per_block
-    assert [h.shape[0] for h in blocks] == 3 * (
-        [per_block] * (steps // per_block) + [steps % per_block]
-    )
-    assert 4 * max(h.nbytes for h in blocks) <= BLOCK_BYTES
+    leg_blocks = [per_block] * (steps // per_block) + [steps % per_block]
+    # three Gauss points a block
+    assert [g.shape[0] for g in blocks] == 3 * [n for n in leg_blocks for _ in range(3)]
+    assert 6 * max(g.nbytes for g in blocks) <= BLOCK_BYTES
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 1)
     expected = np.zeros(space.dim, dtype=complex)
-    fracs = (np.arange(steps) + 0.5) / steps
     for idx in sectors:
-        factory = HamiltonianFactory(space, params, idx)
-        psi = st.amplitudes[idx]
-        for (th_a, ph_a), (th_b, ph_b), dur in zip(loop.knots, loop.knots[1:], loop.durations):
-            for f in fracs:
-                h = factory.dense(th_a + f * (th_b - th_a), ph_a + f * (ph_b - ph_a))
-                w, v = np.linalg.eigh(h)
-                psi = v @ (np.exp(-1j * w * dur / steps) * (v.conj().T @ psi))
-        expected[idx] = psi
+        part = np.where(np.isin(np.arange(space.dim), idx), st.amplitudes, 0.0)
+        alone = StateVector(part / np.linalg.norm(part), space)
+        final = evolve_loop(alone, loop, params, dt=0.04 / steps).final_state.amplitudes
+        expected[idx] = final[idx] * np.linalg.norm(part)
     np.testing.assert_allclose(run.final_state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
@@ -549,6 +579,20 @@ def test_evolve_loop_rejects_bad_dt():
     space = make_space(1, 0)
     with pytest.raises(ValueError, match="dt must be positive"):
         evolve_loop(fock_state(space, 1, 0, 0), lasso_path(1.0, 0.1), default_params(), dt=0.0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_every_propagator_refuses_a_dt_that_is_not_finite(dt):
+    # a lasso has no tilted leg, yet the step is refused before any work
+    space = make_space(1, 1)
+    loop = lasso_path(math.pi, 6.0)
+    st = fock_state(space, 2, 0, 0)
+    message = "dt must be positive and finite"
+    for propagate in (evolve_loop, evolve, brute_force_evolve):
+        with pytest.raises(ValueError, match=message):
+            propagate(st, loop, default_params(), dt=dt)
+    with pytest.raises(ValueError, match=message):
+        adiabatic_eigenstate_transport(space, default_params(), loop, (0, 0), dt=dt)
 
 
 def test_rescaling_invariance_is_machine_exact():

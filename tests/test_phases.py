@@ -396,7 +396,7 @@ def test_transport_error_falls_at_sixth_order():
 
 def test_lasso_legs_take_one_exact_step_each():
     # in the drive frame the generator of an azimuth or meridian leg does not
-    # move, so one Magnus step a leg (dt = half the loop: 1 + 1 + 1 steps) is
+    # move, so one midpoint step a leg (dt = half the loop: 1 + 1 + 1 steps) is
     # that leg's exact propagator; 16 000 steps only add rounding
     for doublet in ((0, 0), (1, 0)):
         for branch in ("upper", "lower"):
@@ -405,7 +405,7 @@ def test_lasso_legs_take_one_exact_step_each():
 
 
 def test_default_transport_step_is_within_1e_9_of_a_fine_run():
-    # each row of the workload, at the default of duration / TRANSPORT_STEPS
+    # each row of the workload, at the default of duration / FRAME_STEPS
     # steps, against a run at 16 000 steps
     for doublet in ((0, 0), (1, 0)):
         for branch in ("upper", "lower"):
@@ -447,7 +447,7 @@ def test_drive_frame_transport_matches_lab_frame_steps(make_loop):
     start = w0 @ v[:, col]
     psi = start[None, :, None]
     for leg, dur in enumerate(loop.durations):
-        steps = _resolve_steps(dur, loop.total_time, loop.total_time / 64000)
+        steps = _resolve_steps(dur, loop.total_time / 64000)
         psi = _step_leg(psi, factory.dense, loop, leg, steps, steps, lambda *_: None, order=6)
     overlap = np.vdot(start, psi[0, :, 0])
     lab = wrap_phase(np.angle(overlap) + w[col] * loop.total_time)

@@ -760,9 +760,10 @@ def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     rows = effective_shift_vs_alpha(SWEEP_ALPHAS, math.pi, mode="full", base=base)
-    # one box, (5, 5), for the whole batch: three lasso legs, the meridian
-    # frame K and the one-leg caliber arm
-    assert len(calls) == 5
+    # one box, (5, 5), for the whole batch: three lasso legs and the one-leg
+    # caliber arm; both arms start and end at the pole, so neither
+    # decomposes K for the drive frame
+    assert len(calls) == 4
     for row, result in zip(rows, alone):
         assert abs(row.shift_sim - result.fitted_shift) <= 1e-12
         dark = close_and_detect_curve_value(result, result.caliber_fit.phase + math.pi)
