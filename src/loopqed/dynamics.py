@@ -100,12 +100,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class LoopRun:
-    """Final state of evolve_loop and how its legs were propagated.
+    """Final state of one loop's run and how its legs were propagated.
 
-    stats holds exact_legs (azimuth and meridian legs, one step each) and
-    stepped_legs (tilted legs), steps (the Magnus steps of the tilted legs)
-    and max_norm_drift (the worst norm error of the initial state and of
-    the state after each leg).
+    evolve_loop returns one, _evolve_loops one per loop.  final_state
+    carries the initial state's normalized flag.  stats holds exact_legs
+    (azimuth and meridian legs, one step each) and stepped_legs (tilted
+    legs), steps (the Magnus steps of the tilted legs) and max_norm_drift
+    (the worst norm error of the initial state and of each leg's end).
     """
 
     final_state: StateVector
@@ -255,7 +256,7 @@ def evolve_loop(
     leg (constant phi) and ceil(leg duration / dt) sixth-order Magnus
     steps on a tilted leg, and is mapped back with W at the last knot; K
     is decomposed, for exp(-i theta K), only if one of those knots lies
-    off the north pole.
+    off the north pole.  This is the one-loop call of _evolve_loops.
 
     Parameters
     ----------
@@ -269,8 +270,9 @@ def evolve_loop(
     Returns
     -------
     LoopRun
-        Its final_state has the shape of initial, and its max_norm_drift
-        is a float for one state and a (B,) array for a batch.
+        Its final_state has the shape of initial and carries its
+        normalized flag, and its max_norm_drift is a float for one state
+        and a (B,) array for a batch.
 
     Raises
     ------
@@ -282,40 +284,51 @@ def evolve_loop(
         beyond 1e-8 after any leg; the message names the leg, and for a
         batch the state.
     """
-    h = _step_size(loop, dt, FRAME_STEPS)
+    return _evolve_loops(initial, [loop], params, dt)[0]
+
+
+def _evolve_loops(initial: StateVector, loops, params: ModelParams, dt) -> list[LoopRun]:
+    """evolve_loop's run of each of several loops from one state or batch.
+
+    Once every loop's steps are counted, the sector rows, their check, the
+    factory, the gathered stack and, if a loop starts or ends off the north
+    pole, the one eigendecomposition of K are built once for all loops.
+    Each run equals, bit for bit, evolve_loop's for its loop alone.
+    """
+    plans = []
+    for loop in loops:
+        h, routes = _step_size(loop, dt, FRAME_STEPS), _routes(loop)
+        plans.append((loop, routes, [_resolve_steps(dur, h) if route == "stepped" else 1
+                                     for route, dur in zip(routes, loop.durations)]))
     space = initial.space
     occupied, rows = _sector_rows(initial)
     require_complete(space, occupied)
     factory = HamiltonianFactory(space, params, rows)
-    routes = _routes(loop)
-    leg_steps = [
-        _resolve_steps(dur, h) if route == "stepped" else 1
-        for route, dur in zip(routes, loop.durations)
-    ]
     psi = _gather(initial, rows)
-    max_drift = _norm_drift(psi)
-
-    def record_drift(chi, drift):
-        nonlocal max_drift
-        max_drift = np.maximum(max_drift, drift)
-
-    (th_0, ph_0), (th_t, ph_t) = loop.knots[0], loop.knots[-1]
     m = factory.minus_photons[..., None]
-    chi = np.exp(1j * ph_0 * m) * psi
-    if th_0 or th_t:
+    if any(loop.knots[0][0] or loop.knots[-1][0] for loop in loops):
         k_w, k_v = np.linalg.eigh(factory.mode_rotation())
-        chi = _rotate(k_v, np.exp(1j * th_0 * k_w), chi)
-    # the state is checked at each leg's end
-    chi = _frame_legs(chi, factory, loop, leg_steps, max(leg_steps), record_drift)
-    if th_0 or th_t:
-        chi = _rotate(k_v, np.exp(-1j * th_t * k_w), chi)
-    final = _scatter(np.exp(-1j * ph_t * m) * chi, rows, space)
-    stepped = [steps for route, steps in zip(routes, leg_steps) if route == "stepped"]
     batched = initial.amplitudes.ndim == 2
-    drift = max_drift if batched else float(max_drift[0])
-    stats = {"exact_legs": len(routes) - len(stepped), "stepped_legs": len(stepped),
-             "steps": sum(stepped), "max_norm_drift": drift}
-    return LoopRun(StateVector(final if batched else final[0], space, normalized=True), stats)
+    runs = []
+    for loop, routes, leg_steps in plans:
+        (th_0, ph_0), (th_t, ph_t) = loop.knots[0], loop.knots[-1]
+        chi = np.exp(1j * ph_0 * m) * psi
+        if th_0 or th_t:
+            chi = _rotate(k_v, np.exp(1j * th_0 * k_w), chi)
+        drifts = [_norm_drift(psi)]
+        # the state is checked at each leg's end
+        chi = _frame_legs(chi, factory, loop, leg_steps, max(leg_steps),
+                          lambda _, drift: drifts.append(drift))
+        if th_0 or th_t:
+            chi = _rotate(k_v, np.exp(-1j * th_t * k_w), chi)
+        final = _scatter(np.exp(-1j * ph_t * m) * chi, rows, space)
+        stepped = [steps for route, steps in zip(routes, leg_steps) if route == "stepped"]
+        drift = np.max(drifts, axis=0)
+        stats = {"exact_legs": len(routes) - len(stepped), "stepped_legs": len(stepped),
+                 "steps": sum(stepped), "max_norm_drift": drift if batched else float(drift[0])}
+        state = StateVector(final if batched else final[0], space, initial.normalized)
+        runs.append(LoopRun(state, stats))
+    return runs
 
 
 def _routes(loop: PathSpec) -> list[str]:

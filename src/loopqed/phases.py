@@ -197,9 +197,8 @@ def adiabatic_eigenstate_transport(
     sector = excitation_sector_indices(space, k)
     # the sector is the stepper's one block: a stack of S = 1
     factory = HamiltonianFactory(space, params, [sector])
-    w0, v0, col = _select_doublet_branch(
-        factory.dense(0.0, 0.0)[0], sector, space, n, m, branch
-    )
+    # H(0, 0), the factory's first drive-frame piece
+    w0, v0, col = _select_doublet_branch(factory._frame_pieces[0][0], sector, space, n, m, branch)
     e0 = float(w0[col])
     # the tracked level is excluded by its column, so an exactly degenerate
     # twin counts as a zero gap

@@ -21,9 +21,9 @@ run in the sector-complete box (K, K) (hilbert.complete_box), K the
 highest excitation sector the prepared states occupy (1 for vacuum,
 nmax_plus + 1 for a field filling the "+" cutoff): sector k holds at most
 k photons per mode, so every occupied sector is whole there and the "-"
-cutoff cuts nothing.  Both arms go through dynamics.evolve_loop in the
-drive frame, where every lasso leg and the frozen caliber arm is one
-exact step, so dt applies only to tilted legs of explicit paths.
+cutoff cuts nothing.  Both arms are one dynamics._evolve_loops call, on
+one factory of that box, in the drive frame, where every lasso leg and the
+frozen caliber arm is one exact step, so dt applies only to tilted legs.
 Ideal-phase arms keep the configured space.
 
 Closing pulse convention (fixed; all shifts are caliber-relative so physics
@@ -48,8 +48,8 @@ amplitudes at every xi, whose (B, xi, dim/2) array would outweigh the
 state stack itself.
 
 Batches.  prepare, close_and_detect, fit_fringe and the phase map take a
-leading batch axis of states, and dynamics.evolve_loop propagates a batch
-with the eigendecompositions of one state.  run_batch runs one experiment
+leading batch axis of states, and dynamics propagates a batch with the
+eigendecompositions of one state.  run_batch runs one experiment
 for many cavity inputs on that axis, and run_experiment is its batch of
 one, so a sweep over amplitudes is one pass through the pipeline, not one
 per amplitude.  The pass returns arrays (_run_arrays): the (2, B, X)
@@ -81,7 +81,7 @@ from .hilbert import (
 )
 from .model import ModelParams, default_params
 from .poincare_path import PathSpec, lasso_path, rescaled_path, solid_angle
-from .dynamics import evolve_loop
+from .dynamics import _evolve_loops
 from .phases import ideal_phase_map, wrap_phase
 
 __all__ = [
@@ -306,8 +306,8 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     whole flips when config.round_to_flips is set.  In full mode the
     prepared state is re-embedded into the sector-complete box (K, K) of
     its highest occupied sector K (see the module docstring), whatever
-    config.space.nmax_minus says, and both arms go through
-    dynamics.evolve_loop there: lasso legs and the caliber arm's one
+    config.space.nmax_minus says, and both arms are one
+    dynamics._evolve_loops call there: lasso legs and the caliber arm's one
     zero-rate leg are exact steps, and config.dt sets the step only on
     tilted legs.  Ideal mode keeps config.space.
     Result metadata records the solid angle, the interaction time actually
@@ -329,9 +329,9 @@ def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
     replaced, everything else is shared.  Every stage takes the whole batch
     at once.  prepare builds one (B, dim) stack.  In full mode the stack
     is embedded in the one box (K, K) of the highest sector K any input
-    occupies, and each arm is one evolve_loop call, whose eigendecompositions
-    serve the whole batch; every result then reports that box as its
-    propagation_box.  In ideal mode the batch stays in config.space.
+    occupies, and both arms are one _evolve_loops call on one factory,
+    whose eigendecompositions serve the whole batch; every result reports
+    that box as its propagation_box.  Ideal mode keeps config.space.
     Detection runs once per arm, and one inverse of the 3x3 Gram matrix
     fits every fringe of both arms.  The results are views of the arrays
     of _run_arrays, which a sweep reads directly.
@@ -415,11 +415,8 @@ def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
     if config.mode == "full":
         start = embed_state(start, complete_box(start))
         # the caliber arm is one zero-rate leg at the loop's first knot
-        frozen = PathSpec((loop.knots[0], loop.knots[0]), (tau,))
-        runs = {
-            name: evolve_loop(start, path, params, dt=config.dt)
-            for name, path in (("loop", loop), ("caliber", frozen))
-        }
+        paths = {"loop": loop, "caliber": PathSpec((loop.knots[0], loop.knots[0]), (tau,))}
+        runs = dict(zip(paths, _evolve_loops(start, list(paths.values()), params, config.dt)))
         arms = [run.final_state for run in runs.values()]
     else:
         arms = [ideal_phase_map(start, gamma), start]

@@ -129,7 +129,7 @@ def test_exit_one_names_the_field(tmp_path, monkeypatch, subcommand, overrides, 
         raise AssertionError("propagation started")
 
     # tail checks and config refusals all come before any propagation
-    monkeypatch.setattr(loopqed.ramsey, "evolve_loop", refuse)
+    monkeypatch.setattr(loopqed.ramsey, "_evolve_loops", refuse)
     monkeypatch.setattr(loopqed.cli, "_branch_reading", refuse)
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, **{**FAST_IDEAL, "mode": "full", **overrides})

@@ -575,6 +575,17 @@ def test_evolve_loop_guard_names_the_batch_state():
         evolve_loop(batch, lasso_path(math.pi, 0.12), default_params())
 
 
+def test_evolve_loop_final_state_carries_the_normalized_flag():
+    # a norm error of 5e-9 passes the run's drift guard (1e-8) but not
+    # StateVector's check of a state flagged normalized (1e-10)
+    space = make_space(1, 1)
+    exact = fock_state(space, 2, 0, 0)
+    st = StateVector(exact.amplitudes * (1 + 5e-9), space, normalized=False)
+    run = evolve_loop(st, lasso_path(math.pi, 0.3), default_params())
+    assert not run.final_state.normalized
+    assert run.stats["max_norm_drift"] == pytest.approx(5e-9, rel=1e-6)
+    assert evolve_loop(exact, lasso_path(math.pi, 0.3), default_params()).final_state.normalized
+
 def test_evolve_loop_rejects_bad_dt():
     space = make_space(1, 0)
     with pytest.raises(ValueError, match="dt must be positive"):

@@ -348,6 +348,25 @@ def test_transport_cost_is_one_eigh_per_step_and_no_scan(monkeypatch):
         assert calls == {"eigh": eigh_calls, "eigvalsh": 0}
 
 
+
+def test_transport_builds_h_at_the_pole_once(monkeypatch):
+    # the branch selection reads H(0, 0) from the factory's drive-frame
+    # pieces, so the transport builds it once; the step count is unchanged
+    calls = {"dense": 0, "eigh": 0}
+    for owner, name in ((HamiltonianFactory, "dense"), (np.linalg, "eigh")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    loop = lasso_path(math.pi, 6.0)
+    adiabatic_eigenstate_transport(
+        make_space(2, 1), default_params(), loop, (0, 0), "upper", dt=loop.total_time / 2000
+    )
+    assert calls == {"dense": 1, "eigh": 2001}
+
 @functools.cache
 def _phase_at(doublet, branch, steps):
     # a row of the dressed-doublets workload's seed-0 run: default

@@ -13,14 +13,15 @@ from loopqed.hilbert import (
     StateVector,
     TruncationError,
     coherent_tail_mass,
+    complete_box,
     embed_state,
     fock_state,
     make_space,
     state_index,
 )
-from loopqed.model import default_params
+from loopqed.model import HamiltonianFactory, default_params
 from loopqed.phases import wrap_phase
-from loopqed.poincare_path import PathSpec, lasso_path, rescaled_path
+from loopqed.poincare_path import PathSpec, lasso_path, piecewise_path, rescaled_path
 from loopqed.ramsey import (
     AdiabaticityRow,
     AlphaSweepRow,
@@ -589,6 +590,41 @@ def test_default_coherent_fringe_makes_five_eigendecompositions(monkeypatch):
     assert calls <= 5
     assert result.fitted_shift == pytest.approx(1.23322, abs=1e-4)
     assert result.metadata["flags"] == []
+
+
+def test_both_arms_share_one_factory_and_one_frame(monkeypatch):
+    # a loop that starts and ends off the pole: both arms need K's
+    # eigendecomposition, made once, and one factory builds H(0, 0) once;
+    # an azimuth leg and the caliber's zero-rate leg take one step each
+    cfg = RamseyConfig(
+        space=make_space(3, 0),
+        params=default_params(),
+        loop=piecewise_path([(1.0, 0.0), (1.0, TWO_PI)], [0.6]),
+        cavity=CavityInput(photon_number=1),
+        mode="full",
+    )
+    calls = {"__init__": 0, "dense": 0, "eigh": 0}
+    for owner, name in ((HamiltonianFactory, "__init__"), (HamiltonianFactory, "dense"),
+                        (np.linalg, "eigh")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    result = run_experiment(cfg)
+    assert calls == {"__init__": 1, "dense": 1, "eigh": 3}
+    monkeypatch.undo()
+    # each arm is, bit for bit, a separate evolve_loop run
+    loop = rescaled_path(cfg.loop, result.metadata["tau_used_ms"])
+    frozen = PathSpec((loop.knots[0], loop.knots[0]), (loop.total_time,))
+    prep = prepare(cfg.space, cfg.cavity)
+    start = embed_state(prep, complete_box(prep))
+    for path, p2, arm in ((loop, result.p2_loop, "loop"), (frozen, result.p2_caliber, "caliber")):
+        alone = evolve_loop(start, path, cfg.params)
+        assert np.array_equal(close_and_detect(alone.final_state, cfg.xi_grid), p2)
+        assert alone.stats == result.metadata["loop_propagation"][arm]
 
 
 # ---------------------------------------------------------------------------
