@@ -239,8 +239,8 @@ KEYS: tuple[Key, ...] = (
     Key("dt_ms", "", _optional(_to_float, None), lambda dt: None if dt is None else _positive(dt),
         lambda dt: "auto" if dt is None else _fmt(dt),
         "integrator step in ms of every stepped leg (empty: duration/750); lasso legs "
-        "are exact: Ramsey loops ignore it there, and the transport takes ceil(leg/dt) "
-        "exact steps there"),
+        "are exact: Ramsey loops take one step there, and the transport one step when "
+        "dt_ms is empty and ceil(leg/dt) exact steps when it is set"),
     Key("round_flips", "true", _to_bool, None, lambda b: "true" if b else "false",
         "round interaction time to whole Rabi flips"),
     Key("out_dir", "runs", lambda key, raw: raw.strip() or "runs", None, str, "output directory"),

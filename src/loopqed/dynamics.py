@@ -179,7 +179,7 @@ def evolve(
     drifts = [_norm_drift(psi)[0]]
     amps = [initial.amplitudes.astype(complex)]
 
-    def record_drift(checked, drift):
+    def record_drift(checked, drift, *_):
         drifts.append(drift[0])
 
     for leg, steps in enumerate(leg_steps):
@@ -317,8 +317,8 @@ def _evolve_loops(initial: StateVector, loops, params: ModelParams, dt) -> list[
             chi = _rotate(k_v, np.exp(1j * th_0 * k_w), chi)
         drifts = [_norm_drift(psi)]
         # the state is checked at each leg's end
-        chi = _frame_legs(chi, factory, loop, leg_steps, max(leg_steps),
-                          lambda _, drift: drifts.append(drift))
+        chi = _frame_legs(chi, factory, loop, leg_steps, leg_steps,
+                          lambda _, drift, *__: drifts.append(drift))
         if th_0 or th_t:
             chi = _rotate(k_v, np.exp(-1j * th_t * k_w), chi)
         final = _scatter(np.exp(-1j * ph_t * m) * chi, rows, space)
@@ -340,9 +340,9 @@ def _routes(loop: PathSpec) -> list[str]:
     ]
 
 
-def _frame_legs(chi, factory, loop, leg_steps, stride, on_sample):
+def _frame_legs(chi, factory, loop, leg_steps, strides, on_sample):
     """Step chi = W^H psi around a loop in the drive frame, leg k in
-    leg_steps[k] steps of _step_leg (with stride and on_sample), under
+    leg_steps[k] steps of _step_leg (with strides[k] and on_sample), under
     factory.drive_frame's generator at the leg's constant rates: midpoint
     steps, exact, on azimuth and meridian legs, and sixth-order Magnus
     steps on tilted legs.  Returns the final chi."""
@@ -352,7 +352,7 @@ def _frame_legs(chi, factory, loop, leg_steps, stride, on_sample):
         order = 6 if route == "stepped" else 2
         chi = _step_leg(
             chi, lambda theta, phi: factory.drive_frame(theta, *rates), loop, leg,
-            leg_steps[leg], stride, on_sample, order, route,
+            leg_steps[leg], strides[leg], on_sample, order, route,
         )
     return chi
 
@@ -400,9 +400,10 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2, route="s
     The steps run in blocks whose arrays take at most BLOCK_BYTES, each
     block's generators from one dense() call per point of a step and its
     unitaries from one batched product.  After every stride-th step and
-    after the last, the amplitudes are checked and on_sample(psi, drift)
-    receives the state and its (B,) norm drift.  Returns the final
-    amplitudes.
+    after the last, the amplitudes are checked and on_sample(psi, drift,
+    leg, w, v) receives the state, its (B,) norm drift, the leg and the
+    (S, d) eigenvalues and (S, d, d) eigenvectors of the step just taken.
+    Returns the final amplitudes.
 
     Raises IntegrationError on non-finite amplitudes or a norm drift beyond
     NORM_DRIFT_LIMIT, as "leg k (route, from t = ...): ... at step j (t =
@@ -441,8 +442,9 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2, route="s
         units = np.matmul(
             v * np.exp(w * (-1j * h))[..., None, :], v.conj().swapaxes(-1, -2), out=hams
         )
-        for end, unit in enumerate(units, start + 1):
+        for k, unit in enumerate(units):
             psi = unit @ psi
+            end = start + k + 1
             if end % stride and end < steps:
                 continue
             if end == steps and route != "stepped":
@@ -455,7 +457,7 @@ def _step_leg(psi, dense, loop, leg, steps, stride, on_sample, order=2, route="s
                     raise IntegrationError(
                         f"leg {leg + 1} ({route}, from t = {t_start:.6g} ms): {exc}"
                     ) from exc
-            on_sample(psi, drift)
+            on_sample(psi, drift, leg, w[k], v[k])
     return psi
 
 

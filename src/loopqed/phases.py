@@ -7,11 +7,14 @@ Conventions used throughout (and relied on by the tests):
 * The dynamical phase removed is -E0 T, which is what a twin run with the
   drive polarization frozen at its starting point gives an eigenstate.
   Geometric phase is the wrapped difference.  Transport runs step W^H psi
-  through dynamics' drive-frame leg loop, ceil(leg / dt) steps a leg,
-  inside the doublet's excitation sector, which must be complete; there
-  H(theta, phi) = W H(0, 0) W^H with W = exp(-i phi N-) exp(-i theta K),
-  so the tracked level's gap is exact and constant along any loop, and
-  the steps are exact on azimuth and meridian legs at any dt.
+  through dynamics' drive-frame leg loop inside the doublet's excitation
+  sector, which must be complete; there H(theta, phi) = W H(0, 0) W^H with
+  W = exp(-i phi N-) exp(-i theta K), so the tracked level's gap is exact
+  and constant along any loop, and the steps are exact on azimuth and
+  meridian legs at any dt.  Such a lasso leg takes one step, or
+  ceil(leg / dt) when dt is given, and a tilted leg ceil(leg / dt) steps.
+  min_adiabatic_fidelity is read in closed form on lasso legs and sampled
+  on tilted ones.
 * A closed polarization loop that encloses signed solid angle gamma, swept
   with increasing azimuth, advances each bright-mode photon by +gamma/2,
   each dark-mode photon by -gamma/2, and the half-shared atomic excitation
@@ -40,7 +43,7 @@ import numpy as np
 from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete, state_index
 from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, reversed_path
-from .dynamics import FRAME_STEPS, _frame_legs, _resolve_steps, _step_size
+from .dynamics import FRAME_STEPS, _frame_legs, _resolve_steps, _routes, _step_size
 
 __all__ = [
     "PhaseReading",
@@ -57,8 +60,12 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_CYCLICITY_FLOOR = 0.99
 # the tracked level's gap must stay above this multiple of the peak sweep rate
 GAP_FACTOR = 10.0
-# adiabatic fidelity is sampled about this many times per transport run
+# adiabatic fidelity is sampled about this many times over a run's tilted legs
 FIDELITY_SAMPLES = 256
+# on lasso legs it is read in closed form on about this many points a loop:
+# on the dressed-doublets workload's seed-0 rows 4 096 points come within
+# 6.4e-8 of a 65 536-point minimum, and 256 within 3e-6
+FIDELITY_GRID = 4096
 
 
 class NonCyclicWarning(UserWarning):
@@ -161,16 +168,21 @@ def adiabatic_eigenstate_transport(
     parts.  It is stepped inside its excitation sector in the drive frame
     W = exp(-i phi N-) exp(-i theta K), where H(theta, phi) = W H(0, 0)
     W^H: chi = W^H psi starts at the branch's eigenvector u of H(0, 0)
-    and goes through dynamics' leg loop, ceil(leg duration / dt) steps a
-    leg (dt defaults to the loop duration / 750), exact on azimuth and
-    meridian legs and sixth-order Magnus steps on tilted ones.  On a
+    and goes through dynamics' leg loop: exact steps on azimuth and
+    meridian legs, one a leg when dt is None and ceil(leg duration / dt)
+    when dt is given, and ceil(leg duration / dt) sixth-order Magnus steps
+    on tilted legs (dt defaults to the loop duration / 750 there).  On a
     closed loop W(start)^H W(end) is exp(-i dphi N-), dphi the azimuth the
     loop winds (a diagonal phase when it closes at the north pole, the
     identity otherwise), so the return overlap is
     <u| exp(-i dphi N-) chi(T)>.  The eigenvectors of H along the loop are
     W times those of H(0, 0), so min_adiabatic_fidelity, the state's worst
     largest overlap with an instantaneous eigenvector, is read against
-    H(0, 0)'s.
+    H(0, 0)'s: on a lasso leg in closed form on about FIDELITY_GRID points
+    a loop, from the eigenpairs of the leg's last step and the state at its
+    end (_exact_leg_fidelity), with no further eigendecomposition, and on
+    tilted legs from the state after about FIDELITY_SAMPLES of their
+    steps, evenly spread, and at each one's end.
 
     The doublet's sector k = n + 1 + m must be complete (k <= min(nmax_plus,
     nmax_minus)).  There H at every point of the sphere is unitarily
@@ -211,21 +223,35 @@ def adiabatic_eigenstate_transport(
         )
 
     h = _step_size(loop, dt, FRAME_STEPS)
-    leg_steps = [_resolve_steps(dur, h) for dur in loop.durations]
-    stride = max(1, sum(leg_steps) // FIDELITY_SAMPLES)
+    routes = _routes(loop)
+    # with no dt a lasso leg takes one exact step; a given dt steps every leg
+    leg_steps = [
+        _resolve_steps(dur, h) if dt is not None or route == "stepped" else 1
+        for route, dur in zip(routes, loop.durations)
+    ]
+    stepped = sum(steps for route, steps in zip(routes, leg_steps) if route == "stepped")
+    stride = max(1, stepped // FIDELITY_SAMPLES)
+    # a lasso leg is sampled at its end only, where the closed form covers it
+    strides = [stride if route == "stepped" else steps for route, steps in zip(routes, leg_steps)]
     min_fidelity = 1.0
 
-    def track(chi, drift):
+    def track(chi, drift, leg, w, v):
         # maximal-overlap continuation: the instantaneous eigenvector the
         # state follows is the one it overlaps most; its weight is the
         # adiabatic fidelity (phase-smoothness gauge is implicit in taking
         # magnitudes only)
         nonlocal min_fidelity
-        overlaps = v0.conj().T @ chi[0, :, 0]
-        min_fidelity = min(min_fidelity, float(np.max(np.abs(overlaps))))
+        if routes[leg] == "stepped":
+            fidelity = np.max(np.abs(v0.conj().T @ chi[0, :, 0]))
+        else:
+            intervals = math.ceil(FIDELITY_GRID * loop.durations[leg] / loop.total_time)
+            fidelity = np.min(_exact_leg_fidelity(
+                v0, col, w[0], v[0], chi[0, :, 0], loop.durations[leg], intervals
+            ))
+        min_fidelity = min(min_fidelity, float(fidelity))
 
     u = v0[:, col]
-    chi = _frame_legs(u[None, :, None], factory, loop, leg_steps, stride, track)
+    chi = _frame_legs(u[None, :, None], factory, loop, leg_steps, strides, track)
     winding = loop.knots[-1][1] - loop.knots[0][1]
     chi_end = np.exp(-1j * winding * factory.minus_photons[0]) * chi[0, :, 0]
     ov = complex(np.vdot(u, chi_end))
@@ -255,6 +281,31 @@ def adiabatic_eigenstate_transport(
         cyclicity=cyclicity,
         metadata=metadata,
     )
+
+
+def _exact_leg_fidelity(v0, col, w, v, chi_end, duration, intervals):
+    """Adiabatic fidelity at the times s = j duration / intervals (j = 0 to
+    intervals) of a leg whose generator G = v diag(w) v^H does not move.
+
+    The state there is chi(s) = v exp(-i w s) v^H chi(0), with chi(0) =
+    v exp(i w duration) v^H chi_end taken back from its value at the leg's
+    end; its amplitudes on v advance by one factor exp(-i w ds) a grid
+    interval, a running product whose rounding grows by about one ulp an
+    interval.  The fidelity is the largest overlap max_j |V0^H chi(s)|_j
+    with an eigenvector of H(0, 0).  Where the tracked eigenvector (column
+    col of V0) holds more than half the weight, no other overlap is larger,
+    so the others are computed only where it does not.
+    """
+    amps = np.empty((intervals + 1, w.size), dtype=complex)
+    amps[0] = np.exp(1j * duration * w) * (v.conj().T @ chi_end)
+    amps[1:] = np.exp(-1j * (duration / intervals) * w)
+    np.cumprod(amps, axis=0, out=amps)
+    to_v0 = v0.conj().T @ v
+    fidelity = np.abs(amps @ to_v0[col])
+    low = fidelity * fidelity <= 0.5
+    if low.any():
+        fidelity[low] = np.max(np.abs(amps[low] @ to_v0.T), axis=1)
+    return fidelity
 
 
 def dressed_phase_pair(

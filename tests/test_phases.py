@@ -17,9 +17,11 @@ from loopqed.model import (
     excitation_sector_indices,
 )
 from loopqed.phases import (
+    FIDELITY_GRID,
     DegeneracyError,
     NonCyclicWarning,
     PhaseReading,
+    _exact_leg_fidelity,
     _select_doublet_branch,
     adiabatic_eigenstate_transport,
     analytic_dressed_phase,
@@ -424,8 +426,8 @@ def test_lasso_legs_take_one_exact_step_each():
 
 
 def test_default_transport_step_is_within_1e_9_of_a_fine_run():
-    # each row of the workload, at the default of duration / FRAME_STEPS
-    # steps, against a run at 16 000 steps
+    # each row of the workload, at the default of one exact step a lasso
+    # leg, against a run at 16 000 steps
     for doublet in ((0, 0), (1, 0)):
         for branch in ("upper", "lower"):
             default = _phase_at(doublet, branch, None)
@@ -435,8 +437,103 @@ def test_default_transport_step_is_within_1e_9_of_a_fine_run():
 def test_default_transport_step_holds_on_the_longest_acceptance_loop():
     # 8 000 fourth-order lab-frame steps left this row 3.47e-6 rad from the
     # converged phase, and 4 500 sixth-order ones 2.3e-6; its lasso legs are
-    # exact in the drive frame
+    # exact in the drive frame, one step each at the default
     assert abs(_longest_acceptance_phase(None) - _longest_acceptance_phase(16000)) < 1e-9
+
+
+def _seed0_rows():
+    # the dressed-doublets workload's seed-0 rows: (space, params, path,
+    # doublet, branch), the lower branch on the reversed loop
+    loop = lasso_path(math.pi, 6.0)
+    return [
+        (make_space(k, k), default_params(), loop if branch == "upper" else reversed_path(loop),
+         doublet, branch)
+        for doublet, k in (((0, 0), 1), ((1, 0), 2))
+        for branch in ("upper", "lower")
+    ]
+
+
+def test_default_transport_takes_one_eigh_a_lasso_leg(monkeypatch):
+    # each seed-0 row selects its branch with one eigh and takes one exact
+    # step on each of its three lasso legs (3 008 eigh when every leg took
+    # ceil(leg / dt) steps at duration / 750); the fidelity's closed form
+    # adds none, and H(0, 0) is built once a row
+    calls = {"dense": 0, "eigh": 0}
+    for owner, name in ((HamiltonianFactory, "dense"), (np.linalg, "eigh")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    for row in _seed0_rows():
+        adiabatic_eigenstate_transport(*row)
+    assert calls == {"dense": 4, "eigh": 16}
+
+
+@pytest.mark.parametrize("tracked_weight", [1.0, 0.3])
+@pytest.mark.parametrize("leg", [0, 1])
+def test_exact_leg_fidelity_matches_the_state_stepped_to_the_grid(leg, tracked_weight):
+    # leg 0 of the lasso is a meridian, leg 1 an azimuth.  The closed form,
+    # from the eigenpairs and end state of the leg's one exact step, against
+    # the state stepped to the same grid times by _step_leg, one step a grid
+    # interval.  A start with 0.3 of its weight on the tracked eigenvector
+    # takes the route that reads every overlap.
+    loop = lasso_path(math.pi, 6.0)
+    space = make_space(2, 2)
+    sector = excitation_sector_indices(space, 2)
+    factory = HamiltonianFactory(space, default_params(), [sector])
+    _, v0, col = _select_doublet_branch(factory.dense(0.0, 0.0)[0], sector, space, 1, 0, "upper")
+    other = v0[:, (col + 1) % v0.shape[1]]
+    start = (math.sqrt(tracked_weight) * v0[:, col]
+             + math.sqrt(1.0 - tracked_weight) * other)[None, :, None]
+    (th_a, ph_a), (th_b, ph_b) = loop.knots[leg:leg + 2]
+    duration = loop.durations[leg]
+    rates = ((th_b - th_a) / duration, (ph_b - ph_a) / duration)
+
+    def dense(theta, phi):
+        return factory.drive_frame(theta, *rates)
+
+    pairs = []
+    end = _step_leg(start, dense, loop, leg, 1, 1, lambda *sample: pairs.append(sample[3:]))
+    intervals = math.ceil(FIDELITY_GRID * duration / loop.total_time)
+    (w, v), = pairs
+    closed = _exact_leg_fidelity(v0, col, w[0], v[0], end[0, :, 0], duration, intervals)
+    states = [start]
+    _step_leg(start, dense, loop, leg, intervals, 1, lambda psi, *_: states.append(psi))
+    overlaps = np.abs(v0.conj().T @ np.array([psi[0, :, 0] for psi in states]).T)
+    assert closed.shape == (intervals + 1,)
+    assert np.max(np.abs(closed - np.max(overlaps, axis=0))) <= 1e-9
+    assert np.all(overlaps[col] ** 2 > 0.5) == (tracked_weight == 1.0)
+
+
+def _fine_min_fidelity(space, params, loop, doublet, branch, points):
+    # min over `points` times a loop of max_j |V0^H chi(t)|: chi carried
+    # leg by leg from the branch's eigenvector u of H(0, 0), each leg by
+    # the eigendecomposition of its constant drive-frame generator
+    sector = excitation_sector_indices(space, doublet[0] + 1 + doublet[1])
+    factory = HamiltonianFactory(space, params, [sector])
+    _, v0, col = _select_doublet_branch(factory.dense(0.0, 0.0)[0], sector, space, *doublet, branch)
+    chi, worst = v0[:, col], 1.0
+    for (th_a, ph_a), (th_b, ph_b), duration in zip(loop.knots, loop.knots[1:], loop.durations):
+        rates = ((th_b - th_a) / duration, (ph_b - ph_a) / duration)
+        lam, vec = np.linalg.eigh(factory.drive_frame(th_a, *rates)[0])
+        times = np.linspace(0.0, duration, math.ceil(points * duration / loop.total_time) + 1)
+        path = vec @ (np.exp(-1j * np.multiply.outer(lam, times)) * (vec.conj().T @ chi)[:, None])
+        worst = min(worst, float(np.min(np.max(np.abs(v0.conj().T @ path), axis=0))))
+        chi = path[:, -1]
+    return worst
+
+
+def test_min_adiabatic_fidelity_is_within_1e_7_of_a_65536_point_evaluation():
+    # the default's closed form on FIDELITY_GRID points a loop, on every
+    # seed-0 row (the stride sampling it replaced was 4.3e-7 off on the
+    # (1,0) lower row)
+    for row in _seed0_rows():
+        reading = adiabatic_eigenstate_transport(*row)
+        fine = _fine_min_fidelity(*row, points=65536)
+        assert abs(reading.metadata["min_adiabatic_fidelity"] - fine) <= 1e-7
 
 
 def _pole_closing_loop():
