@@ -89,7 +89,6 @@ from .ramsey import (
     close_and_detect,
     fit_fringe,
     run_experiment,
-    run_batch,
     p2_vacuum_formula,
     p2_coherent_formula,
     formula_fringe_shift,
@@ -139,7 +138,6 @@ __all__ = [
     "close_and_detect",
     "fit_fringe",
     "run_experiment",
-    "run_batch",
     "p2_vacuum_formula",
     "p2_coherent_formula",
     "formula_fringe_shift",

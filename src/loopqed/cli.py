@@ -53,7 +53,7 @@ from operator import attrgetter
 
 from . import __version__
 from .hilbert import TruncationError, make_space
-from .model import ModelParams
+from .model import TWO_PI, ModelParams
 from .poincare_path import PathSpec, lasso_path, piecewise_path, solid_angle
 from .dynamics import IntegrationError, StepCountError
 from .phases import DegeneracyError, _branch_reading, analytic_dressed_phase
@@ -78,7 +78,6 @@ __all__ = [
     "main",
 ]
 
-TWO_PI = 2.0 * math.pi
 # the largest Ramsey phase grid; an alpha sweep holds a (amplitudes, xi) array
 XI_POINTS_MAX = 10_000
 # the largest photon cutoff K of a propagation box (K, K): nmax_plus, whose

@@ -249,7 +249,7 @@ def evolve_loop(
     stack over the sectors any of its states occupies, so each step's
     eigendecomposition serves the whole batch, and each state ends where
     it would alone.  Every occupied sector must be complete: write the
-    state in hilbert.complete_box first, as ramsey.run_batch does.  The
+    state in hilbert.complete_box first, as ramsey._run_arrays does.  The
     stack is mapped into the drive frame once (chi = W^H psi, W at the
     first knot), goes through _frame_legs, which takes one exact step on
     an azimuth leg (constant theta, so a zero-rate leg too) or a meridian

@@ -151,7 +151,6 @@ class HamiltonianFactory:
     def __init__(
         self, space: SpaceConfig, params: ModelParams, sector: list[int] | None = None
     ):
-        self.space = space
         self.params = params
         idx = np.arange(space.dim) if sector is None else np.asarray(sector, dtype=int)
         # the padding state's level -1 gives it no diagonal and no coupling

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete, state_index
-from .model import HamiltonianFactory, ModelParams, excitation_sector_indices
+from .model import TWO_PI, HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, reversed_path
 from .dynamics import FRAME_STEPS, _frame_legs, _resolve_steps, _routes, _step_size
 
@@ -56,7 +56,6 @@ __all__ = [
     "ideal_phase_map",
 ]
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_CYCLICITY_FLOOR = 0.99
 # the tracked level's gap must stay above this multiple of the peak sweep rate
 GAP_FACTOR = 10.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import coupling_weights
+from .model import TWO_PI, coupling_weights
 
 __all__ = [
     "PathSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "make_schedule",
 ]
 
-TWO_PI = 2.0 * math.pi
 CLOSURE_TOL = 1e-12
 # lasso time split between descent, azimuthal sweep and return
 LASSO_LEG_FRACTIONS = (0.25, 0.5, 0.25)

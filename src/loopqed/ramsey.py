@@ -47,18 +47,18 @@ Detection therefore takes two sums per state and never forms the pulsed
 amplitudes at every xi, whose (B, xi, dim/2) array would outweigh the
 state stack itself.
 
-Batches.  prepare, close_and_detect, fit_fringe and the phase map take a
+Batches.  prepare gives one state, and run_experiment carries it alone,
+with no batch axis, through propagation, detection and the fit.
+close_and_detect, fit_fringe, the phase map and dynamics also take a
 leading batch axis of states, and dynamics propagates a batch with the
-eigendecompositions of one state.  run_batch runs one experiment
-for many cavity inputs on that axis, and run_experiment is its batch of
-one, so a sweep over amplitudes is one pass through the pipeline, not one
-per amplitude.  The pass returns arrays (_run_arrays): the (2, B, X)
-fringes of both arms, their fit coefficients and residuals, the shifts
-and the cyclicities.  run_batch builds its per-input results from them,
-while effective_shift_vs_alpha stays in arrays through the fit, the
-closed forms (which broadcast over amplitudes) and the dark-point column,
-and makes objects only for the rows it returns, which the CLI writes to
-the CSV with one format call a row.
+eigendecompositions of one state, so effective_shift_vs_alpha runs its
+amplitudes as one pass through the pipeline, not one per amplitude.  The
+pass returns arrays (_run_arrays): the fringes of both arms, their fit
+coefficients and residuals, the shifts and the cyclicities.
+run_experiment builds its result from them, while the sweep stays in
+arrays through the fit, the closed forms (which broadcast over amplitudes)
+and the dark-point column, and makes objects only for the rows it
+returns, which the CLI writes to the CSV with one format call a row.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .hilbert import (
     make_space,
     state_index,
 )
-from .model import ModelParams, default_params
+from .model import TWO_PI, ModelParams, default_params
 from .poincare_path import PathSpec, lasso_path, rescaled_path, solid_angle
 from .dynamics import _evolve_loops
 from .phases import ideal_phase_map, wrap_phase
@@ -93,7 +93,6 @@ __all__ = [
     "close_and_detect",
     "fit_fringe",
     "run_experiment",
-    "run_batch",
     "p2_vacuum_formula",
     "p2_coherent_formula",
     "formula_fringe_shift",
@@ -102,7 +101,6 @@ __all__ = [
     "default_xi_grid",
 ]
 
-TWO_PI = 2.0 * math.pi
 ADIABATICITY_FLAG_RATIO = 0.1
 FIT_RESIDUAL_FLAG = 0.02
 CYCLICITY_FLOOR = 0.99
@@ -184,33 +182,22 @@ class RamseyResult:
     metadata: dict = field(default_factory=dict)
 
 
-def prepare(space: SpaceConfig, cavity) -> StateVector:
+def prepare(space: SpaceConfig, cavity: CavityInput) -> StateVector:
     """(|1> + |2>)/sqrt 2 on the atom, the chosen field in mode "+", vacuum in "-".
 
-    cavity is one CavityInput, giving one state, or a sequence of them,
-    giving a (B, dim) batch with one row per input.  The coherent inputs'
-    truncation tails are checked together, and the first that does not fit
-    raises TruncationError naming its amplitude.
+    A coherent field whose truncation tail does not fit raises
+    TruncationError naming its amplitude.
     """
-    cavities = [cavity] if isinstance(cavity, CavityInput) else list(cavity)
-    coeffs = np.zeros((len(cavities), space.nmax_plus + 1), dtype=complex)
-    coherent = []
-    for row, cav in enumerate(cavities):
-        if cav.kind == "coherent":
-            coherent.append(row)
-        elif cav.photon_number > space.nmax_plus:
-            raise ValueError(
-                f"photon_number {cav.photon_number} exceeds nmax_plus {space.nmax_plus}"
-            )
-        else:
-            coeffs[row, cav.photon_number] = 1.0
-    if coherent:
-        coeffs[coherent] = coherent_mode_coefficients(
-            [cavities[row].alpha for row in coherent],
-            space.nmax_plus,
-            [cavities[row].tail_tol for row in coherent],
+    if cavity.kind == "coherent":
+        coeffs = coherent_mode_coefficients(cavity.alpha, space.nmax_plus, cavity.tail_tol)
+    elif cavity.photon_number > space.nmax_plus:
+        raise ValueError(
+            f"photon_number {cavity.photon_number} exceeds nmax_plus {space.nmax_plus}"
         )
-    return _on_both_levels(space, coeffs[0] if isinstance(cavity, CavityInput) else coeffs)
+    else:
+        coeffs = np.zeros(space.nmax_plus + 1, dtype=complex)
+        coeffs[cavity.photon_number] = 1.0
+    return _on_both_levels(space, coeffs)
 
 
 def _on_both_levels(space: SpaceConfig, coeffs: np.ndarray) -> StateVector:
@@ -316,92 +303,62 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     and under loop_propagation (None in ideal mode) each arm's exact and
     stepped leg counts, steps taken and worst norm drift.
 
-    This is run_batch with the one input config.cavity.
+    The result is built from the arrays of _run_arrays on the one prepared
+    state.
     """
-    return run_batch(config, [config.cavity])[0]
-
-
-def run_batch(config: RamseyConfig, cavities) -> list[RamseyResult]:
-    """Run the interferometer of config once per cavity input, as one batch.
-
-    Returns one result per input, in order, each what run_experiment gives
-    for that input alone (to the last bits of rounding): config.cavity is
-    replaced, everything else is shared.  Every stage takes the whole batch
-    at once.  prepare builds one (B, dim) stack.  In full mode the stack
-    is embedded in the one box (K, K) of the highest sector K any input
-    occupies, and both arms are one _evolve_loops call on one factory,
-    whose eigendecompositions serve the whole batch; every result reports
-    that box as its propagation_box.  Ideal mode keeps config.space.
-    Detection runs once per arm, and one inverse of the 3x3 Gram matrix
-    fits every fringe of both arms.  The results are views of the arrays
-    of _run_arrays, which a sweep reads directly.
-    """
-    if not cavities:
-        return []
-    batch = _run_arrays(config, prepare(config.space, cavities))
-    fit_columns = (batch.offset, batch.amplitude, batch.phase, batch.residual)
-    fits = [
-        [FringeFit(*values) for values in zip(*(c[arm].tolist() for c in fit_columns))]
-        for arm in (0, 1)
-    ]
+    cavity = config.cavity
+    run = _run_arrays(config, prepare(config.space, cavity))
+    columns = (run.offset, run.amplitude, run.phase, run.residual)
+    loop_fit, caliber_fit = (FringeFit(*values) for values in zip(*(c.tolist() for c in columns)))
+    fit_residual = float(run.fit_residual)
+    cyc_loop, cyc_caliber = run.cyclicity.tolist()
     full = config.mode == "full"
-    results = []
-    for row, cavity in enumerate(cavities):
-        fit_residual = float(batch.fit_residual[row])
-        cyc_loop, cyc_caliber = batch.cyclicity[:, row].tolist()
-        flags: list[str] = []
-        if full and batch.ratio is not None and batch.ratio > ADIABATICITY_FLAG_RATIO:
-            flags.append("non-adiabatic")
-        if fit_residual > FIT_RESIDUAL_FLAG:
-            flags.append("poor-fit")
-        if full and cyc_loop < CYCLICITY_FLOOR:
-            flags.append("non-cyclic")
-        # the leg and step counts are shared, the norm drift is per state
-        propagation = {
-            name: {**run.stats, "max_norm_drift": float(run.stats["max_norm_drift"][row])}
-            for name, run in batch.runs.items()
-        }
-        metadata = {
-            "gamma": batch.gamma,
-            "tau_used_ms": batch.tau,
-            "rabi_flips": batch.flips,
-            "mode": config.mode,
-            "cavity_kind": cavity.kind,
-            "alpha": cavity.alpha if cavity.kind == "coherent" else None,
-            "photon_number": cavity.photon_number if cavity.kind == "fock" else None,
-            "adiabaticity_ratio": batch.ratio,
-            "cyclicity_loop": cyc_loop,
-            "cyclicity_caliber": cyc_caliber,
-            "flags": flags,
-            "loop_propagation": propagation or None,
-            "propagation_box": batch.box,
-        }
-        results.append(
-            RamseyResult(
-                xi_grid=config.xi_grid,
-                p2_loop=batch.p2[0, row],
-                p2_caliber=batch.p2[1, row],
-                loop_fit=fits[0][row],
-                caliber_fit=fits[1][row],
-                fitted_shift=float(batch.shift[row]),
-                fit_residual=fit_residual,
-                metadata=metadata,
-            )
-        )
-    return results
+    flags: list[str] = []
+    if full and run.ratio is not None and run.ratio > ADIABATICITY_FLAG_RATIO:
+        flags.append("non-adiabatic")
+    if fit_residual > FIT_RESIDUAL_FLAG:
+        flags.append("poor-fit")
+    if full and cyc_loop < CYCLICITY_FLOOR:
+        flags.append("non-cyclic")
+    metadata = {
+        "gamma": run.gamma,
+        "tau_used_ms": run.tau,
+        "rabi_flips": run.flips,
+        "mode": config.mode,
+        "cavity_kind": cavity.kind,
+        "alpha": cavity.alpha if cavity.kind == "coherent" else None,
+        "photon_number": cavity.photon_number if cavity.kind == "fock" else None,
+        "adiabaticity_ratio": run.ratio,
+        "cyclicity_loop": cyc_loop,
+        "cyclicity_caliber": cyc_caliber,
+        "flags": flags,
+        "loop_propagation": {name: arm.stats for name, arm in run.runs.items()} or None,
+        "propagation_box": run.box,
+    }
+    return RamseyResult(
+        xi_grid=config.xi_grid,
+        p2_loop=run.p2[0],
+        p2_caliber=run.p2[1],
+        loop_fit=loop_fit,
+        caliber_fit=caliber_fit,
+        fitted_shift=float(run.shift),
+        fit_residual=fit_residual,
+        metadata=metadata,
+    )
 
 
 def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
-    """The work of run_batch on a prepared (B, dim) batch start, as arrays.
+    """The work of run_experiment on a prepared state start, as arrays.
 
-    Arrays indexed [arm, row] hold arm 0, the loop arm, and arm 1, the
-    caliber arm: p2 is the (2, B, X) detected fringes over the xi grid,
-    offset, amplitude, phase and residual are the (2, B) fits of those
-    fringes, and cyclicity the (2, B) return fidelities.  shift is the (B,)
-    caliber-relative fringe shift and fit_residual the (B,) worse residual
-    of the two arms.  gamma, tau, flips, ratio (the adiabaticity ratio,
-    None at lam = 0), box (the cutoffs the arms ran in) and runs (each
-    arm's LoopRun, empty in ideal mode) are shared by the batch.
+    start is one state, or a (B, dim) batch, which adds the [B] axes shown
+    below.  Arm 0 is the loop arm and arm 1 the caliber arm: p2 is the
+    (2, [B,] X) detected fringes over the xi grid, offset, amplitude, phase
+    and residual are the (2, [B]) fits of those fringes, and cyclicity the
+    (2, [B]) return fidelities.  shift is the ([B]) caliber-relative fringe
+    shift and fit_residual the ([B]) worse residual of the two arms.
+    gamma, tau, flips, ratio (the adiabaticity ratio, None at lam = 0), box
+    (the cutoffs the arms ran in) and runs (each arm's LoopRun, empty in
+    ideal mode) are shared by the batch.
     """
     params = config.params
     gamma = solid_angle(config.loop)
@@ -515,7 +472,7 @@ def effective_shift_vs_alpha(
     """Fringe shift versus coherent amplitude on a common lasso loop.
 
     The amplitudes' coefficient rows run as one batch (the arrays of
-    run_batch), with no object per amplitude, so the sweep prepares, maps
+    _run_arrays), with no object per amplitude, so the sweep prepares, maps
     or propagates, detects and fits once, and every column is computed
     whole: the simulated shift, the dark-point simulation column, which
     evaluates each loop fit at its caliber fringe's dark point (xi =
@@ -581,21 +538,23 @@ def adiabaticity_study(
 ) -> list[AdiabaticityRow]:
     """Full-dynamics versus ideal-phase fringe error across loop durations.
 
-    For each duration, both the full and the ideal experiment run on the
-    same xi grid and the maximum pointwise |P2_full - P2_ideal| over the
-    grid is reported together with the loop's adiabaticity ratio.
+    For each duration, the full experiment runs on the xi grid and the
+    maximum pointwise |P2_full - P2_ideal| over the grid is reported
+    together with the loop's adiabaticity ratio.  The state is prepared
+    once, and the ideal loop-arm fringe is computed once: it depends on the
+    loop only through its knots' solid angle, which rescaling keeps.
     """
+    start = prepare(config.space, config.cavity)
+    ideal = close_and_detect(ideal_phase_map(start, solid_angle(config.loop)), config.xi_grid)
     rows = []
     for T in time_ladder_ms:
-        cfg = replace(config, loop=rescaled_path(config.loop, float(T)))
-        full = run_experiment(replace(cfg, mode="full"))
-        ideal = run_experiment(replace(cfg, mode="ideal"))
-        err = float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
+        loop = rescaled_path(config.loop, float(T))
+        full = _run_arrays(replace(config, loop=loop, mode="full"), start)
         rows.append(
             AdiabaticityRow(
-                loop_time_ms=full.metadata["tau_used_ms"],
-                max_abs_p2_error=err,
-                adiabaticity_ratio=full.metadata["adiabaticity_ratio"],
+                loop_time_ms=full.tau,
+                max_abs_p2_error=float(np.max(np.abs(full.p2[0] - ideal))),
+                adiabaticity_ratio=full.ratio,
             )
         )
     return rows

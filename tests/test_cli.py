@@ -276,7 +276,7 @@ def test_inadequate_truncation_names_the_failing_alpha(tmp_path, capsys):
 
 def test_alpha_sweep_checks_its_loop_once(tmp_path, capsys, monkeypatch):
     # one solid angle for the header and the lasso check, and one for the
-    # whole batch of amplitudes inside run_batch
+    # whole batch of amplitudes inside ramsey._run_arrays
     calls = []
     real = loopqed.ramsey.solid_angle
 

@@ -37,7 +37,6 @@ from loopqed.ramsey import (
     p2_coherent_formula,
     p2_vacuum_formula,
     prepare,
-    run_batch,
     run_experiment,
 )
 
@@ -698,30 +697,40 @@ def test_adiabaticity_ladder_decreases_with_slower_loops():
     assert 0.8 <= slope <= 4.2
 
 
+def test_adiabaticity_ladder_prepares_and_maps_once(monkeypatch):
+    # one preparation and one ideal fringe serve every rung, and each row
+    # still equals, bit for bit, the rung's own full and ideal experiments
+    base = RamseyConfig(
+        space=make_space(4, 0),
+        params=default_params(),
+        loop=lasso_path(math.pi, 0.6),
+        cavity=CavityInput(kind="coherent", alpha=0.3),
+        mode="full",
+    )
+    times = [0.6, 1.2, 2.4]
+    calls = {"prepare": 0, "ideal_phase_map": 0}
+    for name in calls:
+
+        def counting(*args, _real=getattr(loopqed.ramsey, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(loopqed.ramsey, name, counting)
+    rows = adiabaticity_study(base, times)
+    monkeypatch.undo()
+    assert calls == {"prepare": 1, "ideal_phase_map": 1}
+    assert len(rows) == len(times)
+    for T, row in zip(times, rows):
+        cfg = replace(base, loop=rescaled_path(base.loop, T))
+        full = run_experiment(cfg)
+        ideal = run_experiment(replace(cfg, mode="ideal"))
+        assert row.max_abs_p2_error == float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
+        assert row.loop_time_ms == full.metadata["tau_used_ms"]
+        assert row.adiabaticity_ratio == full.metadata["adiabaticity_ratio"]
+
+
 # ---------------------------------------------------------------------------
 # batches
-
-
-def test_prepare_batch_rows_equal_single_preparations():
-    space = make_space(6, 0)
-    cavities = [
-        CavityInput(kind="coherent", alpha=0.8),
-        CavityInput(kind="fock", photon_number=3),
-        CavityInput(kind="coherent", alpha=0.0),
-        CavityInput(kind="coherent", alpha=1.1, tail_tol=1e-2),
-    ]
-    batch = prepare(space, cavities)
-    assert batch.amplitudes.shape == (4, space.dim)
-    for row, cavity in zip(batch.amplitudes, cavities):
-        np.testing.assert_array_equal(row, prepare(space, cavity).amplitudes)
-
-
-def test_prepare_batch_names_the_first_amplitude_that_does_not_fit():
-    space = make_space(4, 0)
-    cavities = [CavityInput(kind="coherent", alpha=a) for a in (0.1, 3.0, 4.0)]
-    with pytest.raises(TruncationError, match="alpha=3.0 ") as err:
-        prepare(space, cavities)
-    assert err.value.alpha == 3.0
 
 
 def test_fit_fringe_batch_matches_each_row():
@@ -750,35 +759,6 @@ def _full_sweep_base():
 
 
 SWEEP_ALPHAS = [0.0, 0.2, 0.4, 0.6, 0.7]
-
-
-def test_run_batch_matches_run_experiment_per_input():
-    base = _full_sweep_base()
-    cavities = [CavityInput(kind="coherent", alpha=a) for a in SWEEP_ALPHAS]
-    batch = run_batch(base, cavities)
-    assert len(batch) == len(cavities)
-    for result, cavity in zip(batch, cavities):
-        alone = run_experiment(replace(base, cavity=cavity))
-        assert np.max(np.abs(result.p2_loop - alone.p2_loop)) <= 1e-12
-        assert np.max(np.abs(result.p2_caliber - alone.p2_caliber)) <= 1e-12
-        assert abs(result.fitted_shift - alone.fitted_shift) <= 1e-12
-        assert abs(result.caliber_fit.phase - alone.caliber_fit.phase) <= 1e-12
-        md, md_alone = result.metadata, alone.metadata
-        # the batch runs in the box of its highest sector, 5; alone, the
-        # vacuum runs in (1, 1)
-        assert md["propagation_box"] == (5, 5)
-        assert md_alone["propagation_box"] == ((1, 1) if cavity.alpha == 0 else (5, 5))
-        for key in ("flags", "alpha", "tau_used_ms", "cyclicity_loop"):
-            assert md[key] == pytest.approx(md_alone[key], abs=1e-12)
-        for arm in ("loop", "caliber"):
-            stats = md["loop_propagation"][arm]
-            stats_alone = md_alone["loop_propagation"][arm]
-            assert type(stats["max_norm_drift"]) is float
-            assert stats["max_norm_drift"] <= 1e-12
-            assert {k: v for k, v in stats.items() if k != "max_norm_drift"} == {
-                k: v for k, v in stats_alone.items() if k != "max_norm_drift"
-            }
-    assert run_batch(base, []) == []
 
 
 def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
