@@ -49,7 +49,6 @@ import os
 import sys
 import textwrap
 from collections import namedtuple
-from operator import attrgetter
 
 from . import __version__
 from .hilbert import TruncationError, make_space
@@ -510,10 +509,6 @@ def cmd_alpha_sweep(config: RunConfig, out_dir: str | None = None) -> list[str]:
         raise ConfigError(
             f"field 'alphas': alpha-sweep: truncation inadequate for alpha = {exc.alpha}: {exc}"
         ) from exc
-    fields = (
-        "alpha", "shift_sim", "shift_formula", "p2_dark_sim", "p2_dark_formula",
-        "fit_residual",
-    )
     extra = [("gamma_solid_angle", _fmt(gamma))]
     path = _write_csv(
         out_dir or config.out_dir,
@@ -521,8 +516,8 @@ def cmd_alpha_sweep(config: RunConfig, out_dir: str | None = None) -> list[str]:
         _header_lines(config, "alpha-sweep", extra),
         ["alpha", "shift_sim_rad", "shift_formula_rad", "p2_dark_sim", "p2_dark_formula",
          "fit_residual"],
-        _row_format(len(fields)),
-        map(attrgetter(*fields), results),
+        _row_format(6),
+        results,
     )
     print("\n".join(
         f"alpha-sweep: alpha = {r.alpha:g}, shift = {r.shift_sim:.6f} rad "

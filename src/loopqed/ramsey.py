@@ -52,13 +52,12 @@ with no batch axis, through propagation, detection and the fit.
 close_and_detect, fit_fringe, the phase map and dynamics also take a
 leading batch axis of states, and dynamics propagates a batch with the
 eigendecompositions of one state, so effective_shift_vs_alpha runs its
-amplitudes as one pass through the pipeline, not one per amplitude.  The
-pass returns arrays (_run_arrays): the fringes of both arms, their fit
-coefficients and residuals, the shifts and the cyclicities.
-run_experiment builds its result from them, while the sweep stays in
-arrays through the fit, the closed forms (which broadcast over amplitudes)
-and the dark-point column, and makes objects only for the rows it
-returns, which the CLI writes to the CSV with one format call a row.
+amplitudes as one pass (_run_arrays), whose arrays hold both arms'
+fringes, fits, shifts and cyclicities.  run_experiment builds its result
+from them; the sweep stays in arrays through the fit, the closed forms and
+the dark-point column, and makes only the rows it returns, which the CLI
+writes as they are.  The adiabaticity ladder runs every rung's loop arm,
+and no caliber arm, in one dynamics._evolve_loops call.
 """
 
 from __future__ import annotations
@@ -66,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,10 +278,17 @@ def _fit_arrays(xi, p2):
     return offset, amplitude, phase, residual
 
 
-def _round_to_flips(tau: float, params: ModelParams) -> tuple[float, int]:
-    period = params.flip_period
-    k = max(1, int(round(tau / period)))
-    return k * period, k
+def _interaction(loop: PathSpec, params: ModelParams, round_to_flips: bool):
+    """(loop, tau, flips, ratio): the loop rescaled to tau, its duration
+    rounded to flips (>= 1) flip periods if round_to_flips (else flips is
+    None), and its adiabaticity ratio max_rate / lam (None at lam = 0)."""
+    tau, flips = loop.total_time, None
+    if round_to_flips:
+        period = params.flip_period
+        flips = max(1, int(round(tau / period)))
+        tau = flips * period
+    loop = rescaled_path(loop, tau)
+    return loop, tau, flips, loop.max_rate / params.lam if params.lam > 0 else None
 
 
 def run_experiment(config: RamseyConfig) -> RamseyResult:
@@ -350,23 +357,19 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
 def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
     """The work of run_experiment on a prepared state start, as arrays.
 
-    start is one state, or a (B, dim) batch, which adds the [B] axes shown
-    below.  Arm 0 is the loop arm and arm 1 the caliber arm: p2 is the
-    (2, [B,] X) detected fringes over the xi grid, offset, amplitude, phase
-    and residual are the (2, [B]) fits of those fringes, and cyclicity the
-    (2, [B]) return fidelities.  shift is the ([B]) caliber-relative fringe
-    shift and fit_residual the ([B]) worse residual of the two arms.
-    gamma, tau, flips, ratio (the adiabaticity ratio, None at lam = 0), box
-    (the cutoffs the arms ran in) and runs (each arm's LoopRun, empty in
-    ideal mode) are shared by the batch.
+    start is run_experiment's one state, or effective_shift_vs_alpha's
+    (B, dim) batch, which adds the [B] axes shown below.  Arm 0 is the loop
+    arm and arm 1 the caliber arm: p2 is the (2, [B,] X) detected fringes
+    over the xi grid, offset, amplitude, phase and residual are the
+    (2, [B]) fits of those fringes, and cyclicity the (2, [B]) return
+    fidelities.  shift is the ([B]) caliber-relative fringe shift and
+    fit_residual the ([B]) worse residual of the two arms.  gamma, tau,
+    flips, ratio (from _interaction), box (the cutoffs the arms ran in) and
+    runs (each arm's LoopRun, empty in ideal mode) are shared by the batch.
     """
     params = config.params
     gamma = solid_angle(config.loop)
-    tau, flips = config.loop.total_time, None
-    if config.round_to_flips:
-        tau, flips = _round_to_flips(tau, params)
-    loop = rescaled_path(config.loop, tau)
-    ratio = loop.max_rate / params.lam if params.lam > 0 else None
+    loop, tau, flips, ratio = _interaction(config.loop, params, config.round_to_flips)
 
     runs = {}
     if config.mode == "full":
@@ -451,9 +454,9 @@ def formula_fringe_shift(alpha, gamma):
     return _scalar_or_array(np.arctan2(im, re))
 
 
-@dataclass(frozen=True)
-class AlphaSweepRow:
-    """One coherent-amplitude point of the crossover sweep."""
+class AlphaSweepRow(NamedTuple):
+    """One coherent-amplitude point of the crossover sweep; its fields are
+    the columns of alpha_sweep.csv, in order."""
 
     alpha: float
     shift_sim: float
@@ -481,8 +484,9 @@ def effective_shift_vs_alpha(
 
     base supplies the space, model parameters, loop timing, and grids; when
     omitted, a default wide space (nmax 16 on the driven mode) and a slow
-    default-parameter lasso are used.  The base's loop is replaced by a
-    lasso of the requested solid angle, and its mode by the requested one.
+    default-parameter lasso are used.  The base's loop is kept if its solid
+    angle is gamma (to 1e-12), as every CLI sweep's is, and else becomes a
+    lasso of solid angle gamma and its duration; mode replaces its mode.
     """
     if len(alpha_grid) == 0:
         return []
@@ -524,9 +528,9 @@ def _fringe_value(offset, amplitude, phase, xi):
     return offset + amplitude * np.cos(xi - phase)
 
 
-@dataclass(frozen=True)
-class AdiabaticityRow:
-    """One loop-duration rung of the error ladder."""
+class AdiabaticityRow(NamedTuple):
+    """One loop-duration rung of the error ladder; its fields are the
+    columns of adiabaticity.csv, in order."""
 
     loop_time_ms: float
     max_abs_p2_error: float
@@ -538,23 +542,21 @@ def adiabaticity_study(
 ) -> list[AdiabaticityRow]:
     """Full-dynamics versus ideal-phase fringe error across loop durations.
 
-    For each duration, the full experiment runs on the xi grid and the
-    maximum pointwise |P2_full - P2_ideal| over the grid is reported
-    together with the loop's adiabaticity ratio.  The state is prepared
-    once, and the ideal loop-arm fringe is computed once: it depends on the
-    loop only through its knots' solid angle, which rescaling keeps.
+    Each rung rescales the loop to its duration and times it with
+    _interaction, as run_experiment does; its row holds that time, the
+    largest |P2_full - P2_ideal| of the loop arm over the xi grid and the
+    adiabaticity ratio.  The state is prepared, and the ideal fringe (which
+    depends only on the knots' solid angle) computed, once.  No caliber arm
+    runs: one dynamics._evolve_loops call, which counts every rung's steps
+    before it steps any, runs every rung's loop arm from one embedded state.
     """
+    params, xi = config.params, config.xi_grid
     start = prepare(config.space, config.cavity)
-    ideal = close_and_detect(ideal_phase_map(start, solid_angle(config.loop)), config.xi_grid)
-    rows = []
-    for T in time_ladder_ms:
-        loop = rescaled_path(config.loop, float(T))
-        full = _run_arrays(replace(config, loop=loop, mode="full"), start)
-        rows.append(
-            AdiabaticityRow(
-                loop_time_ms=full.tau,
-                max_abs_p2_error=float(np.max(np.abs(full.p2[0] - ideal))),
-                adiabaticity_ratio=full.ratio,
-            )
-        )
-    return rows
+    ideal = close_and_detect(ideal_phase_map(start, solid_angle(config.loop)), xi)
+    rungs = [_interaction(rescaled_path(config.loop, float(T)), params, config.round_to_flips)
+             for T in time_ladder_ms]
+    start = embed_state(start, complete_box(start))
+    runs = _evolve_loops(start, [rung[0] for rung in rungs], params, config.dt)
+    errors = [np.max(np.abs(close_and_detect(run.final_state, xi) - ideal)) for run in runs]
+    return [AdiabaticityRow(tau, float(error), ratio)
+            for (_, tau, _, ratio), error in zip(rungs, errors)]

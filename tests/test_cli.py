@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import loopqed.cli
+import loopqed.dynamics
 import loopqed.ramsey
 from loopqed.cli import (
     ConfigError,
@@ -329,6 +330,30 @@ def test_exit_one_names_the_field_of_an_overflowing_number(tmp_path, overrides, 
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 
+
+def test_adiabaticity_refuses_a_step_overflow_on_its_last_rung_before_stepping(
+    tmp_path, capsys, monkeypatch
+):
+    # only the 1e20 ms rung's tilted legs make more steps than an int64
+    # counts; every rung's steps are counted before the first is stepped
+    cfg = write_cfg(
+        tmp_path, dt_ms=0.001, loop_knots="0:0;1.0:0.5;1.0:2.5;0:3.0",
+        loop_leg_times="0.15;0.3;0.15",
+    )
+    steps = []
+    step_leg = loopqed.dynamics._step_leg
+
+    def counting(*args, **kwargs):
+        steps.append(args[4])
+        return step_leg(*args, **kwargs)
+
+    monkeypatch.setattr(loopqed.dynamics, "_step_leg", counting)
+    out = tmp_path / "out"
+    argv = ["adiabaticity", "--config", cfg, "--out", str(out), "--times", "0.6,1e20"]
+    assert main(argv) == 1
+    assert "validation error: field 'dt_ms'" in capsys.readouterr().err
+    assert not out.exists()
+    assert steps == []
 
 def test_exit_two_on_degenerate_transport(tmp_path, capsys):
     # a loop crossing in a fraction of a flip period trips the gap

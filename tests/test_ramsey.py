@@ -21,7 +21,13 @@ from loopqed.hilbert import (
 )
 from loopqed.model import HamiltonianFactory, default_params
 from loopqed.phases import wrap_phase
-from loopqed.poincare_path import PathSpec, lasso_path, piecewise_path, rescaled_path
+from loopqed.poincare_path import (
+    PathSpec,
+    lasso_path,
+    piecewise_path,
+    rescaled_path,
+    solid_angle,
+)
 from loopqed.ramsey import (
     AdiabaticityRow,
     AlphaSweepRow,
@@ -675,6 +681,19 @@ def test_ideal_sweep_rows_match_each_run_experiment(monkeypatch):
     assert effective_shift_vs_alpha([], math.pi, base=base) == []
 
 
+def test_sweep_keeps_a_base_loop_of_the_requested_solid_angle():
+    # a tilted loop is not replaced by a lasso of its solid angle: at
+    # alpha = 0 the sweep gives exactly the vacuum fringe's shift on it,
+    # and the lasso's differs by about 1e-2
+    tilted = piecewise_path([(0.0, 0.0), (1.0, 0.5), (1.0, 2.5), (0.0, 3.0)], [0.15, 0.3, 0.15])
+    base = RamseyConfig(space=make_space(2, 0), params=default_params(), loop=tilted, mode="full")
+    gamma = solid_angle(tilted)
+    (row,) = effective_shift_vs_alpha([0.0], gamma, mode="full", base=base)
+    assert row.shift_sim == run_experiment(base).fitted_shift
+    lasso = run_experiment(replace(base, loop=lasso_path(gamma, tilted.total_time)))
+    assert abs(row.shift_sim - lasso.fitted_shift) > 5e-3
+
+
 def test_adiabaticity_ladder_decreases_with_slower_loops():
     space = make_space(1, 1)
     params = default_params()
@@ -698,35 +717,51 @@ def test_adiabaticity_ladder_decreases_with_slower_loops():
 
 
 def test_adiabaticity_ladder_prepares_and_maps_once(monkeypatch):
-    # one preparation and one ideal fringe serve every rung, and each row
-    # still equals, bit for bit, the rung's own full and ideal experiments
-    base = RamseyConfig(
+    # one preparation, one ideal fringe and one propagation pass serve every
+    # rung: one factory and sector stack, no caliber arm, and one eigh of K
+    # when the loop leaves the pole; each row still equals, bit for bit,
+    # the rung's own full and ideal experiments
+    lasso = RamseyConfig(
         space=make_space(4, 0),
         params=default_params(),
         loop=lasso_path(math.pi, 0.6),
         cavity=CavityInput(kind="coherent", alpha=0.3),
         mode="full",
     )
+    off_pole = RamseyConfig(
+        space=make_space(3, 0),
+        params=default_params(),
+        loop=piecewise_path([(1.0, 0.0), (1.0, TWO_PI)], [0.6]),
+        cavity=CavityInput(photon_number=1),
+        mode="full",
+    )
     times = [0.6, 1.2, 2.4]
-    calls = {"prepare": 0, "ideal_phase_map": 0}
-    for name in calls:
+    # the lasso's 3 exact legs a rung; off the pole 1 leg a rung and K once
+    for base, eigh_calls in ((lasso, 3 * len(times)), (off_pole, len(times) + 1)):
+        calls = {"prepare": 0, "ideal_phase_map": 0, "_evolve_loops": 0, "__init__": 0,
+                 "eigh": 0}
+        for owner, name in ((loopqed.ramsey, "prepare"), (loopqed.ramsey, "ideal_phase_map"),
+                            (loopqed.ramsey, "_evolve_loops"), (HamiltonianFactory, "__init__"),
+                            (np.linalg, "eigh")):
 
-        def counting(*args, _real=getattr(loopqed.ramsey, name), _name=name):
-            calls[_name] += 1
-            return _real(*args)
+            def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(loopqed.ramsey, name, counting)
-    rows = adiabaticity_study(base, times)
-    monkeypatch.undo()
-    assert calls == {"prepare": 1, "ideal_phase_map": 1}
-    assert len(rows) == len(times)
-    for T, row in zip(times, rows):
-        cfg = replace(base, loop=rescaled_path(base.loop, T))
-        full = run_experiment(cfg)
-        ideal = run_experiment(replace(cfg, mode="ideal"))
-        assert row.max_abs_p2_error == float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
-        assert row.loop_time_ms == full.metadata["tau_used_ms"]
-        assert row.adiabaticity_ratio == full.metadata["adiabaticity_ratio"]
+            monkeypatch.setattr(owner, name, counting)
+        rows = adiabaticity_study(base, times)
+        monkeypatch.undo()
+        assert calls == {"prepare": 1, "ideal_phase_map": 1, "_evolve_loops": 1, "__init__": 1,
+                         "eigh": eigh_calls}
+        assert len(rows) == len(times)
+        for T, row in zip(times, rows):
+            cfg = replace(base, loop=rescaled_path(base.loop, T))
+            full = run_experiment(cfg)
+            ideal = run_experiment(replace(cfg, mode="ideal"))
+            assert row.max_abs_p2_error == float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
+            assert row.loop_time_ms == full.metadata["tau_used_ms"]
+            assert row.adiabaticity_ratio == full.metadata["adiabaticity_ratio"]
+    assert adiabaticity_study(lasso, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -784,3 +819,4 @@ def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
         assert abs(row.shift_sim - result.fitted_shift) <= 1e-12
         dark = close_and_detect_curve_value(result, result.caliber_fit.phase + math.pi)
         assert abs(row.p2_dark_sim - dark) <= 1e-12
+
