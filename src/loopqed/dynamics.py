@@ -38,7 +38,7 @@ counts (StepCountError).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -83,23 +83,22 @@ class StepCountError(ValueError):
     """Raised when a step size makes more steps than an int64 counts."""
 
 
-@dataclass
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times amplitudes space step_stats")):
     """States of one evolve run at t = 0 and at the end of each leg.
 
     times are loop times (ms), [0, cumsum(durations)]; amplitudes[k] is the
-    state at times[k].  step_stats records the number of steps and the
-    worst norm drift of the checked states.
+    state at times[k].  step_stats (a new empty dict by default) records
+    the number of steps and the worst norm drift of the checked states.
     """
 
-    times: np.ndarray
-    amplitudes: np.ndarray
-    space: SpaceConfig
-    step_stats: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, times, amplitudes, space: SpaceConfig, step_stats: dict | None = None):
+        stats = {} if step_stats is None else step_stats
+        return super().__new__(cls, times, amplitudes, space, stats)
 
 
-@dataclass(frozen=True)
-class LoopRun:
+class LoopRun(namedtuple("LoopRun", "final_state stats")):
     """Final state of one loop's run and how its legs were propagated.
 
     evolve_loop returns one, _evolve_loops one per loop.  final_state
@@ -109,8 +108,7 @@ class LoopRun:
     (the worst norm error of the initial state and of each leg's end).
     """
 
-    final_state: StateVector
-    stats: dict
+    __slots__ = ()
 
 
 def _step_size(loop: PathSpec, dt: float | None, default_steps: int) -> float:

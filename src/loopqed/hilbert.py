@@ -19,7 +19,7 @@ blocks, so nothing here needs scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,8 +53,18 @@ class TruncationError(ValueError):
         self.alpha = alpha
 
 
-@dataclass(frozen=True)
-class SpaceConfig:
+class _Checked:
+    """Base of a namedtuple record whose __new__ checks its fields: its _make,
+    and so _replace, build through that __new__, not tuple.__new__."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class SpaceConfig(_Checked, namedtuple("SpaceConfig", "nmax_plus nmax_minus")):
     """Shape of the truncated joint space.
 
     Parameters
@@ -67,14 +77,14 @@ class SpaceConfig:
     The atom always has exactly two levels, labelled 1 (lower) and 2 (upper).
     """
 
-    nmax_plus: int
-    nmax_minus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.nmax_plus < 0 or self.nmax_minus < 0:
-            raise ValueError(
-                f"photon cutoffs must be >= 0, got ({self.nmax_plus}, {self.nmax_minus})"
-            )
+    def __new__(cls, nmax_plus: int, nmax_minus: int):
+        if not all(isinstance(n, (int, np.integer)) for n in (nmax_plus, nmax_minus)):
+            raise ValueError(f"photon cutoffs must be integers, got ({nmax_plus}, {nmax_minus})")
+        if nmax_plus < 0 or nmax_minus < 0:
+            raise ValueError(f"photon cutoffs must be >= 0, got ({nmax_plus}, {nmax_minus})")
+        return super().__new__(cls, nmax_plus, nmax_minus)
 
     @property
     def dim(self) -> int:
@@ -110,7 +120,6 @@ def basis_labels(space: SpaceConfig) -> np.ndarray:
     return np.indices((2, space.nmax_plus + 1, space.nmax_minus + 1)).reshape(3, -1)
 
 
-@dataclass
 class StateVector:
     """Complex amplitude vector over a SpaceConfig, or a batch of them.
 
@@ -121,18 +130,14 @@ class StateVector:
     unit norm must be created with normalized=False.
     """
 
-    amplitudes: np.ndarray
-    space: SpaceConfig
-    normalized: bool = True
+    __slots__ = ("amplitudes", "space", "normalized")
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim not in (1, 2) or amps.shape[-1] != self.space.dim:
-            raise ValueError(
-                f"amplitude shape {amps.shape} does not match space dim {self.space.dim}"
-            )
-        self.amplitudes = amps
-        if self.normalized:
+    def __init__(self, amplitudes: np.ndarray, space: SpaceConfig, normalized: bool = True):
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.ndim not in (1, 2) or amps.shape[-1] != space.dim:
+            raise ValueError(f"amplitude shape {amps.shape} does not match space dim {space.dim}")
+        self.amplitudes, self.space, self.normalized = amps, space, normalized
+        if normalized:
             nrm = np.atleast_1d(np.linalg.norm(amps, axis=-1))
             # written so that a NaN norm fails too
             bad = ~(np.abs(nrm - 1.0) <= NORM_TOL)

@@ -30,13 +30,13 @@ assumes this convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .hilbert import SpaceConfig, basis_labels
+from .hilbert import SpaceConfig, _Checked, basis_labels
 
 __all__ = [
     "ModelParams",
@@ -51,8 +51,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Checked, namedtuple("ModelParams", "g omega_drive delta")):
     """Physical rates of the effective model, all in rad/ms.
 
     Parameters
@@ -64,18 +63,19 @@ class ModelParams:
     delta : float
         Detuning of drive and cavity from the eliminated intermediate level.
         Must be positive; the elimination is trustworthy when it dominates
-        both g and omega_drive.
+        both g and omega_drive.  Every rate must be finite.
     """
 
-    g: float = TWO_PI * 50.0
-    omega_drive: float = TWO_PI * 50.0
-    delta: float = 3.0 * TWO_PI * 50.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delta <= 0.0:
-            raise ValueError("delta must be > 0")
-        if self.g < 0 or self.omega_drive < 0:
-            raise ValueError("g and omega_drive must be >= 0")
+    def __new__(cls, g: float = TWO_PI * 50.0, omega_drive: float = TWO_PI * 50.0,
+                delta: float = 3.0 * TWO_PI * 50.0):
+        # written so that NaN fails too
+        if not 0.0 < delta < math.inf:
+            raise ValueError(f"delta must be > 0 and finite, got {delta}")
+        if not (0.0 <= g < math.inf and 0.0 <= omega_drive < math.inf):
+            raise ValueError(f"g and omega_drive must be >= 0 and finite, got {g}, {omega_drive}")
+        return super().__new__(cls, g, omega_drive, delta)
 
     @property
     def lam(self) -> float:

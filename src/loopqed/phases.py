@@ -36,11 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
-from .hilbert import SpaceConfig, StateVector, basis_labels, require_complete, state_index
+from .hilbert import (
+    SpaceConfig, StateVector, _Checked, basis_labels, require_complete, state_index,
+)
 from .model import TWO_PI, HamiltonianFactory, ModelParams, excitation_sector_indices
 from .poincare_path import PathSpec, reversed_path
 from .dynamics import FRAME_STEPS, _frame_legs, _resolve_steps, _routes, _step_size
@@ -85,29 +87,29 @@ def wrap_phase(x):
     return float(w) if w.ndim == 0 else w
 
 
-@dataclass(frozen=True)
-class PhaseReading:
+class PhaseReading(_Checked, namedtuple("PhaseReading", "total_phase dynamical_phase "
+                                                  "geometric_phase cyclicity metadata")):
     """Decomposed phase of one cyclic run.
 
     geometric_phase always equals wrap_phase(total_phase - dynamical_phase);
-    the constructor enforces it.
+    the constructor enforces it.  metadata defaults to a new empty dict.
     """
 
-    total_phase: float
-    dynamical_phase: float
-    geometric_phase: float
-    cyclicity: float
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        expect = wrap_phase(self.total_phase - self.dynamical_phase)
-        if abs(wrap_phase(self.geometric_phase - expect)) > 1e-9:
+    def __new__(cls, total_phase: float, dynamical_phase: float, geometric_phase: float,
+                cyclicity: float, metadata: dict | None = None):
+        expect = wrap_phase(total_phase - dynamical_phase)
+        # written so that NaN fails too
+        if not abs(wrap_phase(geometric_phase - expect)) <= 1e-9:
             raise ValueError(
                 "geometric_phase must equal wrap(total - dynamical): "
-                f"{self.geometric_phase} vs {expect}"
+                f"{geometric_phase} vs {expect}"
             )
-        if not -1e-10 <= self.cyclicity <= 1.0 + 1e-10:
-            raise ValueError(f"cyclicity {self.cyclicity} outside [0, 1]")
+        if not -1e-10 <= cyclicity <= 1.0 + 1e-10:
+            raise ValueError(f"cyclicity {cyclicity} outside [0, 1]")
+        return super().__new__(cls, total_phase, dynamical_phase, geometric_phase, cyclicity,
+                               {} if metadata is None else metadata)
 
 
 def analytic_dressed_phase(n: int, m: int, gamma: float, branch: str) -> float:

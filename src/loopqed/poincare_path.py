@@ -14,10 +14,11 @@ legs directly: a straight leg at constant speed needs no time samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
+from .hilbert import _Checked
 from .model import TWO_PI, coupling_weights
 
 __all__ = [
@@ -52,8 +53,7 @@ def _same_drive(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return abs(plus_a - plus_b) + abs(minus_a - minus_b) <= CLOSURE_TOL
 
 
-@dataclass(frozen=True)
-class PathSpec:
+class PathSpec(_Checked, namedtuple("PathSpec", "knots durations")):
     """Closed loop: sphere knots joined by straight legs, plus per-leg durations.
 
     knots are (theta, phi) pairs; phi is kept as an unreduced real number so
@@ -65,29 +65,28 @@ class PathSpec:
     exact closed forms over the legs.
     """
 
-    knots: tuple[tuple[float, float], ...]
-    durations: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.knots) < 2:
+    def __new__(cls, knots: tuple[tuple[float, float], ...], durations: tuple[float, ...]):
+        if len(knots) < 2:
             raise ValueError("a path needs at least two knots")
-        if len(self.durations) != len(self.knots) - 1:
+        if len(durations) != len(knots) - 1:
             raise ValueError(
-                f"{len(self.knots)} knots need {len(self.knots) - 1} leg durations, "
-                f"got {len(self.durations)}"
+                f"{len(knots)} knots need {len(knots) - 1} leg durations, got {len(durations)}"
             )
-        values = [x for knot in self.knots for x in knot] + list(self.durations)
+        values = [x for knot in knots for x in knot] + list(durations)
         if not all(map(math.isfinite, values)):
             raise ValueError("knot angles and leg durations must be finite")
-        for theta, _ in self.knots:
+        for theta, _ in knots:
             if not -1e-12 <= theta <= math.pi + 1e-12:
                 raise ValueError(f"theta = {theta} outside [0, pi]")
-        if any(d <= 0 for d in self.durations):
+        if any(d <= 0 for d in durations):
             raise ValueError("all leg durations must be positive")
-        if not _same_drive(self.knots[0], self.knots[-1]):
+        if not _same_drive(knots[0], knots[-1]):
             raise ClosureError(
                 "path is not closed: first and last knots give different drive weights"
             )
+        return super().__new__(cls, knots, durations)
 
     @property
     def total_time(self) -> float:

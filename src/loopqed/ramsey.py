@@ -63,7 +63,7 @@ and no caliber arm, in one dynamics._evolve_loops call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -73,6 +73,7 @@ from .hilbert import (
     DEFAULT_TAIL_TOL,
     SpaceConfig,
     StateVector,
+    _Checked,
     coherent_mode_coefficients,
     complete_box,
     embed_state,
@@ -106,8 +107,7 @@ FIT_RESIDUAL_FLAG = 0.02
 CYCLICITY_FLOOR = 0.99
 
 
-@dataclass(frozen=True)
-class CavityInput:
+class CavityInput(_Checked, namedtuple("CavityInput", "kind photon_number alpha tail_tol")):
     """Initial field of mode "+" (mode "-" always starts in vacuum).
 
     kind "fock" places photon_number photons; kind "coherent" places a
@@ -115,18 +115,18 @@ class CavityInput:
     loudly when the Poisson tail beyond the cutoff reaches tail_tol.
     """
 
-    kind: str = "fock"
-    photon_number: int = 0
-    alpha: complex = 0.0
-    tail_tol: float = DEFAULT_TAIL_TOL
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("fock", "coherent"):
-            raise ValueError(f"cavity kind must be 'fock' or 'coherent', got {self.kind!r}")
-        if self.kind == "fock" and self.photon_number < 0:
-            raise ValueError(f"photon_number must be >= 0, got {self.photon_number}")
-        if self.tail_tol <= 0:
-            raise ValueError(f"tail_tol must be positive, got {self.tail_tol}")
+    def __new__(cls, kind: str = "fock", photon_number: int = 0, alpha: complex = 0.0,
+                tail_tol: float = DEFAULT_TAIL_TOL):
+        if kind not in ("fock", "coherent"):
+            raise ValueError(f"cavity kind must be 'fock' or 'coherent', got {kind!r}")
+        # written so that NaN fails too
+        if kind == "fock" and not photon_number >= 0:
+            raise ValueError(f"photon_number must be >= 0, got {photon_number}")
+        if not tail_tol > 0:
+            raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+        return super().__new__(cls, kind, photon_number, alpha, tail_tol)
 
 
 def default_xi_grid(points: int = 33) -> np.ndarray:
@@ -136,50 +136,45 @@ def default_xi_grid(points: int = 33) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, points, endpoint=False)
 
 
-@dataclass(frozen=True)
-class RamseyConfig:
-    """Complete description of one interferometry run."""
+class RamseyConfig(_Checked, namedtuple("RamseyConfig", "space params loop cavity "
+                                                  "round_to_flips xi_grid mode dt")):
+    """Complete description of one interferometry run.
 
-    space: SpaceConfig
-    params: ModelParams
-    loop: PathSpec
-    cavity: CavityInput = field(default_factory=CavityInput)
-    round_to_flips: bool = True
-    xi_grid: np.ndarray = field(default_factory=default_xi_grid)
-    mode: str = "full"
-    dt: float | None = None
+    xi_grid (default_xi_grid() by default) is stored as a float array.
+    """
 
-    def __post_init__(self):
-        xi = np.asarray(self.xi_grid, dtype=float)
+    __slots__ = ()
+
+    def __new__(cls, space: SpaceConfig, params: ModelParams, loop: PathSpec,
+                cavity: CavityInput = CavityInput(), round_to_flips: bool = True,
+                xi_grid: np.ndarray | None = None, mode: str = "full", dt: float | None = None):
+        xi = np.asarray(default_xi_grid() if xi_grid is None else xi_grid, dtype=float)
         if xi.size == 0:
             raise ValueError("xi_grid must be non-empty")
-        object.__setattr__(self, "xi_grid", xi)
-        if self.mode not in ("full", "ideal"):
-            raise ValueError(f"mode must be 'full' or 'ideal', got {self.mode!r}")
+        if mode not in ("full", "ideal"):
+            raise ValueError(f"mode must be 'full' or 'ideal', got {mode!r}")
+        return super().__new__(cls, space, params, loop, cavity, round_to_flips, xi, mode, dt)
 
 
-@dataclass(frozen=True)
-class FringeFit:
+class FringeFit(namedtuple("FringeFit", "offset amplitude phase residual")):
     """Least-squares fit P2(xi) = offset + amplitude * cos(xi - phase)."""
 
-    offset: float
-    amplitude: float
-    phase: float
-    residual: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RamseyResult:
-    """Fringe curves, fits, and the caliber-referenced shift of one run."""
+class RamseyResult(namedtuple("RamseyResult", "xi_grid p2_loop p2_caliber loop_fit "
+                                               "caliber_fit fitted_shift fit_residual metadata")):
+    """Fringe curves, fits, and the caliber-referenced shift of one run.
 
-    xi_grid: np.ndarray
-    p2_loop: np.ndarray
-    p2_caliber: np.ndarray
-    loop_fit: FringeFit
-    caliber_fit: FringeFit
-    fitted_shift: float
-    fit_residual: float
-    metadata: dict = field(default_factory=dict)
+    metadata defaults to a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xi_grid, p2_loop, p2_caliber, loop_fit, caliber_fit, fitted_shift,
+                fit_residual, metadata: dict | None = None):
+        return super().__new__(cls, xi_grid, p2_loop, p2_caliber, loop_fit, caliber_fit,
+                               fitted_shift, fit_residual, {} if metadata is None else metadata)
 
 
 def prepare(space: SpaceConfig, cavity: CavityInput) -> StateVector:
@@ -502,7 +497,7 @@ def effective_shift_vs_alpha(
     if abs(solid_angle(loop) - gamma) > 1e-12:
         loop = lasso_path(gamma, base.loop.total_time)
     coeffs = coherent_mode_coefficients(alpha_grid, base.space.nmax_plus, base.cavity.tail_tol)
-    batch = _run_arrays(replace(base, loop=loop, mode=mode), _on_both_levels(base.space, coeffs))
+    batch = _run_arrays(base._replace(loop=loop, mode=mode), _on_both_levels(base.space, coeffs))
     alphas = np.asarray(alpha_grid)
     columns = (
         np.abs(alphas),

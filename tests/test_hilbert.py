@@ -29,6 +29,13 @@ def test_space_dim():
     assert make_space(12, 12).dim == 338
 
 
+def test_make_space_refuses_non_integral_cutoffs():
+    for cutoffs in ((1.5, 1), (1, 2.0), (math.nan, 0)):
+        with pytest.raises(ValueError, match="photon cutoffs must be integers"):
+            make_space(*cutoffs)
+    assert make_space(np.int64(2), 1) == make_space(2, 1)
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         make_space(-1, 0)

@@ -41,6 +41,17 @@ def test_params_validation():
         ModelParams(g=-1.0, omega_drive=1.0, delta=1.0)
 
 
+@pytest.mark.parametrize("rates", [
+    dict(g=math.nan, omega_drive=1.0, delta=math.inf),
+    dict(g=1.0, omega_drive=math.nan, delta=1.0),
+    dict(g=1.0, omega_drive=1.0, delta=math.nan),
+    dict(g=math.inf, omega_drive=1.0, delta=1.0),
+])
+def test_params_refuse_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="must be"):
+        ModelParams(**rates)
+
+
 def test_coupling_weights_poles_and_equator():
     u_plus, u_minus = coupling_weights(0.0, 0.0)
     assert u_plus == pytest.approx(1.0)

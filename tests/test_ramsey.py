@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from loopqed.hilbert import (
     state_index,
 )
 from loopqed.model import HamiltonianFactory, default_params
-from loopqed.phases import wrap_phase
+from loopqed.phases import PhaseReading, wrap_phase
 from loopqed.poincare_path import (
     PathSpec,
     lasso_path,
@@ -374,8 +373,8 @@ def test_interaction_time_rounding():
 def test_a_replaced_loop_sets_the_interaction_time(round_to_flips):
     # the interaction time is the loop's duration: replacing the 6 ms loop
     # of the default config by a 60 ms one runs 60 ms (1 000 flips)
-    base = replace(_default_vacuum_config(), round_to_flips=round_to_flips)
-    md = run_experiment(replace(base, loop=lasso_path(math.pi, 60.0))).metadata
+    base = _default_vacuum_config()._replace(round_to_flips=round_to_flips)
+    md = run_experiment(base._replace(loop=lasso_path(math.pi, 60.0))).metadata
     assert md["tau_used_ms"] == pytest.approx(60.0, abs=1e-12)
     assert md["rabi_flips"] == (1000 if round_to_flips else None)
 
@@ -496,8 +495,7 @@ def _default_vacuum_config():
 
 def _default_coherent_config():
     # the coherent fringe of the benchmark: alpha = 1 prepared at (8, 2)
-    return replace(
-        _default_vacuum_config(),
+    return _default_vacuum_config()._replace(
         space=make_space(8, 2),
         cavity=CavityInput(kind="coherent", alpha=1.0),
     )
@@ -531,7 +529,7 @@ def test_loop_propagation_metadata_reports_each_arm():
 
 
 def test_ideal_run_reports_no_loop_propagation():
-    cfg = replace(_default_vacuum_config(), mode="ideal")
+    cfg = _default_vacuum_config()._replace(mode="ideal")
     md = run_experiment(cfg).metadata
     assert md["loop_propagation"] is None
     # the diagonal phase map gains nothing from a box; it keeps the config's
@@ -562,7 +560,7 @@ def test_complete_box_is_converged_in_the_box():
 @pytest.mark.parametrize("gamma", [2.0, 4.0])
 def test_full_coherent_fringe_is_cyclic_off_pi(gamma):
     # at (8, 2) the cut "-" mode pushed these runs below the cyclicity floor
-    cfg = replace(_default_coherent_config(), loop=lasso_path(gamma, 6.0))
+    cfg = _default_coherent_config()._replace(loop=lasso_path(gamma, 6.0))
     md = run_experiment(cfg).metadata
     assert md["cyclicity_loop"] >= 0.99
     assert "non-cyclic" not in md["flags"]
@@ -670,7 +668,7 @@ def test_ideal_sweep_rows_match_each_run_experiment(monkeypatch):
     assert len(rows) == len(alphas)
     for alpha, row in zip(alphas, rows):
         assert isinstance(row, AlphaSweepRow)
-        alone = run_experiment(replace(base, cavity=CavityInput(kind="coherent", alpha=alpha)))
+        alone = run_experiment(base._replace(cavity=CavityInput(kind="coherent", alpha=alpha)))
         assert row.alpha == abs(alpha)
         assert abs(row.shift_sim - alone.fitted_shift) <= 1e-12
         dark = close_and_detect_curve_value(alone, alone.caliber_fit.phase + math.pi)
@@ -690,7 +688,7 @@ def test_sweep_keeps_a_base_loop_of_the_requested_solid_angle():
     gamma = solid_angle(tilted)
     (row,) = effective_shift_vs_alpha([0.0], gamma, mode="full", base=base)
     assert row.shift_sim == run_experiment(base).fitted_shift
-    lasso = run_experiment(replace(base, loop=lasso_path(gamma, tilted.total_time)))
+    lasso = run_experiment(base._replace(loop=lasso_path(gamma, tilted.total_time)))
     assert abs(row.shift_sim - lasso.fitted_shift) > 5e-3
 
 
@@ -755,9 +753,9 @@ def test_adiabaticity_ladder_prepares_and_maps_once(monkeypatch):
                          "eigh": eigh_calls}
         assert len(rows) == len(times)
         for T, row in zip(times, rows):
-            cfg = replace(base, loop=rescaled_path(base.loop, T))
+            cfg = base._replace(loop=rescaled_path(base.loop, T))
             full = run_experiment(cfg)
-            ideal = run_experiment(replace(cfg, mode="ideal"))
+            ideal = run_experiment(cfg._replace(mode="ideal"))
             assert row.max_abs_p2_error == float(np.max(np.abs(full.p2_loop - ideal.p2_loop)))
             assert row.loop_time_ms == full.metadata["tau_used_ms"]
             assert row.adiabaticity_ratio == full.metadata["adiabaticity_ratio"]
@@ -799,7 +797,7 @@ SWEEP_ALPHAS = [0.0, 0.2, 0.4, 0.6, 0.7]
 def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
     base = _full_sweep_base()
     alone = [
-        run_experiment(replace(base, cavity=CavityInput(kind="coherent", alpha=a)))
+        run_experiment(base._replace(cavity=CavityInput(kind="coherent", alpha=a)))
         for a in SWEEP_ALPHAS
     ]
     calls = []
@@ -820,3 +818,56 @@ def test_full_sweep_makes_one_eigh_a_leg_per_box_group(monkeypatch):
         dark = close_and_detect_curve_value(result, result.caliber_fit.phase + math.pi)
         assert abs(row.p2_dark_sim - dark) <= 1e-12
 
+
+# ---------------------------------------------------------------------------
+# records: every check a constructor makes, and immutability
+
+
+def test_cavity_input_refuses_bad_fields():
+    with pytest.raises(ValueError, match="cavity kind must be 'fock' or 'coherent'"):
+        CavityInput(kind="thermal")
+    with pytest.raises(ValueError, match="photon_number must be >= 0"):
+        CavityInput(kind="fock", photon_number=-1)
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tail_tol must be positive"):
+            CavityInput(kind="coherent", alpha=1.0, tail_tol=tol)
+
+
+def test_cavity_input_refuses_a_nan_tail_tolerance():
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        CavityInput(kind="coherent", alpha=1.0, tail_tol=math.nan)
+
+
+def test_ramsey_config_checks_mode_and_grid_and_stores_the_grid_as_floats():
+    base = _default_vacuum_config()
+    with pytest.raises(ValueError, match="mode must be 'full' or 'ideal'"):
+        RamseyConfig(base.space, base.params, base.loop, mode="bogus")
+    with pytest.raises(ValueError, match="xi_grid must be non-empty"):
+        RamseyConfig(base.space, base.params, base.loop, xi_grid=[])
+    cfg = RamseyConfig(base.space, base.params, base.loop, xi_grid=[0, 1, 2])
+    assert isinstance(cfg.xi_grid, np.ndarray) and cfg.xi_grid.dtype == float
+    assert cfg.xi_grid.tolist() == [0.0, 1.0, 2.0]
+    assert np.array_equal(base.xi_grid, default_xi_grid())
+
+
+def test_a_config_copied_with_a_bad_mode_still_raises():
+    # the sweep copies its base config with the mode it is given
+    with pytest.raises(ValueError, match="mode must be 'full' or 'ideal'"):
+        effective_shift_vs_alpha([0.0], math.pi, mode="bogus", base=_default_vacuum_config())
+
+
+def test_frozen_records_refuse_assignment():
+    base = _default_vacuum_config()
+    cfg = RamseyConfig(base.space, base.params, base.loop, mode="ideal")
+    result = run_experiment(cfg)
+    run = evolve_loop(prepare(cfg.space, cfg.cavity), cfg.loop, cfg.params)
+    reading = PhaseReading(total_phase=1.0, dynamical_phase=0.25, geometric_phase=0.75,
+                           cyclicity=1.0)
+    records = [
+        (cfg, "mode"), (cfg.space, "nmax_plus"), (cfg.params, "g"), (cfg.loop, "knots"),
+        (cfg.cavity, "kind"), (result, "metadata"), (result.loop_fit, "phase"),
+        (run, "stats"), (reading, "cyclicity"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
