@@ -14,7 +14,7 @@ Subpackage map:
     dynamics       time-dependent Schrodinger propagation: exact
                    covariant loop legs, midpoint and Magnus steppers
     phases         dressed-branch transport phases, ideal phase map
-    ramsey         interferometry protocol, fringe fits, closed forms
+    ramsey         interferometry protocol, fringe read-out, closed forms
     cli            command-line front end ("loopqed" executable)
 """
 

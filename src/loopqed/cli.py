@@ -230,7 +230,7 @@ KEYS: tuple[Key, ...] = (
         'initial "+" field: fock:N or coherent:ALPHA'),
     Key("xi_points", "33", _to_int,
         lambda n: None if 16 <= n <= XI_POINTS_MAX
-        else f"fringe fit needs 16 to {XI_POINTS_MAX} samples, got {n}",
+        else f"the fringe grid takes 16 to {XI_POINTS_MAX} phases, got {n}",
         str, f"Ramsey phase grid size (16 to {XI_POINTS_MAX})"),
     Key("mode", "full", lambda key, raw: raw.strip().lower(), _one_of("full", "ideal"), str,
         '"full" dynamics or "ideal" phase map'),

@@ -1,5 +1,5 @@
 """Ramsey interferometry over polarization loops: preparation, interaction,
-closing pulse, detection, fringe fitting, and the closed-form predictions.
+closing pulse, detection, fringe read-out, and the closed-form predictions.
 
 Protocol.  The atom starts in the symmetric superposition (|1> + |2>)/sqrt 2,
 mode "+" carries the chosen cavity field, mode "-" starts in vacuum.  The
@@ -10,7 +10,7 @@ and the probability of finding the atom in level 2 is recorded.
 
 Reference arm.  Fringe phases by themselves depend on pulse conventions and
 on dynamical phases; every reported shift is therefore the difference
-between the loop arm's fitted fringe phase and a caliber arm's.  In
+between the loop arm's fringe phase and a caliber arm's.  In
 full-dynamics mode the caliber arm evolves the same state for the same time
 with the polarization frozen at the loop's starting point; in ideal-phase
 mode it is the prepared state unchanged.
@@ -33,31 +33,35 @@ does not depend on it):
     |2> -> (-e^{-i xi} |1> + |2>)/sqrt 2
 
 which gives the caliber fringe P2(xi) = (1 + cos xi)/2, and a state whose
-|2> component carries an extra phase chi the fringe (1 + cos(xi - chi))/2.
-Fringes are fitted to offset + amplitude * cos(xi - phase) by linear least
-squares, so a positive fitted shift equals the phase advance chi of the
-|2> component.
+|2> component carries an extra phase chi the fringe (1 + cos(xi - chi))/2,
+so a positive shift equals the phase advance chi of the |2> component.
 
-Detection in closed form.  With a1 and a2 the level-1 and level-2 halves of
-the amplitudes, the pulse maps a2 to (e^{i xi} a1 + a2)/sqrt 2, so
+Detection and read-out in closed form.  With a1 and a2 the level-1 and
+level-2 halves of the amplitudes, the pulse maps a2 to
+(e^{i xi} a1 + a2)/sqrt 2, so
 
-    P2(xi) = (sum |a1|^2 + sum |a2|^2)/2 + Re(e^{i xi} sum a1 conj(a2))
+    P2(xi) = w + Re(e^{i xi} c),   w = sum |a|^2 / 2,   c = sum a1 conj(a2)
 
 Detection therefore takes two sums per state and never forms the pulsed
 amplitudes at every xi, whose (B, xi, dim/2) array would outweigh the
-state stack itself.
+state stack itself.  Each fringe is read, with no fit, from its atomic
+coherence c: offset w, amplitude |c| and phase -arg c.  As |c| <= w
+(Cauchy-Schwarz), the fringe is an exact sinusoid within [0, 2w], so the
+clip of the samples to [0, 1] and fit_residual, their largest deviation
+from the read-out, are rounding only.
 
 Batches.  prepare gives one state, and run_experiment carries it alone,
-with no batch axis, through propagation, detection and the fit.
-close_and_detect, fit_fringe, the phase map and dynamics also take a
-leading batch axis of states, and dynamics propagates a batch with the
+with no batch axis, through propagation, detection and the read-out.
+close_and_detect, the phase map and dynamics also take a leading batch
+axis of states, and dynamics propagates a batch with the
 eigendecompositions of one state, so effective_shift_vs_alpha runs its
 amplitudes as one pass (_run_arrays), whose arrays hold both arms'
-fringes, fits, shifts and cyclicities.  run_experiment builds its result
-from them; the sweep stays in arrays through the fit, the closed forms and
-the dark-point column, and makes only the rows it returns, which the CLI
-writes as they are.  The adiabaticity ladder runs every rung's loop arm,
-and no caliber arm, in one dynamics._evolve_loops call.
+fringes, read-outs, shifts and cyclicities.  run_experiment builds its
+result from them; the sweep stays in arrays through the read-out, the
+closed forms and the dark-point column, and makes only the rows it
+returns, which the CLI writes as they are.  The adiabaticity ladder runs
+every rung's loop arm, and no caliber arm, in one dynamics._evolve_loops
+call.
 """
 
 from __future__ import annotations
@@ -103,7 +107,6 @@ __all__ = [
 ]
 
 ADIABATICITY_FLAG_RATIO = 0.1
-FIT_RESIDUAL_FLAG = 0.02
 CYCLICITY_FLOOR = 0.99
 
 
@@ -156,16 +159,17 @@ class RamseyConfig(_Checked, namedtuple("RamseyConfig", "space params loop cavit
         return super().__new__(cls, space, params, loop, cavity, round_to_flips, xi, mode, dt)
 
 
-class FringeFit(namedtuple("FringeFit", "offset amplitude phase residual")):
-    """Least-squares fit P2(xi) = offset + amplitude * cos(xi - phase)."""
+class FringeFit(namedtuple("FringeFit", "offset amplitude phase")):
+    """One arm's fringe offset + amplitude * cos(xi - phase), read from c."""
 
     __slots__ = ()
 
 
 class RamseyResult(namedtuple("RamseyResult", "xi_grid p2_loop p2_caliber loop_fit "
                                                "caliber_fit fitted_shift fit_residual metadata")):
-    """Fringe curves, fits, and the caliber-referenced shift of one run.
+    """Fringe curves, read-outs, and the caliber-referenced shift of one run.
 
+    fit_residual is the fringes' largest deviation from their read-outs.
     metadata defaults to a new empty dict.
     """
 
@@ -211,15 +215,18 @@ def close_and_detect(state: StateVector, xi):
     The pulse acts on the atom only (identity on both modes) with the
     convention in the module docstring, and the detection sums
     |amplitude|^2 over every photon sector of level 2.  That sum has the
-    closed form
-
-        P2(xi) = (sum |a1|^2 + sum |a2|^2)/2 + Re(e^{i xi} sum a1 conj(a2))
-
-    over the level-1 and level-2 halves a1, a2 of the amplitudes, so each
+    closed form P2(xi) = w + Re(e^{i xi} c) of the module docstring, so each
     state costs two sums whatever the number of phases.  xi may be a
     scalar or an array of phases: one state gives a float or an array of
     xi's shape, a batch of B states a (B,) + xi.shape array.
     """
+    p2 = _detect(state, xi)[2]
+    return float(p2) if p2.ndim == 0 else p2
+
+
+def _detect(state: StateVector, xi):
+    """(w, c, p2) of close_and_detect: each state's sums w = sum |a|^2 / 2
+    and c = sum a1 conj(a2), and its fringe over xi, clipped to [0, 1]."""
     amps = state.amplitudes
     half = state.space.dim // 2
     weight = 0.5 * np.sum(np.abs(amps) ** 2, axis=-1)
@@ -231,46 +238,38 @@ def close_and_detect(state: StateVector, xi):
         + np.cos(xi) * cross.real[per_xi]
         - np.sin(xi) * cross.imag[per_xi]
     )
-    p2 = np.clip(p2, 0.0, 1.0)
-    return float(p2) if p2.ndim == 0 else p2
+    return weight, cross, np.clip(p2, 0.0, 1.0)
+
+
+_LeastSquaresFit = namedtuple("LeastSquaresFit", "offset amplitude phase residual")
 
 
 def fit_fringe(xi: np.ndarray, p2: np.ndarray):
-    """Fit offset + amplitude cos(xi - phase) by linear least squares.
+    """Fit offset + amplitude cos(xi - phase) by linear least squares: a
+    reference for the read-out from the coherence, which no run calls.
 
-    The cosine is expanded over the basis {1, cos xi, sin xi}, making the
-    fit a linear problem, solved through its 3x3 normal equations;
-    amplitude is reported nonnegative and residual is the largest absolute
-    deviation of the fit from the data.  p2 may be a (B, len(xi)) array of
-    fringes, fitted together with one inverse of the 3x3 Gram matrix; a
-    list of B fits is then returned.
-    """
-    if np.ndim(p2) > 2:
-        raise ValueError("fringe fit takes one fringe or a (B, len(xi)) array of them")
-    columns = (value.ravel().tolist() for value in _fit_arrays(xi, p2))
-    fits = [FringeFit(*values) for values in zip(*columns)]
-    return fits if np.ndim(p2) == 2 else fits[0]
-
-
-def _fit_arrays(xi, p2):
-    """fit_fringe's fits as arrays (offset, amplitude, phase, residual).
-
-    p2 is an array of fringes over its last axis, and each returned array
-    has the shape of its other axes.
+    The fit is linear over the basis {1, cos xi, sin xi}, solved through its
+    3x3 normal equations; amplitude is reported nonnegative and residual is
+    the largest absolute deviation of the fit from the data.  p2 may be a
+    (B, len(xi)) array of fringes, fitted together with one inverse of the
+    Gram matrix; a list of B fits is then returned.
     """
     xi = np.asarray(xi, dtype=float)
     p2 = np.asarray(p2, dtype=float)
+    if p2.ndim > 2:
+        raise ValueError("fringe fit takes one fringe or a (B, len(xi)) array of them")
     if xi.ndim != 1 or xi.size < 3 or p2.ndim == 0 or p2.shape[-1] != xi.size:
         raise ValueError("fringe fit needs matching xi/p2 arrays of length >= 3")
     design = np.stack([np.ones_like(xi), np.cos(xi), np.sin(xi)])
-    # the 3x3 normal equations: no BLAS or LAPACK call grows with the batch
     gram_inv = np.linalg.inv(np.einsum("in,jn->ij", design, design))
     coef = np.einsum("ij,...j->...i", gram_inv, np.einsum("...n,jn->...j", p2, design))
     residual = np.max(np.abs(np.einsum("...i,in->...n", coef, design) - p2), axis=-1)
     offset, c_cos, c_sin = np.moveaxis(coef, -1, 0)
     amplitude = np.hypot(c_cos, c_sin)
     phase = np.where(amplitude > 0, np.arctan2(c_sin, c_cos), 0.0)
-    return offset, amplitude, phase, residual
+    columns = (value.ravel().tolist() for value in (offset, amplitude, phase, residual))
+    fits = [_LeastSquaresFit(*values) for values in zip(*columns)]
+    return fits if p2.ndim == 2 else fits[0]
 
 
 def _interaction(loop: PathSpec, params: ModelParams, round_to_flips: bool):
@@ -289,10 +288,11 @@ def _interaction(loop: PathSpec, params: ModelParams, round_to_flips: bool):
 def run_experiment(config: RamseyConfig) -> RamseyResult:
     """Run the interferometer over the configured xi grid.
 
-    Returns fitted fringes for the loop and caliber arms; fitted_shift is
-    the wrapped difference of their fringe phases, the convention-free
-    observable.  The interaction time is the loop's duration, rounded to
-    whole flips when config.round_to_flips is set.  In full mode the
+    Returns the fringes of the loop and caliber arms, each read from its
+    atomic coherence; fitted_shift is the wrapped difference of their
+    fringe phases, the convention-free observable.  The interaction time
+    is the loop's duration, rounded to whole flips when
+    config.round_to_flips is set.  In full mode the
     prepared state is re-embedded into the sector-complete box (K, K) of
     its highest occupied sector K (see the module docstring), whatever
     config.space.nmax_minus says, and both arms are one
@@ -310,16 +310,13 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
     """
     cavity = config.cavity
     run = _run_arrays(config, prepare(config.space, cavity))
-    columns = (run.offset, run.amplitude, run.phase, run.residual)
-    loop_fit, caliber_fit = (FringeFit(*values) for values in zip(*(c.tolist() for c in columns)))
-    fit_residual = float(run.fit_residual)
+    loop_fit, caliber_fit = map(FringeFit, run.offset.tolist(), run.amplitude.tolist(),
+                                run.phase.tolist())
     cyc_loop, cyc_caliber = run.cyclicity.tolist()
     full = config.mode == "full"
     flags: list[str] = []
     if full and run.ratio is not None and run.ratio > ADIABATICITY_FLAG_RATIO:
         flags.append("non-adiabatic")
-    if fit_residual > FIT_RESIDUAL_FLAG:
-        flags.append("poor-fit")
     if full and cyc_loop < CYCLICITY_FLOOR:
         flags.append("non-cyclic")
     metadata = {
@@ -344,7 +341,7 @@ def run_experiment(config: RamseyConfig) -> RamseyResult:
         loop_fit=loop_fit,
         caliber_fit=caliber_fit,
         fitted_shift=float(run.shift),
-        fit_residual=fit_residual,
+        fit_residual=float(run.fit_residual),
         metadata=metadata,
     )
 
@@ -355,12 +352,13 @@ def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
     start is run_experiment's one state, or effective_shift_vs_alpha's
     (B, dim) batch, which adds the [B] axes shown below.  Arm 0 is the loop
     arm and arm 1 the caliber arm: p2 is the (2, [B,] X) detected fringes
-    over the xi grid, offset, amplitude, phase and residual are the
-    (2, [B]) fits of those fringes, and cyclicity the (2, [B]) return
-    fidelities.  shift is the ([B]) caliber-relative fringe shift and
-    fit_residual the ([B]) worse residual of the two arms.  gamma, tau,
-    flips, ratio (from _interaction), box (the cutoffs the arms ran in) and
-    runs (each arm's LoopRun, empty in ideal mode) are shared by the batch.
+    over the xi grid, offset, amplitude and phase their (2, [B]) read-outs
+    w, |c| and -arg c, and cyclicity the (2, [B]) return fidelities.  shift
+    is the ([B]) caliber-relative fringe shift and fit_residual the ([B])
+    largest deviation, over both arms, of the fringes from their read-outs.
+    gamma, tau, flips, ratio (from _interaction), box (the cutoffs the arms
+    ran in) and runs (each arm's LoopRun, empty in ideal mode) are shared
+    by the batch.
     """
     params = config.params
     gamma = solid_angle(config.loop)
@@ -383,17 +381,18 @@ def _run_arrays(config: RamseyConfig, start: StateVector) -> SimpleNamespace:
         np.sum(np.abs(start.amplitudes) * np.abs(state.amplitudes), axis=-1)
         for state in arms
     ])
-    p2 = np.array([close_and_detect(state, config.xi_grid) for state in arms])
-    offset, amplitude, phase, residual = _fit_arrays(config.xi_grid, p2)
+    offset, cross, p2 = (np.array(arrays) for arrays in
+                         zip(*(_detect(state, config.xi_grid) for state in arms)))
+    amplitude, phase = np.abs(cross), -np.angle(cross)
+    read_out = _fringe_value(*(a[..., None] for a in (offset, amplitude, phase)), config.xi_grid)
     return SimpleNamespace(
         p2=p2,
         offset=offset,
         amplitude=amplitude,
         phase=phase,
-        residual=residual,
         cyclicity=cyclicity,
         shift=wrap_phase(phase[0] - phase[1]),
-        fit_residual=np.max(residual, axis=0),
+        fit_residual=np.max(np.abs(p2 - read_out), axis=(0, -1)),
         gamma=gamma,
         tau=tau,
         flips=flips,
@@ -471,11 +470,11 @@ def effective_shift_vs_alpha(
 
     The amplitudes' coefficient rows run as one batch (the arrays of
     _run_arrays), with no object per amplitude, so the sweep prepares, maps
-    or propagates, detects and fits once, and every column is computed
+    or propagates, detects and reads out once, and every column is computed
     whole: the simulated shift, the dark-point simulation column, which
-    evaluates each loop fit at its caliber fringe's dark point (xi =
-    caliber phase + pi), where the closed forms apply, and both closed
-    forms.  Only the returned rows are made one per amplitude.
+    evaluates each loop read-out at its caliber fringe's dark point (xi =
+    caliber phase + pi), where the closed forms apply, both closed forms
+    and fit_residual.  Only the returned rows are made one per amplitude.
 
     base supplies the space, model parameters, loop timing, and grids; when
     omitted, a default wide space (nmax 16 on the driven mode) and a slow
@@ -513,13 +512,13 @@ def effective_shift_vs_alpha(
 
 
 def close_and_detect_curve_value(result: RamseyResult, xi: float) -> float:
-    """Evaluate the fitted loop fringe of a result at one xi."""
+    """Evaluate the loop fringe read-out of a result at one xi."""
     fit = result.loop_fit
     return float(_fringe_value(fit.offset, fit.amplitude, fit.phase, xi))
 
 
 def _fringe_value(offset, amplitude, phase, xi):
-    """Fitted fringe offset + amplitude cos(xi - phase); the arguments broadcast."""
+    """Fringe offset + amplitude cos(xi - phase); the arguments broadcast."""
     return offset + amplitude * np.cos(xi - phase)
 
 

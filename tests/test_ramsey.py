@@ -630,6 +630,88 @@ def test_both_arms_share_one_factory_and_one_frame(monkeypatch):
         assert alone.stats == result.metadata["loop_propagation"][arm]
 
 
+def test_a_loop_that_ends_off_the_pole_is_flagged_non_cyclic():
+    # one azimuth leg at theta = 1 moves population out of the prepared
+    # magnitude profile; its adiabaticity ratio sits at the non-adiabatic
+    # threshold (0.1 to rounding), so only membership is asserted.  The
+    # fringe is still an exact sinusoid, which its read-out leaves to
+    # rounding: a fit-residual flag could not trip even here
+    cfg = RamseyConfig(
+        space=make_space(3, 0),
+        params=default_params(),
+        loop=piecewise_path([(1.0, 0.0), (1.0, TWO_PI)], [0.6]),
+        cavity=CavityInput(photon_number=1),
+        mode="full",
+    )
+    result = run_experiment(cfg)
+    md = result.metadata
+    assert md["cyclicity_loop"] == pytest.approx(0.574, abs=1e-3)
+    assert "non-cyclic" in md["flags"]
+    assert result.fit_residual <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# fringe read-out
+
+
+def _forbid_fits(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the run path fitted a fringe")
+
+    monkeypatch.setattr(loopqed.ramsey, "fit_fringe", no_fit)
+
+
+def _assert_read_out_matches_fit(read_outs, fits, shift):
+    # (loop, caliber) read-outs against least-squares fits of their fringes
+    for read, fit in zip(read_outs, fits):
+        for name in ("offset", "amplitude", "phase"):
+            assert abs(getattr(read, name) - getattr(fit, name)) <= 1e-14
+    assert abs(shift - wrap_phase(fits[0].phase - fits[1].phase)) <= 1e-14
+
+
+@pytest.mark.parametrize("cfg", [
+    _default_vacuum_config(),
+    _default_vacuum_config()._replace(cavity=CavityInput(photon_number=1)),
+    _default_coherent_config(),
+], ids=["vacuum", "fock-1", "coherent-1"])
+def test_full_fringe_read_out_matches_a_least_squares_fit(monkeypatch, cfg):
+    # each arm's fringe is read from its atomic coherence, with no fit; a
+    # least-squares fit of the detected samples gives the same fringe
+    _forbid_fits(monkeypatch)
+    result = run_experiment(cfg)
+    monkeypatch.undo()
+    fits = [fit_fringe(result.xi_grid, p2) for p2 in (result.p2_loop, result.p2_caliber)]
+    _assert_read_out_matches_fit((result.loop_fit, result.caliber_fit), fits,
+                                 result.fitted_shift)
+
+
+def test_ideal_sweep_read_out_matches_a_least_squares_fit(monkeypatch):
+    # each amplitude's experiment, fitted as one batch per arm, gives the
+    # sweep's shift and dark point to rounding; neither the sweep nor the
+    # experiments fit
+    base = RamseyConfig(
+        space=make_space(8, 0),
+        params=default_params(),
+        loop=lasso_path(math.pi, 0.6),
+        mode="ideal",
+    )
+    alphas = [0.0, 0.3, 0.9, 1.4, 0.5 + 0.5j]
+    _forbid_fits(monkeypatch)
+    rows = effective_shift_vs_alpha(alphas, math.pi, mode="ideal", base=base)
+    results = [run_experiment(base._replace(cavity=CavityInput(kind="coherent", alpha=alpha)))
+               for alpha in alphas]
+    monkeypatch.undo()
+    xi = base.xi_grid
+    loop_fits = fit_fringe(xi, np.array([result.p2_loop for result in results]))
+    caliber_fits = fit_fringe(xi, np.array([result.p2_caliber for result in results]))
+    for row, result, loop, caliber in zip(rows, results, loop_fits, caliber_fits):
+        _assert_read_out_matches_fit((result.loop_fit, result.caliber_fit), (loop, caliber),
+                                     result.fitted_shift)
+        assert abs(row.shift_sim - wrap_phase(loop.phase - caliber.phase)) <= 1e-14
+        dark = loop.offset + loop.amplitude * math.cos(caliber.phase + math.pi - loop.phase)
+        assert abs(row.p2_dark_sim - dark) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
