@@ -58,7 +58,7 @@ __all__ = [
     "ideal_phase_map",
 ]
 
-DEFAULT_CYCLICITY_FLOOR = 0.99
+CYCLICITY_FLOOR = 0.99
 # the tracked level's gap must stay above this multiple of the peak sweep rate
 GAP_FACTOR = 10.0
 # adiabatic fidelity is sampled about this many times over a run's tilted legs
@@ -119,12 +119,19 @@ def analytic_dressed_phase(n: int, m: int, gamma: float, branch: str) -> float:
     returns +gamma/2 (n - m + 1/2), branch "lower" the negative.  Exact
     linearity in gamma and oddness under branch swap hold by construction.
     """
-    if n < 0 or m < 0:
-        raise ValueError(f"photon labels must be >= 0, got ({n}, {m})")
+    _check_labels(n, m, "photon labels")
     if branch not in ("upper", "lower"):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
     sign = 1.0 if branch == "upper" else -1.0
     return sign * 0.5 * gamma * (n - m + 0.5)
+
+
+def _check_labels(n, m, what: str) -> None:
+    """Refuse photon labels that are not integers >= 0."""
+    if not all(isinstance(x, (int, np.integer)) for x in (n, m)):
+        raise ValueError(f"{what} must be integers, got ({n!r}, {m!r})")
+    if n < 0 or m < 0:
+        raise ValueError(f"{what} must be >= 0, got ({n}, {m})")
 
 
 def _select_doublet_branch(
@@ -200,8 +207,7 @@ def adiabatic_eigenstate_transport(
     non-finite or loses its norm.
     """
     n, m = doublet
-    if n < 0 or m < 0:
-        raise ValueError(f"doublet labels must be >= 0, got {doublet}")
+    _check_labels(n, m, "doublet labels")
     k = n + 1 + m
     require_complete(space, k)
     if branch not in ("upper", "lower"):
@@ -259,10 +265,10 @@ def adiabatic_eigenstate_transport(
     cyclicity = abs(ov)
     total = float(np.angle(ov))
     dynamical = -e0 * loop.total_time
-    if cyclicity < DEFAULT_CYCLICITY_FLOOR:
+    if cyclicity < CYCLICITY_FLOOR:
         warnings.warn(
             f"transport run cyclicity {cyclicity:.6f} below floor "
-            f"{DEFAULT_CYCLICITY_FLOOR:.2f}",
+            f"{CYCLICITY_FLOOR:.2f}",
             NonCyclicWarning,
             stacklevel=2,
         )

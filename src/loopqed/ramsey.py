@@ -87,7 +87,7 @@ from .hilbert import (
 from .model import TWO_PI, ModelParams, default_params
 from .poincare_path import PathSpec, lasso_path, rescaled_path, solid_angle
 from .dynamics import _evolve_loops
-from .phases import ideal_phase_map, wrap_phase
+from .phases import CYCLICITY_FLOOR, ideal_phase_map, wrap_phase
 
 __all__ = [
     "CavityInput",
@@ -107,7 +107,6 @@ __all__ = [
 ]
 
 ADIABATICITY_FLAG_RATIO = 0.1
-CYCLICITY_FLOOR = 0.99
 
 
 class CavityInput(_Checked, namedtuple("CavityInput", "kind photon_number alpha tail_tol")):
@@ -124,9 +123,13 @@ class CavityInput(_Checked, namedtuple("CavityInput", "kind photon_number alpha 
                 tail_tol: float = DEFAULT_TAIL_TOL):
         if kind not in ("fock", "coherent"):
             raise ValueError(f"cavity kind must be 'fock' or 'coherent', got {kind!r}")
-        # written so that NaN fails too
-        if kind == "fock" and not photon_number >= 0:
-            raise ValueError(f"photon_number must be >= 0, got {photon_number}")
+        if kind == "fock":
+            if not isinstance(photon_number, (int, np.integer)):
+                raise ValueError(f"photon_number must be an integer, got {photon_number!r}")
+            if photon_number < 0:
+                raise ValueError(f"photon_number must be >= 0, got {photon_number}")
+            # a plain int, so that prepare never indexes with a bool
+            photon_number = int(photon_number)
         if not tail_tol > 0:
             raise ValueError(f"tail_tol must be positive, got {tail_tol}")
         return super().__new__(cls, kind, photon_number, alpha, tail_tol)

@@ -1,9 +1,11 @@
 """Unit tests for the command-line front end: parsing, outputs, exit codes."""
 
+import importlib
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,10 @@ from loopqed.cli import (
 )
 from loopqed.hilbert import make_space
 from loopqed.phases import dressed_phase_pair
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmark"))
+import workloads  # noqa: E402
 
 TWO_PI = 2.0 * math.pi
 
@@ -505,32 +511,72 @@ def test_full_mode_runs_are_byte_identical(tmp_path, capsys):
     assert "# propagation_box = 1,1" in (first / "fringe.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_configs_pass_the_benchmark_oracle(tmp_path, capsys, name, seed):
+    # each benchmark workload's config, run in process and checked by the
+    # benchmark's own closed forms
+    inputs = workloads.make_inputs(name, seed)
+    workload = workloads.WORKLOADS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(inputs.config_text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([workload.subcommand, "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    workloads.check_output(inputs, str(out / workload.csv_name))
+
+
 def test_run_path_never_imports_scipy(tmp_path):
-    # scipy serves only brute_force_evolve and excitation_operator; importing
-    # the CLI and running fringe (vacuum, coherent through the re-embedding
-    # into its complete box, and a tilted loop whose legs are stepped), ideal
-    # alpha-sweep and dressed-phases must not load it
+    # scipy serves only brute_force_evolve and excitation_operator; with
+    # scipy blocked, as in an install without the test extra, importing the
+    # CLI and running fringe (vacuum, coherent through the re-embedding
+    # into its complete box, a tilted loop whose legs are stepped, and a
+    # loop that starts and ends off the pole), alpha-sweep, dressed-phases
+    # and adiabaticity must not load it
     coherent = {**FAST_FULL, "nmax_plus": 3, "cavity": "coherent:0.5"}
     tilted = {
         **FAST_FULL,
         "loop_knots": "0:0;1.0:0.5;1.0:2.5;0:3.0",
         "loop_leg_times": "0.15;0.3;0.15",
     }
+    full = write_cfg(tmp_path, name="full-2.cfg", mode="full", nmax_plus=2, loop_time_ms=0.6)
+    # one azimuth leg at theta = 1: the loop is not cyclic
+    off_pole = write_cfg(
+        tmp_path, name="offpole.cfg", mode="full", cavity="fock:1", nmax_plus=3,
+        loop_knots="1.0:0;1.0:6.283185307179586", loop_leg_times=0.6,
+    )
     runs = [
-        ("fringe", write_cfg(tmp_path, name="full.cfg", xi_points=16, **FAST_FULL)),
-        ("fringe", write_cfg(tmp_path, name="coherent.cfg", xi_points=16, **coherent)),
-        ("fringe", write_cfg(tmp_path, name="tilted.cfg", xi_points=16, **tilted)),
-        ("alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
-        ("dressed-phases", write_cfg(
+        ("full", "fringe", write_cfg(tmp_path, name="full.cfg", xi_points=16, **FAST_FULL)),
+        ("coherent", "fringe",
+         write_cfg(tmp_path, name="coherent.cfg", xi_points=16, **coherent)),
+        ("tilted", "fringe", write_cfg(tmp_path, name="tilted.cfg", xi_points=16, **tilted)),
+        ("ideal", "alpha-sweep", write_cfg(tmp_path, name="ideal.cfg", alphas="0", **FAST_IDEAL)),
+        ("dressed", "dressed-phases", write_cfg(
             tmp_path, name="dressed.cfg", nmax_plus=1,
             loop_time_ms=3.0, dt_ms=3e-3, branch="upper",
         )),
+        ("ideal-fringe", "fringe", write_cfg(
+            tmp_path, name="ideal-fringe.cfg", mode="ideal", nmax_plus=2, loop_time_ms=0.6,
+        )),
+        ("full-fringe", "fringe", full),
+        ("full-sweep", "alpha-sweep", full, "--alphas", "0,0.1"),
+        ("pair", "dressed-phases",
+         write_cfg(tmp_path, name="pair.cfg", doublets="0,0", dt_ms=0.003)),
+        ("ladder", "adiabaticity", write_cfg(tmp_path, name="ladder.cfg", mode="full", nmax_plus=2),
+         "--times", "0.6,1.2"),
+        ("offpole", "fringe", off_pole),
+        ("offpole-ladder", "adiabaticity", off_pole, "--times", "0.6,1.2"),
     ]
     script = "\n".join([
         "import sys",
+        "class BlockScipy:",
+        "    def find_spec(self, name, path=None, target=None):",
+        "        if name == 'scipy' or name.startswith('scipy.'):",
+        "            raise ImportError(f'{name} is blocked')",
+        "sys.meta_path.insert(0, BlockScipy())",
         "from loopqed.cli import main",
-        *(f"assert main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0"
-          for cmd, cfg in runs),
+        *(f"assert main({[cmd, '--config', cfg, '--out', str(tmp_path / out), *flag]!r}) == 0"
+          for out, cmd, cfg, *flag in runs),
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
         # the argv reader needs none of argparse and its translation lookups
         "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
@@ -543,6 +589,12 @@ def test_run_path_never_imports_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-3:] == ["[]", "[]", "False"]
+    # the off-pole loop is flagged, and its ladder is not monotone
+    fringe = (tmp_path / "offpole" / "fringe.csv").read_text(encoding="utf-8").splitlines()
+    flags = next(ln for ln in fringe if ln.startswith("# flags = "))
+    assert "non-cyclic" in flags.removeprefix("# flags = ").split(";")
+    ladder = tmp_path / "offpole-ladder" / "adiabaticity.csv"
+    assert "# monotone_decreasing = no" in ladder.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.skipif(
@@ -629,6 +681,19 @@ def test_console_script_version(capsys):
         assert "--config" in usage and "--out" in usage, argv
         for name, (_, _, flag) in loopqed.cli._COMMANDS.items():
             assert name in usage and (flag is None or flag[0] in usage), (argv, name)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_console_script_declaration_resolves_to_main(capsys):
+    # the installed script cannot be built offline, so read what it would run
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["loopqed"]
+    assert target == "loopqed.cli:main"
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr)(["--version"]) == 0
+    assert capsys.readouterr().out == "loopqed 0.1.0\n"
 
 
 def test_help_is_read_only_where_an_option_is_expected(tmp_path, capsys, monkeypatch):

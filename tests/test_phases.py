@@ -106,6 +106,11 @@ def test_analytic_dressed_phase_validation():
         analytic_dressed_phase(0, 0, 1.0, "middle")
 
 
+def test_analytic_dressed_phase_refuses_non_integral_labels():
+    with pytest.raises(ValueError, match="photon labels must be integers"):
+        analytic_dressed_phase(0.5, 0, 1.0, "upper")
+
+
 # ---------------------------------------------------------------------------
 # PhaseReading invariant
 
@@ -225,6 +230,13 @@ def test_transport_rejects_bad_inputs():
         # not the complete sector's (+1.2154 / -0.3607)
         dressed_phase_pair(
             make_space(4, 2), params, lasso_path(math.pi, 6.0), (1, 1)
+        )
+
+
+def test_transport_refuses_non_integral_doublet_labels():
+    with pytest.raises(ValueError, match="doublet labels must be integers"):
+        adiabatic_eigenstate_transport(
+            make_space(2, 2), default_params(), lasso_path(math.pi, 1.2), (0.5, 0)
         )
 
 

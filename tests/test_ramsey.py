@@ -915,6 +915,22 @@ def test_cavity_input_refuses_bad_fields():
             CavityInput(kind="coherent", alpha=1.0, tail_tol=tol)
 
 
+def test_cavity_input_refuses_a_non_integral_photon_number():
+    # prepare would index its coefficients with it
+    with pytest.raises(ValueError, match="photon_number must be an integer"):
+        CavityInput("fock", 1.5)
+
+
+def test_a_bool_photon_number_is_stored_and_prepared_as_its_integer():
+    # indexing with True would fill every photon number
+    cavity = CavityInput("fock", True)
+    assert type(cavity.photon_number) is int and cavity.photon_number == 1
+    space = make_space(3, 0)
+    assert np.array_equal(
+        prepare(space, cavity).amplitudes, prepare(space, CavityInput("fock", 1)).amplitudes
+    )
+
+
 def test_cavity_input_refuses_a_nan_tail_tolerance():
     with pytest.raises(ValueError, match="tail_tol must be positive"):
         CavityInput(kind="coherent", alpha=1.0, tail_tol=math.nan)
